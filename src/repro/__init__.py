@@ -64,7 +64,7 @@ from .traffic import (
 )
 from .updown import EscapeSubnetwork
 
-__version__ = "1.0.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BatchInjection",

@@ -47,12 +47,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from dataclasses import replace
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 from ..routing.catalog import MECHANISMS
 from ..simulator.arbiters import ARBITERS
 from ..simulator.backends import ENGINE_BACKENDS
+from ..simulator.collective import COLLECTIVES
 from ..simulator.config import PAPER_CONFIG
 from ..simulator.flowcontrol import FLOW_CONTROLS
 from ..simulator.injection import INJECTIONS
@@ -64,87 +66,98 @@ from . import figures
 from .executor import encode_json_safe, make_executor
 from .reporting import (
     ascii_table,
-    collective_matrix,
     curve_sparkline,
-    microarch_matrix,
     records_to_csv,
     throughput_matrix,
-    topology_matrix,
-    workload_matrix,
 )
 from .runner import ExperimentRunner
 from .scales import SCALES, get_scale
 
-SWEEP_COLUMNS = (
-    "mechanism", "traffic", "offered", "accepted", "latency_cycles",
-    "jain", "faults",
-)
 
-TRANSIENT_COLUMNS = (
-    "mechanism", "traffic", "offered", "accepted", "latency_cycles",
-    "stalled", "dropped", "schedule_events",
-)
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer >= ``minimum`` (clean usage error otherwise)."""
 
-ABLATION_COLUMNS = (
-    "arbiter", "flow_control", "link_latency", "mechanism", "traffic",
-    "offered", "accepted", "latency_cycles",
-)
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return n
 
-WORKLOAD_COLUMNS = (
-    "workload", "mechanism", "traffic", "offered", "accepted",
-    "latency_cycles", "jain",
-)
-
-TOPOLOGY_COLUMNS = (
-    "topology", "mechanism", "traffic", "offered", "accepted",
-    "latency_cycles", "jain",
-)
-
-COLLECTIVE_COLUMNS = (
-    "topology", "collective", "schedule", "mechanism", "jct_cycles",
-    "completion_slot", "retransmitted", "drained", "deadlocked",
-)
+    return parse
 
 
-#: Subcommands whose points run through an executor (--jobs/--cache-dir).
-SWEEP_COMMANDS = frozenset(
-    {
-        "fig4", "fig5", "fig6", "fig8", "fig9",
-        "fig-transient", "fig-ablation-arbiter", "fig-workloads",
-        "fig-topologies", "fig-collectives",
-    }
-)
+_positive_int = _int_at_least(1)
 
+#: Every reusable argument, declared once: its range-checked type and
+#: registry-derived choices live here; a command row overrides the
+#: default / help where the commands genuinely differ.
+ARGUMENTS: dict[str, dict[str, Any]] = {
+    # on every command
+    "scale": dict(default="tiny", choices=sorted(SCALES),
+                  help="experiment scale preset (default: tiny)"),
+    "seed": dict(type=int, default=0, help="simulation seed"),
+    "csv": dict(metavar="FILE", help="also write records as CSV"),
+    "json": dict(metavar="FILE", help="also write records as JSON"),
+    # on every sweep command (points run through an executor)
+    "jobs": dict(type=_positive_int, default=None, metavar="N",
+                 help="simulate sweep points on N worker processes "
+                      "(default: serial)"),
+    "cache-dir": dict(metavar="DIR", default=None,
+                      help="content-addressed result cache; repeated runs "
+                           "reuse already-simulated points"),
+    "backend": dict(default="slot", choices=sorted(ENGINE_BACKENDS),
+                    help="engine backend: 'slot' visits every switch each "
+                         "slot (reference), 'event' skips idle switches, "
+                         "'array' vectorizes the phase scans — identical "
+                         "records (default: slot)"),
+    # per command
+    "sequences": dict(type=_positive_int, default=4),
+    "step": dict(type=_positive_int, default=64),
+    "dims": dict(type=int, default=2, choices=(2, 3)),
+    "offered": dict(type=float),
+    "links": dict(type=_int_at_least(0), default=2, metavar="N"),
+    "repair": dict(action="store_true",
+                   help="schedule the failed links to come back up"),
+    "mechanisms": dict(nargs="+", choices=MECHANISMS),
+    "arbiters": dict(nargs="+", default=sorted(ARBITERS),
+                     choices=sorted(ARBITERS)),
+    "flow-controls": dict(nargs="+", default=["vct"],
+                          choices=sorted(FLOW_CONTROLS)),
+    "link-latencies": dict(nargs="+", type=_positive_int, default=[1],
+                           metavar="SLOTS",
+                           help="link latencies in slots (default: 1)"),
+    "loads": dict(nargs="+", type=float, default=None,
+                  help="offered loads (default: scale mid + max)"),
+    "patterns": dict(nargs="+", choices=TRAFFIC_PATTERNS, metavar="PATTERN"),
+    "injections": dict(nargs="+", default=sorted(INJECTIONS),
+                       choices=sorted(INJECTIONS)),
+    "burst": dict(type=_positive_int, default=8, metavar="SLOTS",
+                  help="mean on-burst length of the on-off process "
+                       "(default: 8)"),
+    "idle": dict(type=_positive_int, default=8, metavar="SLOTS",
+                 help="mean off-idle length of the on-off process "
+                      "(default: 8)"),
+    "topologies": dict(nargs="+", choices=TOPOLOGIES, metavar="FAMILY"),
+    "root-strategy": dict(default="max_live_degree", choices=ROOT_STRATEGIES,
+                          help="escape-root policy per family "
+                               "(default: max_live_degree)"),
+    "collectives": dict(nargs="+", default=list(figures.COLLECTIVE_SET),
+                        choices=sorted(COLLECTIVES), metavar="NAME",
+                        help="collectives to run (default: allreduce_ring "
+                             "allreduce_tree allgather_ring)"),
+    "chunk-packets": dict(type=_positive_int, default=1, metavar="N",
+                          help="chunk transfer size in 16-phit packets "
+                               "(default: 1)"),
+    "max-slots": dict(type=_positive_int, default=200_000, metavar="SLOTS",
+                      help="drain budget per run (default: 200000)"),
+    "mechanism": dict(default="PolSP", choices=MECHANISMS),
+    "traffic": dict(default="uniform", choices=TRAFFIC_PATTERNS),
+    "warmup": dict(type=int, default=None),
+    "measure": dict(type=int, default=None),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", default="tiny", choices=sorted(SCALES),
-                   help="experiment scale preset (default: tiny)")
-    p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p.add_argument("--csv", metavar="FILE", help="also write records as CSV")
-    p.add_argument("--json", metavar="FILE", help="also write records as JSON")
-
-
-def _positive_int(value: str) -> int:
-    """argparse type: an integer >= 1 (clean usage error otherwise)."""
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return n
-
-
-def _add_executor_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="simulate sweep points on N worker processes "
-                        "(default: serial)")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
-                   help="content-addressed result cache; repeated runs "
-                        "reuse already-simulated points")
-    p.add_argument("--backend", default="slot",
-                   choices=sorted(ENGINE_BACKENDS),
-                   help="engine backend: 'slot' visits every switch each "
-                        "slot (reference), 'event' skips idle switches, "
-                        "'array' vectorizes the phase scans — identical "
-                        "records (default: slot)")
+COMMON_ARGS = ("scale", "seed", "csv", "json")
+EXECUTOR_ARGS = ("jobs", "cache-dir", "backend")
 
 
 def _emit(records, args, columns=None, title=None) -> None:
@@ -167,300 +180,325 @@ def _emit(records, args, columns=None, title=None) -> None:
         print(f"wrote {args.json}", file=sys.stderr)
 
 
+# ----------------------------------------------------------------------
+# Tables, illustrations and single runs: bespoke output per command
+# ----------------------------------------------------------------------
+def _table2(args) -> None:
+    rows = [{"parameter": k, "value": v} for k, v in figures.table2()]
+    _emit(rows, args, ("parameter", "value"), "Table 2 — simulation parameters")
+
+
+def _table3(args) -> None:
+    _emit(figures.table3(args.scale), args, title="Table 3 — topological parameters")
+
+
+def _table4(args) -> None:
+    _emit(figures.table4(), args, title="Table 4 — routing mechanisms")
+
+
+def _fig1(args) -> None:
+    curves = figures.fig1_diameter_under_failures(
+        n_sequences=args.sequences, step=args.step, seed=args.seed
+    )
+    for c in curves:
+        print(
+            f"seq {c['sequence']}: {curve_sparkline(c['points'])}"
+            f"  disconnects at {c['disconnect_at']}/{c['total_links']} faults"
+        )
+    if args.csv or args.json:
+        _emit(curves, args)
+
+
+def _fig2(args) -> None:
+    info = figures.fig2_escape_illustration(args.scale)
+    print(f"escape subnetwork rooted at {info['root']}: "
+          f"{info['black_links']} black (Up/Down) links, "
+          f"{info['red_links']} red shortcuts")
+    print(f"Up/Down example candidates: {info['example_updown']}")
+    print(f"shortcut example candidates: {info['example_shortcut']}")
+
+
+def _fig3(args) -> None:
+    info = figures.fig3_rpn_illustration(args.scale)
+    print(f"RPN on side {info['k']}: loaded rows carry "
+          f"{info['pairs_per_loaded_row']} confined pairs "
+          f"(aligned-route bound {info['aligned_bound']})")
+    print(info["plane"])
+
+
+def _fig7(args) -> None:
+    _emit(figures.fig7_fault_shapes(args.scale), args,
+          title="Figure 7 — 2D fault shapes")
+
+
+def _fig10(args) -> None:
+    recs = figures.fig10_completion_time(args.scale, seed=args.seed)
+    for r in recs:
+        print(
+            f"{r['mechanism']}: completion={r['completion_cycles']} cycles, "
+            f"peak={r['peak_load']:.3f}, delivered={r['delivered']}/{r['expected']}"
+        )
+        print("  " + curve_sparkline(r["time_series"]))
+    if args.csv or args.json:
+        _emit(recs, args)
+
+
+def _point(args) -> None:
+    sc = get_scale(args.scale)
+    res = ExperimentRunner(Network(sc.hyperx(args.dims))).run_point(
+        args.mechanism, args.traffic, args.offered,
+        warmup=args.warmup or sc.warmup,
+        measure=args.measure or sc.measure,
+        seed=args.seed,
+    )
+    print(res.summary())
+
+
+def _fig_transient(scale: str, repair: bool, **kwargs: Any) -> list[dict]:
+    return figures.fig_transient(
+        scale, repair_at=0.66 if repair else None, **kwargs
+    )
+
+
+def _recovery_sparklines(recs: list[dict]) -> str:
+    return "\n".join(
+        f"{r['mechanism']}/{r['traffic']}: recovery "
+        + curve_sparkline([(s["slot"], s["accepted"]) for s in r["series"]])
+        for r in recs
+    )
+
+
+# ----------------------------------------------------------------------
+# The command table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    ``args`` names its :data:`ARGUMENTS`; ``overrides`` holds this
+    command's own default / help for some of them.  A *sweep* command has a
+    ``driver`` — a ``figures`` function called with the scale, every
+    listed argument under its own name (``rename`` maps the exceptions),
+    the seed, the config and the executor; its records print as
+    ``pivot(records)`` (when set) above a ``columns`` table headed
+    ``title`` (``str.format``-ed with, or called on, the parsed
+    arguments).  Any other command prints through ``run``.
+    """
+
+    help: str
+    args: tuple[str, ...] = ()
+    overrides: dict[str, dict[str, Any]] = field(default_factory=dict)
+    run: Callable[[argparse.Namespace], None] | None = None
+    driver: Callable[..., list[dict]] | None = None
+    rename: dict[str, str] = field(default_factory=dict)
+    columns: tuple[str, ...] = ()
+    title: str | Callable[[argparse.Namespace], str] = ""
+    pivot: Callable[[list[dict]], str] | None = None
+
+
+SWEEP_COLUMNS = (
+    "mechanism", "traffic", "offered", "accepted", "latency_cycles",
+    "jain", "faults",
+)
+SHAPE_COLUMNS = ("shape", "mechanism", "traffic", "accepted")
+_SP = ["OmniSP", "PolSP"]
+_CROSS_FAMILY = ["Minimal", "Polarized", "PolSP"]
+
+COMMANDS: dict[str, Command] = {
+    "table2": Command("simulation parameters", run=_table2),
+    "table3": Command("topological parameters", run=_table3),
+    "table4": Command("routing mechanisms and VC budgets", run=_table4),
+    "fig1": Command("diameter vs random link failures",
+                    args=("sequences", "step"), run=_fig1),
+    "fig2": Command("escape-subnetwork link colouring", run=_fig2),
+    "fig3": Command("RPN traffic-pattern illustration", run=_fig3),
+    "fig4": Command(
+        "2D fault-free load sweep",
+        driver=figures.fig4_2d_loadsweep,
+        columns=SWEEP_COLUMNS, title="Figure 4 — 2D load sweep",
+        pivot=throughput_matrix,
+    ),
+    "fig5": Command(
+        "3D fault-free load sweep (incl. RPN)",
+        driver=figures.fig5_3d_loadsweep,
+        columns=SWEEP_COLUMNS, title="Figure 5 — 3D load sweep",
+        pivot=throughput_matrix,
+    ),
+    "fig6": Command(
+        "throughput vs cumulative random faults",
+        args=("dims",),
+        driver=figures.fig6_random_faults,
+        columns=("mechanism", "traffic", "faults", "accepted"),
+        title="Figure 6 — {dims}D random-fault sweep",
+    ),
+    "fig7": Command("structured fault shapes and link counts", run=_fig7),
+    "fig8": Command(
+        "2D throughput under structured faults",
+        driver=figures.fig8_2d_shape_faults,
+        columns=SHAPE_COLUMNS, title="Figure 8 — 2D structured faults",
+    ),
+    "fig9": Command(
+        "3D throughput under structured faults",
+        driver=figures.fig9_3d_shape_faults,
+        columns=SHAPE_COLUMNS, title="Figure 9 — 3D structured faults",
+    ),
+    "fig10": Command("completion time under Star faults + RPN", run=_fig10),
+    "fig-transient": Command(
+        "mid-run link failure/repair recovery series",
+        args=("dims", "offered", "links", "repair", "mechanisms"),
+        overrides={
+            "offered": dict(default=0.6),
+            "links": dict(help="links failing at the event (default: 2)"),
+            "mechanisms": dict(default=_SP),
+        },
+        driver=_fig_transient,
+        rename={"links": "n_links"},
+        columns=(
+            "mechanism", "traffic", "offered", "accepted", "latency_cycles",
+            "stalled", "dropped", "schedule_events",
+        ),
+        title=lambda a: f"Transient — {a.links} link(s) fail mid-run"
+                        + (" then recover" if a.repair else ""),
+        pivot=_recovery_sparklines,
+    ),
+    "fig-ablation-arbiter": Command(
+        "router-microarchitecture ablation sweep",
+        args=(
+            "dims", "mechanisms", "arbiters", "flow-controls",
+            "link-latencies", "loads",
+        ),
+        overrides={"mechanisms": dict(default=_SP)},
+        driver=figures.fig_ablation_arbiter,
+        columns=(
+            "arbiter", "flow_control", "link_latency", "mechanism", "traffic",
+            "offered", "accepted", "latency_cycles",
+        ),
+        title="Ablation — router microarchitecture (arbiter / flow control / "
+              "link latency)",
+        pivot=partial(throughput_matrix, row_key=("mechanism", "microarch")),
+    ),
+    "fig-workloads": Command(
+        "workload-diversity sweep (patterns x injection)",
+        args=(
+            "dims", "mechanisms", "patterns", "injections", "burst", "idle",
+            "loads",
+        ),
+        overrides={
+            "mechanisms": dict(default=_SP),
+            "patterns": dict(default=None,
+                             help="traffic patterns (default: every pattern "
+                                  "the topology supports)"),
+        },
+        driver=figures.fig_workloads,
+        rename={"patterns": "traffics", "burst": "burst_slots",
+                "idle": "idle_slots"},
+        columns=(
+            "workload", "mechanism", "traffic", "offered", "accepted",
+            "latency_cycles", "jain",
+        ),
+        title="Workload diversity — traffic patterns x injection processes",
+        pivot=partial(throughput_matrix, row_key=("mechanism", "workload")),
+    ),
+    "fig-topologies": Command(
+        "topology-diversity sweep (mechanism x family)",
+        args=("topologies", "mechanisms", "patterns", "root-strategy", "loads"),
+        overrides={
+            "topologies": dict(default=list(figures.TOPOLOGY_FAMILIES),
+                               help="topology families to sweep (default: "
+                                    "hyperx torus mesh fattree random)"),
+            "mechanisms": dict(default=_CROSS_FAMILY),
+            "patterns": dict(default=list(figures.TOPOLOGY_TRAFFICS),
+                             help="traffic patterns (filtered per family)"),
+        },
+        driver=figures.fig_topologies,
+        rename={"patterns": "traffics"},
+        columns=(
+            "topology", "mechanism", "traffic", "offered", "accepted",
+            "latency_cycles", "jain",
+        ),
+        title="Topology diversity — mechanisms x topology families",
+        pivot=partial(throughput_matrix, row_key=("mechanism", "traffic"),
+                      col_key="topology"),
+    ),
+    "fig-collectives": Command(
+        "collective (CCL) job-completion-time sweep",
+        args=(
+            "topologies", "mechanisms", "collectives", "chunk-packets",
+            "links", "max-slots", "root-strategy",
+        ),
+        overrides={
+            "topologies": dict(default=list(figures.COLLECTIVE_TOPOLOGIES),
+                               help="topology families to sweep (default: "
+                                    "hyperx torus fattree)"),
+            "mechanisms": dict(default=_CROSS_FAMILY),
+            "links": dict(help="links failing in the faulted runs "
+                               "(default: 2)"),
+        },
+        driver=figures.fig_collectives,
+        rename={"links": "n_links"},
+        columns=(
+            "topology", "collective", "schedule", "mechanism", "jct_cycles",
+            "completion_slot", "retransmitted", "drained", "deadlocked",
+        ),
+        title="Collectives — job completion time (cycles, lower is better)",
+        pivot=partial(
+            throughput_matrix, row_key=("mechanism", "collective"),
+            col_key=("topology", "schedule"), value_key="jct_cycles",
+            agg="min",
+        ),
+    ),
+    "point": Command(
+        "one simulation point",
+        args=("mechanism", "traffic", "offered", "dims", "warmup", "measure"),
+        overrides={"offered": dict(default=0.5)},
+        run=_point,
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surepath-sim",
         description="Regenerate the SurePath paper's tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_ in (
-        ("table2", "simulation parameters"),
-        ("table3", "topological parameters"),
-        ("table4", "routing mechanisms and VC budgets"),
-        ("fig1", "diameter vs random link failures"),
-        ("fig2", "escape-subnetwork link colouring"),
-        ("fig3", "RPN traffic-pattern illustration"),
-        ("fig4", "2D fault-free load sweep"),
-        ("fig5", "3D fault-free load sweep (incl. RPN)"),
-        ("fig6", "throughput vs cumulative random faults"),
-        ("fig7", "structured fault shapes and link counts"),
-        ("fig8", "2D throughput under structured faults"),
-        ("fig9", "3D throughput under structured faults"),
-        ("fig10", "completion time under Star faults + RPN"),
-        ("fig-transient", "mid-run link failure/repair recovery series"),
-        ("fig-ablation-arbiter", "router-microarchitecture ablation sweep"),
-        ("fig-workloads", "workload-diversity sweep (patterns x injection)"),
-        ("fig-topologies", "topology-diversity sweep (mechanism x family)"),
-        ("fig-collectives", "collective (CCL) job-completion-time sweep"),
-        ("point", "one simulation point"),
-    ):
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
-        if name in SWEEP_COMMANDS:
-            _add_executor_args(p)
-        if name == "fig1":
-            p.add_argument("--sequences", type=int, default=4)
-            p.add_argument("--step", type=int, default=64)
-        if name == "fig6":
-            p.add_argument("--dims", type=int, default=2, choices=(2, 3))
-        if name == "fig-transient":
-            p.add_argument("--dims", type=int, default=2, choices=(2, 3))
-            p.add_argument("--offered", type=float, default=0.6)
-            p.add_argument("--links", type=int, default=2, metavar="N",
-                           help="links failing at the event (default: 2)")
-            p.add_argument("--repair", action="store_true",
-                           help="schedule the failed links to come back up")
-            p.add_argument("--mechanisms", nargs="+",
-                           default=["OmniSP", "PolSP"], choices=MECHANISMS)
-        if name == "fig-ablation-arbiter":
-            p.add_argument("--dims", type=int, default=2, choices=(2, 3))
-            p.add_argument("--mechanisms", nargs="+",
-                           default=["OmniSP", "PolSP"], choices=MECHANISMS)
-            p.add_argument("--arbiters", nargs="+",
-                           default=sorted(ARBITERS), choices=sorted(ARBITERS))
-            p.add_argument("--flow-controls", nargs="+", default=["vct"],
-                           choices=sorted(FLOW_CONTROLS))
-            p.add_argument("--link-latencies", nargs="+", type=_positive_int,
-                           default=[1], metavar="SLOTS",
-                           help="link latencies in slots (default: 1)")
-            p.add_argument("--loads", nargs="+", type=float, default=None,
-                           help="offered loads (default: scale mid + max)")
-        if name == "fig-workloads":
-            p.add_argument("--dims", type=int, default=2, choices=(2, 3))
-            p.add_argument("--mechanisms", nargs="+",
-                           default=["OmniSP", "PolSP"], choices=MECHANISMS)
-            p.add_argument("--patterns", nargs="+", default=None,
-                           choices=TRAFFIC_PATTERNS, metavar="PATTERN",
-                           help="traffic patterns (default: every pattern "
-                                "the topology supports)")
-            p.add_argument("--injections", nargs="+",
-                           default=sorted(INJECTIONS),
-                           choices=sorted(INJECTIONS))
-            p.add_argument("--burst", type=_positive_int, default=8,
-                           metavar="SLOTS",
-                           help="mean on-burst length of the on-off "
-                                "process (default: 8)")
-            p.add_argument("--idle", type=_positive_int, default=8,
-                           metavar="SLOTS",
-                           help="mean off-idle length of the on-off "
-                                "process (default: 8)")
-            p.add_argument("--loads", nargs="+", type=float, default=None,
-                           help="offered loads (default: scale mid + max)")
-        if name == "fig-topologies":
-            p.add_argument("--topologies", nargs="+",
-                           default=list(figures.TOPOLOGY_FAMILIES),
-                           choices=TOPOLOGIES, metavar="FAMILY",
-                           help="topology families to sweep (default: "
-                                "hyperx torus mesh fattree random)")
-            p.add_argument("--mechanisms", nargs="+",
-                           default=["Minimal", "Polarized", "PolSP"],
-                           choices=MECHANISMS)
-            p.add_argument("--patterns", nargs="+",
-                           default=list(figures.TOPOLOGY_TRAFFICS),
-                           choices=TRAFFIC_PATTERNS, metavar="PATTERN",
-                           help="traffic patterns (filtered per family)")
-            p.add_argument("--root-strategy", default="max_live_degree",
-                           choices=ROOT_STRATEGIES,
-                           help="escape-root policy per family "
-                                "(default: max_live_degree)")
-            p.add_argument("--loads", nargs="+", type=float, default=None,
-                           help="offered loads (default: scale mid + max)")
-        if name == "fig-collectives":
-            from ..simulator.collective import COLLECTIVES
-
-            p.add_argument("--topologies", nargs="+",
-                           default=list(figures.COLLECTIVE_TOPOLOGIES),
-                           choices=TOPOLOGIES, metavar="FAMILY",
-                           help="topology families to sweep (default: "
-                                "hyperx torus fattree)")
-            p.add_argument("--mechanisms", nargs="+",
-                           default=["Minimal", "Polarized", "PolSP"],
-                           choices=MECHANISMS)
-            p.add_argument("--collectives", nargs="+",
-                           default=list(figures.COLLECTIVE_SET),
-                           choices=sorted(COLLECTIVES), metavar="NAME",
-                           help="collectives to run (default: "
-                                "allreduce_ring allreduce_tree "
-                                "allgather_ring)")
-            p.add_argument("--chunk-packets", type=_positive_int, default=1,
-                           metavar="N",
-                           help="chunk transfer size in 16-phit packets "
-                                "(default: 1)")
-            p.add_argument("--links", type=int, default=2, metavar="N",
-                           help="links failing in the faulted runs "
-                                "(default: 2)")
-            p.add_argument("--max-slots", type=_positive_int, default=200_000,
-                           metavar="SLOTS",
-                           help="drain budget per run (default: 200000)")
-            p.add_argument("--root-strategy", default="max_live_degree",
-                           choices=ROOT_STRATEGIES,
-                           help="escape-root policy per family "
-                                "(default: max_live_degree)")
-        if name == "point":
-            p.add_argument("--mechanism", default="PolSP", choices=MECHANISMS)
-            p.add_argument("--traffic", default="uniform")
-            p.add_argument("--offered", type=float, default=0.5)
-            p.add_argument("--dims", type=int, default=2, choices=(2, 3))
-            p.add_argument("--warmup", type=int, default=None)
-            p.add_argument("--measure", type=int, default=None)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        executor_args = EXECUTOR_ARGS if cmd.driver else ()
+        for arg in COMMON_ARGS + executor_args + cmd.args:
+            p.add_argument(
+                f"--{arg}", **{**ARGUMENTS[arg], **cmd.overrides.get(arg, {})}
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cmd = args.command
-    executor = make_executor(
-        getattr(args, "jobs", None), getattr(args, "cache_dir", None)
-    )
+    cmd = COMMANDS[args.command]
+    if cmd.driver is None:
+        cmd.run(args)
+        return 0
     # The sweep commands' SimConfig; --backend is its only CLI-exposed
     # field so far (everything else is the paper's Table 2).
-    config = PAPER_CONFIG
-    if getattr(args, "backend", "slot") != PAPER_CONFIG.backend:
-        config = replace(PAPER_CONFIG, backend=args.backend)
-
-    if cmd == "table2":
-        rows = [{"parameter": k, "value": v} for k, v in figures.table2()]
-        _emit(rows, args, ("parameter", "value"), "Table 2 — simulation parameters")
-    elif cmd == "table3":
-        _emit(figures.table3(args.scale), args, title="Table 3 — topological parameters")
-    elif cmd == "table4":
-        _emit(figures.table4(), args, title="Table 4 — routing mechanisms")
-    elif cmd == "fig1":
-        curves = figures.fig1_diameter_under_failures(
-            n_sequences=args.sequences, step=args.step, seed=args.seed
+    config = PAPER_CONFIG.with_(backend=args.backend)
+    kwargs = {}
+    for arg in cmd.args:
+        dest = arg.replace("-", "_")
+        value = getattr(args, dest)
+        kwargs[cmd.rename.get(dest, dest)] = (
+            tuple(value) if isinstance(value, list) else value
         )
-        for c in curves:
-            pts = c["points"]
-            print(
-                f"seq {c['sequence']}: {curve_sparkline([(f, d) for f, d in pts])}"
-                f"  disconnects at {c['disconnect_at']}/{c['total_links']} faults"
-            )
-        _emit(curves, args) if (args.csv or args.json) else None
-    elif cmd == "fig2":
-        info = figures.fig2_escape_illustration(args.scale)
-        print(f"escape subnetwork rooted at {info['root']}: "
-              f"{info['black_links']} black (Up/Down) links, "
-              f"{info['red_links']} red shortcuts")
-        print(f"Up/Down example candidates: {info['example_updown']}")
-        print(f"shortcut example candidates: {info['example_shortcut']}")
-    elif cmd == "fig3":
-        info = figures.fig3_rpn_illustration(args.scale)
-        print(f"RPN on side {info['k']}: loaded rows carry "
-              f"{info['pairs_per_loaded_row']} confined pairs "
-              f"(aligned-route bound {info['aligned_bound']})")
-        print(info["plane"])
-    elif cmd == "fig4":
-        recs = figures.fig4_2d_loadsweep(args.scale, seed=args.seed,
-                                         config=config, executor=executor)
-        print(throughput_matrix(recs))
-        _emit(recs, args, SWEEP_COLUMNS, "Figure 4 — 2D load sweep")
-    elif cmd == "fig5":
-        recs = figures.fig5_3d_loadsweep(args.scale, seed=args.seed,
-                                         config=config, executor=executor)
-        print(throughput_matrix(recs))
-        _emit(recs, args, SWEEP_COLUMNS, "Figure 5 — 3D load sweep")
-    elif cmd == "fig6":
-        recs = figures.fig6_random_faults(args.scale, dims=args.dims, seed=args.seed,
-                                          config=config, executor=executor)
-        _emit(recs, args, ("mechanism", "traffic", "faults", "accepted"),
-              f"Figure 6 — {args.dims}D random-fault sweep")
-    elif cmd == "fig7":
-        _emit(figures.fig7_fault_shapes(args.scale), args,
-              title="Figure 7 — 2D fault shapes")
-    elif cmd == "fig8":
-        recs = figures.fig8_2d_shape_faults(args.scale, seed=args.seed,
-                                            config=config, executor=executor)
-        _emit(recs, args, ("shape", "mechanism", "traffic", "accepted"),
-              "Figure 8 — 2D structured faults")
-    elif cmd == "fig9":
-        recs = figures.fig9_3d_shape_faults(args.scale, seed=args.seed,
-                                            config=config, executor=executor)
-        _emit(recs, args, ("shape", "mechanism", "traffic", "accepted"),
-              "Figure 9 — 3D structured faults")
-    elif cmd == "fig-transient":
-        recs = figures.fig_transient(
-            args.scale, dims=args.dims, mechanisms=tuple(args.mechanisms),
-            offered=args.offered, n_links=args.links,
-            repair_at=0.66 if args.repair else None,
-            seed=args.seed, config=config, executor=executor,
-        )
-        for r in recs:
-            pts = [(s["slot"], s["accepted"]) for s in r["series"]]
-            print(f"{r['mechanism']}/{r['traffic']}: recovery "
-                  + curve_sparkline(pts))
-        _emit(recs, args, TRANSIENT_COLUMNS,
-              f"Transient — {args.links} link(s) fail mid-run"
-              + (" then recover" if args.repair else ""))
-    elif cmd == "fig-ablation-arbiter":
-        recs = figures.fig_ablation_arbiter(
-            args.scale, dims=args.dims, mechanisms=tuple(args.mechanisms),
-            arbiters=tuple(args.arbiters),
-            flow_controls=tuple(args.flow_controls),
-            link_latencies=tuple(args.link_latencies),
-            loads=None if args.loads is None else tuple(args.loads),
-            seed=args.seed, config=config, executor=executor,
-        )
-        print(microarch_matrix(recs))
-        _emit(recs, args, ABLATION_COLUMNS,
-              "Ablation — router microarchitecture (arbiter / flow control / "
-              "link latency)")
-    elif cmd == "fig-workloads":
-        recs = figures.fig_workloads(
-            args.scale, dims=args.dims, mechanisms=tuple(args.mechanisms),
-            traffics=None if args.patterns is None else tuple(args.patterns),
-            injections=tuple(args.injections),
-            burst_slots=args.burst, idle_slots=args.idle,
-            loads=None if args.loads is None else tuple(args.loads),
-            seed=args.seed, config=config, executor=executor,
-        )
-        print(workload_matrix(recs))
-        _emit(recs, args, WORKLOAD_COLUMNS,
-              "Workload diversity — traffic patterns x injection processes")
-    elif cmd == "fig-topologies":
-        recs = figures.fig_topologies(
-            args.scale, topologies=tuple(args.topologies),
-            mechanisms=tuple(args.mechanisms),
-            traffics=tuple(args.patterns),
-            loads=None if args.loads is None else tuple(args.loads),
-            root_strategy=args.root_strategy,
-            seed=args.seed, config=config, executor=executor,
-        )
-        print(topology_matrix(recs))
-        _emit(recs, args, TOPOLOGY_COLUMNS,
-              "Topology diversity — mechanisms x topology families")
-    elif cmd == "fig-collectives":
-        recs = figures.fig_collectives(
-            args.scale, topologies=tuple(args.topologies),
-            mechanisms=tuple(args.mechanisms),
-            collectives=tuple(args.collectives),
-            chunk_packets=args.chunk_packets, max_slots=args.max_slots,
-            n_links=args.links, root_strategy=args.root_strategy,
-            seed=args.seed, config=config, executor=executor,
-        )
-        print(collective_matrix(recs))
-        _emit(recs, args, COLLECTIVE_COLUMNS,
-              "Collectives — job completion time (cycles, lower is better)")
-    elif cmd == "fig10":
-        recs = figures.fig10_completion_time(args.scale, seed=args.seed)
-        for r in recs:
-            print(
-                f"{r['mechanism']}: completion={r['completion_cycles']} cycles, "
-                f"peak={r['peak_load']:.3f}, delivered={r['delivered']}/{r['expected']}"
-            )
-            print("  " + curve_sparkline(r["time_series"]))
-        _emit(recs, args) if (args.csv or args.json) else None
-    elif cmd == "point":
-        sc = get_scale(args.scale)
-        hx = sc.hyperx_2d() if args.dims == 2 else sc.hyperx_3d()
-        runner = ExperimentRunner(Network(hx))
-        res = runner.run_point(
-            args.mechanism, args.traffic, args.offered,
-            warmup=args.warmup or sc.warmup,
-            measure=args.measure or sc.measure,
-            seed=args.seed,
-        )
-        print(res.summary())
+    recs = cmd.driver(
+        args.scale, **kwargs, seed=args.seed, config=config,
+        executor=make_executor(args.jobs, args.cache_dir),
+    )
+    if cmd.pivot is not None:
+        print(cmd.pivot(recs))
+    title = cmd.title
+    _emit(
+        recs, args, cmd.columns,
+        title(args) if callable(title) else title.format(**vars(args)),
+    )
     return 0
 
 

@@ -120,6 +120,12 @@ class PointJob:
     #: Mid-run workload (pattern/load) phase schedule; ``None`` for
     #: single-phase points.
     workload: WorkloadSchedule | None = None
+    #: Presentation-only ``(column, value)`` pairs the sweep builders
+    #: attach (topology / shape / microarchitecture names...).  The
+    #: executor stamps them onto the record *after* the cache, so they
+    #: enter neither :func:`job_key` nor a stored entry and cached and
+    #: fresh records agree by construction.
+    labels: tuple[tuple[str, Any], ...] = ()
 
     def network(self) -> Network:
         return Network(self.topology, self.faults)
@@ -241,6 +247,41 @@ def _get_runner(job: PointJob) -> ExperimentRunner:
     return runner
 
 
+def _extra_fields(
+    job: PointJob,
+    result: SimResult | None,
+    injection: Any = None,
+    dropped: int = 0,
+) -> dict:
+    """The schedule / workload / collective keys a job adds to its record.
+
+    One place decides the key sets, so a live run (``result`` given) and
+    a :func:`disconnected_record` (``result`` ``None``) of the same job
+    always have the same record shape.
+    """
+    extra: dict[str, Any] = {}
+    if job.config.collective != "none":
+        done = result.completion_slot if result is not None else None
+        extra["collective"] = job.config.collective
+        extra["chunk_packets"] = job.config.chunk_packets
+        extra["jct_cycles"] = result.jct_cycles if result is not None else None
+        extra["completion_slot"] = done
+        extra["drained"] = done is not None
+        extra["retransmitted"] = (
+            injection.retransmitted if injection is not None else 0
+        )
+    if job.schedule is not None:
+        extra["dropped"] = (
+            result.dropped_packets if result is not None else dropped
+        )
+        extra["schedule_events"] = len(job.schedule)
+        extra["series"] = result.transient_series if result is not None else []
+    if job.workload is not None:
+        extra["workload_events"] = len(job.workload)
+        extra["phase_series"] = result.phase_series if result is not None else []
+    return extra
+
+
 def disconnected_record(job: PointJob, dropped: int = 0) -> dict:
     """The record of a point whose network is (or became) disconnected.
 
@@ -252,7 +293,7 @@ def disconnected_record(job: PointJob, dropped: int = 0) -> dict:
     the job would have produced, so downstream consumers see one record
     shape regardless of *when* the network fell apart.
     """
-    record = {
+    return {
         "mechanism": job.spec.mechanism,
         "traffic": job.spec.traffic,
         "offered": job.spec.offered,
@@ -265,22 +306,8 @@ def disconnected_record(job: PointJob, dropped: int = 0) -> dict:
         "escape_fraction": 0.0,
         "avg_hops": float("nan"),
         "disconnected": True,
+        **_extra_fields(job, None, dropped=dropped),
     }
-    if job.schedule is not None:
-        record["dropped"] = dropped
-        record["schedule_events"] = len(job.schedule)
-        record["series"] = []
-    if job.workload is not None:
-        record["workload_events"] = len(job.workload)
-        record["phase_series"] = []
-    if job.config.collective != "none":
-        record["collective"] = job.config.collective
-        record["chunk_packets"] = job.config.chunk_packets
-        record["jct_cycles"] = None
-        record["completion_slot"] = None
-        record["drained"] = False
-        record["retransmitted"] = 0
-    return record
 
 
 #: Connectivity of (topology, fault set) pairs, memoised so a sweep of
@@ -307,132 +334,66 @@ def run_job(job: PointJob) -> dict:
     schedule does so mid-run — yields a :func:`disconnected_record`
     instead of propagating :class:`NetworkDisconnected` out of a pool
     worker and killing the whole sweep.
+
+    A fault schedule mutates its network in place (that is the point),
+    so those jobs get a fresh :class:`Network` and routing tables rather
+    than the shared per-process runner: their records are independent of
+    job order and of which worker picked the job up.  A collective
+    (``config.collective``) drives its own closed-loop injection and
+    drains within the ``measure`` budget — ``warmup`` and
+    ``spec.offered`` are nominal, and a workload (phase) schedule is
+    meaningless for a DAG-driven point and rejected.
     """
     if not _job_network_connected(job):
         return disconnected_record(job)
-    if job.config.collective != "none":
-        return _run_collective_job(job)
-    if job.schedule is not None or job.workload is not None:
-        return _run_dynamic_job(job)
-    runner = _get_runner(job)
-    spec = job.spec
-    result = runner.run_point(
-        spec.mechanism,
-        spec.traffic,
-        spec.offered,
-        warmup=job.warmup,
-        measure=job.measure,
-        seed=spec.seed,
-        n_vcs=spec.n_vcs,
-    )
-    return make_record(job, result)
-
-
-def _run_collective_job(job: PointJob) -> dict:
-    """Simulate one closed-loop collective (JCT) point.
-
-    The job's ``config.collective`` / ``config.chunk_packets`` name the
-    policy (built for the job's server count); ``measure`` is the
-    max-slot drain budget and ``warmup`` is ignored (a DAG has no
-    steady state to warm into).  ``spec.offered`` is nominal — the
-    workload is closed-loop saturation by construction.  Fault-schedule
-    points get a fresh network for the same order-independence reason as
-    :func:`_run_dynamic_job`; a workload (phase) schedule is meaningless
-    for a DAG-driven point and rejected.
-    """
-    if job.workload is not None:
+    spec, config = job.spec, job.config
+    collective = config.collective != "none"
+    if collective and job.workload is not None:
         raise ValueError(
             "collective jobs drive their own injection; a workload "
             "schedule cannot apply"
         )
-    from ..simulator.collective import CollectiveInjection, make_collective
-    from ..traffic.collective import CollectiveTraffic
-
     if job.schedule is not None:
-        runner = ExperimentRunner(
-            job.network(), config=job.config, root=job.spec.root
-        )
+        runner = ExperimentRunner(job.network(), config=config, root=spec.root)
     else:
         runner = _get_runner(job)
-    spec = job.spec
-    policy = make_collective(
-        job.config.collective,
-        runner.network.n_servers,
-        chunk_packets=job.config.chunk_packets,
-    )
-    injection = CollectiveInjection(runner.network.n_servers, policy)
+    traffic: Any = spec.traffic
+    injection = None
+    if collective:
+        from ..simulator.collective import CollectiveInjection, make_collective
+        from ..traffic.collective import CollectiveTraffic
+
+        n_servers = runner.network.n_servers
+        injection = CollectiveInjection(
+            n_servers,
+            make_collective(
+                config.collective, n_servers,
+                chunk_packets=config.chunk_packets,
+            ),
+        )
+        traffic = CollectiveTraffic(runner.network, injection)
     sim = runner.build_simulator(
         spec.mechanism,
-        CollectiveTraffic(runner.network, injection),
-        offered=1.0,
+        traffic,
+        1.0 if collective else spec.offered,
         seed=spec.seed,
         n_vcs=spec.n_vcs,
         injection=injection,
         series_interval=job.series_interval,
         fault_schedule=job.schedule,
-    )
-    try:
-        result = sim.run_until_drained(max_slots=job.measure)
-    except NetworkDisconnected:
-        return disconnected_record(job, dropped=sim.metrics.dropped_total)
-    record = make_record(job, result)
-    record["collective"] = job.config.collective
-    record["chunk_packets"] = job.config.chunk_packets
-    record["jct_cycles"] = result.jct_cycles
-    record["completion_slot"] = result.completion_slot
-    record["drained"] = result.completion_slot is not None
-    record["retransmitted"] = injection.retransmitted
-    if job.schedule is not None:
-        record["dropped"] = result.dropped_packets
-        record["schedule_events"] = len(job.schedule)
-        record["series"] = result.transient_series
-    return record
-
-
-def _run_dynamic_job(job: PointJob) -> dict:
-    """Simulate one scheduled-fault and/or workload-phased point.
-
-    Fault-schedule runs mutate their network in place (that is the
-    point), so they deliberately bypass the shared runner cache: every
-    such job gets a fresh :class:`Network` and routing tables, making
-    records independent of job order and of which worker picked the job
-    up — the executor identity guarantee extends to scheduled-fault
-    points.  Pure workload phasing never touches the network, so those
-    jobs keep sharing the per-process runner like static ones.
-    """
-    if job.schedule is not None:
-        runner = ExperimentRunner(
-            job.network(), config=job.config, root=job.spec.root
-        )
-    else:
-        runner = _get_runner(job)
-    spec = job.spec
-    sim = runner.build_simulator(
-        spec.mechanism,
-        spec.traffic,
-        spec.offered,
-        seed=spec.seed,
-        n_vcs=spec.n_vcs,
-        series_interval=job.series_interval,
-        fault_schedule=job.schedule,
         workload_schedule=job.workload,
     )
     try:
-        result = sim.run(warmup=job.warmup, measure=job.measure)
+        if collective:
+            result = sim.run_until_drained(max_slots=job.measure)
+        else:
+            result = sim.run(warmup=job.warmup, measure=job.measure)
     except NetworkDisconnected:
         # A scheduled event cut the network: record the point instead of
         # crashing the worker (the engine raises before any mechanism
         # sees the split topology).
         return disconnected_record(job, dropped=sim.metrics.dropped_total)
-    record = make_record(job, result)
-    if job.schedule is not None:
-        record["dropped"] = result.dropped_packets
-        record["schedule_events"] = len(job.schedule)
-        record["series"] = result.transient_series
-    if job.workload is not None:
-        record["workload_events"] = len(job.workload)
-        record["phase_series"] = result.phase_series
-    return record
+    return {**make_record(job, result), **_extra_fields(job, result, injection)}
 
 
 # ----------------------------------------------------------------------
@@ -542,6 +503,10 @@ class Executor:
                 records[i] = rec
                 if self.cache_dir:
                     self._cache_store(job_list[i], rec)
+        # Labels go on after the cache, so a stored entry never holds
+        # them and a hit gets exactly the columns a fresh run does.
+        for i, job in enumerate(job_list):
+            records[i].update(job.labels)
         return [records[i] for i in range(len(job_list))]
 
     def _execute(self, jobs: Sequence[PointJob]) -> list[dict]:

@@ -10,8 +10,6 @@ topologies.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..routing.catalog import MECHANISMS
 from ..seeding import as_generator
 from ..simulator.config import PAPER_CONFIG, SimConfig, table2_rows
@@ -24,18 +22,22 @@ from ..topology.faults import (
 )
 from ..topology.graph import diameter_or_none
 from ..topology.hyperx import HyperX
+from ..traffic import supported_traffics
+from ..updown.roots import choose_root
 from .runner import ExperimentRunner
 from .scales import Scale, get_scale, scaled_topology
 from .sweeps import (
     DEFAULT_ARBITERS,
     DEFAULT_INJECTIONS,
-    ablation_arbiter,
-    fault_sweep,
-    load_sweep,
-    shape_fault_run,
-    topology_sweep,
-    transient_run,
-    workload_sweep,
+    ablation_arbiter_jobs,
+    collective_sweep_jobs,
+    fault_sweep_jobs,
+    load_sweep_jobs,
+    run_sweep,
+    topology_sweep_jobs,
+    transient_run_jobs,
+    with_labels,
+    workload_sweep_jobs,
 )
 
 #: Traffic patterns per topology dimensionality, in the paper's order.
@@ -49,6 +51,16 @@ SHAPES_3D = ("row", "subcube", "star")
 
 def _scale(scale: str | Scale) -> Scale:
     return scale if isinstance(scale, Scale) else get_scale(scale)
+
+
+def _mid_and_max_load(sc: Scale) -> tuple[float, float]:
+    """Mid-load (latency regime) plus saturation (throughput regime)."""
+    return (sc.loads[len(sc.loads) // 2 - 1], sc.loads[-1])
+
+
+def _hostable(traffics: tuple[str, ...], dims: int) -> tuple[str, ...]:
+    """``traffics`` without RPN on 2D (the pattern needs three dimensions)."""
+    return tuple(t for t in traffics if dims == 3 or t != "rpn")
 
 
 # ----------------------------------------------------------------------
@@ -229,12 +241,11 @@ def fig4_2d_loadsweep(
     ladder mechanisms.
     """
     sc = _scale(scale)
-    net = Network(sc.hyperx_2d())
-    return load_sweep(
-        net, mechanisms, TRAFFICS_2D, sc.loads,
+    jobs = load_sweep_jobs(
+        Network(sc.hyperx_2d()), mechanisms, TRAFFICS_2D, sc.loads,
         warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
-        executor=executor,
     )
+    return run_sweep(jobs, executor)
 
 
 def fig5_3d_loadsweep(
@@ -250,12 +261,11 @@ def fig5_3d_loadsweep(
     mechanisms cap at 0.5 (aligned routes), Polarized-based exceed 0.5.
     """
     sc = _scale(scale)
-    net = Network(sc.hyperx_3d())
-    return load_sweep(
-        net, mechanisms, TRAFFICS_3D, sc.loads,
+    jobs = load_sweep_jobs(
+        Network(sc.hyperx_3d()), mechanisms, TRAFFICS_3D, sc.loads,
         warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
-        executor=executor,
     )
+    return run_sweep(jobs, executor)
 
 
 # ----------------------------------------------------------------------
@@ -279,15 +289,15 @@ def fig6_random_faults(
     paper scale, the adversarial patterns barely move.
     """
     sc = _scale(scale)
-    hx = sc.hyperx_2d() if dims == 2 else sc.hyperx_3d()
+    hx = sc.hyperx(dims)
     n_links = len(hx.links())
     counts = sorted({int(round(f * n_links)) for f in sc.fault_fractions})
-    traffics = TRAFFICS_2D if dims == 2 else TRAFFICS_3D
-    return fault_sweep(
-        hx, ("OmniSP", "PolSP"), traffics, counts,
+    jobs = fault_sweep_jobs(
+        hx, ("OmniSP", "PolSP"), TRAFFICS_2D if dims == 2 else TRAFFICS_3D, counts,
         offered=1.0, warmup=sc.warmup, measure=sc.measure,
-        seed=seed, fault_seed=fault_seed, config=config, executor=executor,
+        seed=seed, fault_seed=fault_seed, config=config,
     )
+    return run_sweep(jobs, executor)
 
 
 # ----------------------------------------------------------------------
@@ -354,29 +364,22 @@ def _shape_bars(
     executor=None,
 ) -> list[dict]:
     params = shape_parameters(hx)
-    records: list[dict] = []
+    jobs = []
     for shape in shapes:
-        faults = shape_faults(hx, shape, **params[shape])
         root = shape_root(hx, shape, **params[shape])
-        net = Network(hx, faults)
-        recs = shape_fault_run(
-            net, ("OmniSP", "PolSP"), traffics,
-            offered=1.0, warmup=sc.warmup, measure=sc.measure,
-            seed=seed, config=config, root=root, executor=executor,
-        )
-        for r in recs:
-            r["shape"] = shape
-        records.extend(recs)
-        # Healthy reference marks (same root, same mechanisms).
-        healthy = shape_fault_run(
-            Network(hx), ("OmniSP", "PolSP"), traffics,
-            offered=1.0, warmup=sc.warmup, measure=sc.measure,
-            seed=seed, config=config, root=root, executor=executor,
-        )
-        for r in healthy:
-            r["shape"] = f"{shape}-healthy-ref"
-        records.extend(healthy)
-    return records
+        faulty = Network(hx, shape_faults(hx, shape, **params[shape]))
+        # Each shape, then its healthy reference marks (same root, same
+        # mechanisms).
+        for net, label in ((faulty, shape), (Network(hx), f"{shape}-healthy-ref")):
+            jobs += with_labels(
+                load_sweep_jobs(
+                    net, ("OmniSP", "PolSP"), traffics, (1.0,),
+                    warmup=sc.warmup, measure=sc.measure, seed=seed,
+                    config=config, root=root, n_vcs=4,
+                ),
+                shape=label,
+            )
+    return run_sweep(jobs, executor)
 
 
 def fig8_2d_shape_faults(
@@ -444,7 +447,7 @@ def fig_transient(
     routes past their VC budget.
     """
     sc = _scale(scale)
-    hx = sc.hyperx_2d() if dims == 2 else sc.hyperx_3d()
+    hx = sc.hyperx(dims)
     links = random_connected_fault_sequence(hx, n_links, rng=fault_seed)
     fail_slot = sc.warmup + int(sc.measure * fail_at)
     if repair_at is not None:
@@ -459,13 +462,12 @@ def fig_transient(
         schedule = FaultSchedule.link_down(fail_slot, links)
     if series_interval is None:
         series_interval = max(10, sc.measure // 24)
-    traffics = tuple(t for t in traffics if dims == 3 or t != "rpn")
-    return transient_run(
-        Network(hx), mechanisms, traffics, schedule,
+    jobs = transient_run_jobs(
+        Network(hx), mechanisms, _hostable(traffics, dims), schedule,
         offered=offered, warmup=sc.warmup, measure=sc.measure,
         series_interval=series_interval, seed=seed, config=config,
-        executor=executor,
     )
+    return run_sweep(jobs, executor)
 
 
 # ----------------------------------------------------------------------
@@ -499,18 +501,14 @@ def fig_ablation_arbiter(
     holds until buffering binds.
     """
     sc = _scale(scale)
-    hx = sc.hyperx_2d() if dims == 2 else sc.hyperx_3d()
-    if loads is None:
-        # Mid-load (latency regime) plus saturation (throughput regime).
-        loads = (sc.loads[len(sc.loads) // 2 - 1], sc.loads[-1])
-    traffics = tuple(t for t in traffics if dims == 3 or t != "rpn")
-    return ablation_arbiter(
-        Network(hx), mechanisms, traffics, loads,
+    jobs = ablation_arbiter_jobs(
+        Network(sc.hyperx(dims)), mechanisms, _hostable(traffics, dims),
+        _mid_and_max_load(sc) if loads is None else loads,
         arbiters=arbiters, flow_controls=flow_controls,
         link_latencies=link_latencies,
         warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
-        executor=executor,
     )
+    return run_sweep(jobs, executor)
 
 
 # ----------------------------------------------------------------------
@@ -552,21 +550,16 @@ def fig_workloads(
     bursts), and the premium grows with ``burst_slots``.
     """
     sc = _scale(scale)
-    hx = sc.hyperx_2d() if dims == 2 else sc.hyperx_3d()
-    net = Network(hx)
+    net = Network(sc.hyperx(dims))
     if traffics is None:
-        from ..traffic import supported_traffics
-
         traffics = tuple(supported_traffics(net, WORKLOAD_TRAFFICS))
-    if loads is None:
-        # Mid-load (latency regime) plus saturation (throughput regime).
-        loads = (sc.loads[len(sc.loads) // 2 - 1], sc.loads[-1])
-    return workload_sweep(
-        net, mechanisms, traffics, loads,
+    jobs = workload_sweep_jobs(
+        net, mechanisms, traffics,
+        _mid_and_max_load(sc) if loads is None else loads,
         injections=injections, burst_slots=burst_slots, idle_slots=idle_slots,
         warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
-        executor=executor,
     )
+    return run_sweep(jobs, executor)
 
 
 # ----------------------------------------------------------------------
@@ -613,14 +606,13 @@ def fig_topologies(
     networks = {
         name: Network(scaled_topology(name, sc)) for name in topologies
     }
-    if loads is None:
-        # Mid-load (latency regime) plus saturation (throughput regime).
-        loads = (sc.loads[len(sc.loads) // 2 - 1], sc.loads[-1])
-    return topology_sweep(
-        networks, mechanisms, traffics, loads,
+    jobs = topology_sweep_jobs(
+        networks, mechanisms, traffics,
+        _mid_and_max_load(sc) if loads is None else loads,
         warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
-        root_strategy=root_strategy, executor=executor,
+        root_strategy=root_strategy,
     )
+    return run_sweep(jobs, executor)
 
 
 # ----------------------------------------------------------------------
@@ -668,11 +660,8 @@ def fig_collectives(
     records report ``deadlocked`` with ``jct_cycles`` ``None``, the
     closed-loop version of the paper's liveness argument.
     """
-    from ..updown.roots import choose_root
-    from .sweeps import collective_sweep
-
     sc = _scale(scale)
-    records: list[dict] = []
+    jobs = []
     for name in topologies:
         topo = scaled_topology(name, sc)
         net = Network(topo)
@@ -681,16 +670,16 @@ def fig_collectives(
             ("none", None),
             ("downup", FaultSchedule.down_then_up(fail_slot, repair_slot, links)),
         ]
-        block = collective_sweep(
-            net, mechanisms, collectives,
-            schedules=schedules, chunk_packets=chunk_packets,
-            max_slots=max_slots, seed=seed, config=config,
-            root=choose_root(net, root_strategy), executor=executor,
+        jobs += with_labels(
+            collective_sweep_jobs(
+                net, mechanisms, collectives,
+                schedules=schedules, chunk_packets=chunk_packets,
+                max_slots=max_slots, seed=seed, config=config,
+                root=choose_root(net, root_strategy),
+            ),
+            topology=name,
         )
-        for rec in block:
-            rec["topology"] = name
-        records += block
-    return records
+    return run_sweep(jobs, executor)
 
 
 # ----------------------------------------------------------------------

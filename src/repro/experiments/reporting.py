@@ -70,10 +70,16 @@ def records_to_csv(records: Sequence[dict], columns: Sequence[str] | None = None
     return buf.getvalue()
 
 
+def _cell_label(rec: dict, key: str | Sequence[str], sep: str) -> str:
+    if isinstance(key, str):
+        return str(rec[key])
+    return sep.join(str(rec[k]) for k in key if k in rec)
+
+
 def throughput_matrix(
     records: Iterable[dict],
-    row_key: str = "mechanism",
-    col_key: str = "traffic",
+    row_key: str | Sequence[str] = "mechanism",
+    col_key: str | Sequence[str] = "traffic",
     value_key: str = "accepted",
     agg: str = "max",
 ) -> str:
@@ -86,6 +92,19 @@ def throughput_matrix(
     whose value is ``None`` or non-finite (an unfinished collective, a
     disconnected point) are skipped, leaving an empty cell when nothing
     else fills it.
+
+    ``row_key`` / ``col_key`` may be tuples of record keys: the label is
+    then their values joined (``:`` for rows, ``/`` for columns),
+    skipping keys a record lacks.  Keeping the mechanism in a compound
+    row key — ``("mechanism", "microarch")`` for the ablation sweep,
+    ``("mechanism", "workload")`` for the workload one — stops a strong
+    routing mechanism masking a weak component through max-aggregation;
+    ``("mechanism", "traffic")`` rows against ``"topology"`` columns
+    show the family compatibility matrix (a cell a family cannot host
+    has no records and renders as ``nan``); and ``("mechanism",
+    "collective")`` x ``("topology", "schedule")`` with ``agg="min"`` is
+    the JCT table, whose single-network records have no ``topology`` key
+    and pivot on the schedule alone.
     """
     if agg not in ("max", "min"):
         raise ValueError(f"agg must be 'max' or 'min', got {agg!r}")
@@ -94,7 +113,7 @@ def throughput_matrix(
     rows: list[str] = []
     cols: list[str] = []
     for rec in records:
-        r, c = str(rec[row_key]), str(rec[col_key])
+        r, c = _cell_label(rec, row_key, ":"), _cell_label(rec, col_key, "/")
         if r not in rows:
             rows.append(r)
         if c not in cols:
@@ -105,112 +124,14 @@ def throughput_matrix(
             continue
         if key not in cells or better(v, cells[key]):
             cells[key] = v
+    header = row_key if isinstance(row_key, str) else ":".join(row_key)
     out_records = []
     for r in rows:
-        rec = {row_key: r}
+        rec = {header: r}
         for c in cols:
             rec[c] = cells.get((r, c), float("nan"))
         out_records.append(rec)
-    return ascii_table(out_records, [row_key] + cols)
-
-
-def microarch_matrix(records: Iterable[dict], value_key: str = "accepted") -> str:
-    """Pivot ablation records into a (mechanism, microarchitecture) x
-    traffic matrix.
-
-    Rows combine the routing mechanism with the ``microarch`` label
-    (``arbiter/flow_control/L<latency>``) the
-    :func:`~repro.experiments.sweeps.ablation_arbiter` sweep stamps on
-    its records; cells are the saturation value per traffic pattern.
-    The mechanism stays in the row key so a strong routing mechanism
-    cannot mask a weak arbiter through max-aggregation.
-    """
-    rows = [
-        {**rec, "mechanism:microarch": f"{rec['mechanism']}:{rec['microarch']}"}
-        for rec in records
-    ]
-    return throughput_matrix(
-        rows, row_key="mechanism:microarch", col_key="traffic", value_key=value_key
-    )
-
-
-def workload_matrix(records: Iterable[dict], value_key: str = "accepted") -> str:
-    """Pivot workload-sweep records into a (mechanism, injection) x
-    traffic matrix.
-
-    Rows combine the routing mechanism with the ``workload`` label
-    (``bernoulli`` / ``onoff(burst/idle)``) that
-    :func:`~repro.experiments.sweeps.workload_sweep` stamps on its
-    records; cells are the saturation value per traffic pattern — the
-    mechanism x pattern comparison table of the workload-diversity
-    experiments.
-    """
-    rows = [
-        {**rec, "mechanism:workload": f"{rec['mechanism']}:{rec['workload']}"}
-        for rec in records
-    ]
-    return throughput_matrix(
-        rows, row_key="mechanism:workload", col_key="traffic", value_key=value_key
-    )
-
-
-def topology_matrix(records: Iterable[dict], value_key: str = "accepted") -> str:
-    """Pivot topology-sweep records into a (mechanism, traffic) x
-    topology matrix.
-
-    Rows combine the routing mechanism with the traffic pattern; columns
-    are the ``topology`` labels that
-    :func:`~repro.experiments.sweeps.topology_sweep` stamps on its
-    records; cells are the saturation value.  Cells a family cannot host
-    (a HyperX-only mechanism, a structurally impossible pattern) simply
-    have no records and render as ``nan`` — the visible shape of the
-    compatibility matrix.
-    """
-    rows = [
-        {**rec, "mechanism:traffic": f"{rec['mechanism']}:{rec['traffic']}"}
-        for rec in records
-    ]
-    return throughput_matrix(
-        rows, row_key="mechanism:traffic", col_key="topology", value_key=value_key
-    )
-
-
-def collective_matrix(
-    records: Iterable[dict], value_key: str = "jct_cycles"
-) -> str:
-    """Pivot collective-sweep records into a (mechanism, collective) x
-    (topology/schedule) job-completion-time matrix.
-
-    Rows combine the routing mechanism with the collective; columns
-    combine the ``topology`` and ``schedule`` labels the
-    :func:`~repro.experiments.figures.fig_collectives` driver stamps on
-    its records (a single-network :func:`~repro.experiments.sweeps.collective_sweep`
-    has no ``topology`` key and the column is just the schedule).  Cells
-    aggregate with **min** — JCT is a completion time, lower is better —
-    and a run that never drained (``jct_cycles`` ``None``) leaves its
-    cell empty rather than posing as a finite time.
-    """
-    rows = []
-    for rec in records:
-        col = (
-            f"{rec['topology']}/{rec['schedule']}"
-            if "topology" in rec
-            else str(rec.get("schedule", "none"))
-        )
-        rows.append(
-            {
-                **rec,
-                "mechanism:collective": f"{rec['mechanism']}:{rec['collective']}",
-                "topology:schedule": col,
-            }
-        )
-    return throughput_matrix(
-        rows,
-        row_key="mechanism:collective",
-        col_key="topology:schedule",
-        value_key=value_key,
-        agg="min",
-    )
+    return ascii_table(out_records, [header] + cols)
 
 
 def curve_sparkline(points: Sequence[tuple[float, float]], width: int = 40) -> str:

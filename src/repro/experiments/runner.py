@@ -11,7 +11,6 @@ per topology event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..routing.catalog import make_mechanism
 from ..simulator.backends import make_simulator
@@ -165,44 +164,3 @@ class ExperimentRunner:
             injection=injection, series_interval=series_interval,
         )
         return sim.run_until_drained(max_slots=max_slots)
-
-    def run_collective(
-        self,
-        mechanism: str,
-        policy,
-        *,
-        seed: int = 0,
-        n_vcs: int | None = None,
-        series_interval: int | None = None,
-        fault_schedule=None,
-        max_slots: int = 500_000,
-    ) -> SimResult:
-        """Run a collective's dependency DAG to completion (JCT mode).
-
-        ``policy`` is a :class:`~repro.simulator.collective.CollectivePolicy`;
-        the run drains when every entry has fired and delivered, and the
-        result's :attr:`~repro.simulator.metrics.SimResult.jct_cycles` is
-        the job completion time.  With a ``fault_schedule`` the same
-        sharing caveat as :meth:`build_simulator` applies.
-        """
-        from ..simulator.collective import CollectiveInjection
-        from ..traffic.collective import CollectiveTraffic
-
-        injection = CollectiveInjection(self.network.n_servers, policy)
-        sim = self.build_simulator(
-            mechanism,
-            CollectiveTraffic(self.network, injection),
-            offered=1.0,
-            seed=seed,
-            n_vcs=n_vcs,
-            injection=injection,
-            series_interval=series_interval,
-            fault_schedule=fault_schedule,
-        )
-        return sim.run_until_drained(max_slots=max_slots)
-
-    def supported_mechanisms(self, names: Iterable[str]) -> list[str]:
-        """Filter mechanism names to those the network's topology supports."""
-        from ..routing.catalog import supported_mechanisms
-
-        return supported_mechanisms(self.network.topology, names)

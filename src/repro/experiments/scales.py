@@ -46,6 +46,9 @@ class Scale:
     def hyperx_3d(self) -> HyperX:
         return regular_hyperx(3, self.side_3d)
 
+    def hyperx(self, dims: int) -> HyperX:
+        return self.hyperx_2d() if dims == 2 else self.hyperx_3d()
+
 
 _LOADS_FULL = tuple(round(0.1 * i, 1) for i in range(1, 11))
 _LOADS_COARSE = (0.2, 0.4, 0.6, 0.8, 1.0)

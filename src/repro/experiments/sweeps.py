@@ -1,18 +1,24 @@
-"""Parameter sweeps: load sweeps (Figures 4/5) and fault sweeps (Figure 6).
+"""Parameter sweeps: every figure is a list of points, run and tabulated.
 
-Sweeps are *declarative*: each driver first generates a flat work list of
-fully-specified :class:`~repro.experiments.executor.PointJob` objects
-(``*_jobs`` functions), then hands it to an
-:class:`~repro.experiments.executor.Executor` — serial by default,
-process-parallel and/or disk-cached when the caller provides one.  Sweep
-outputs are flat lists of records (plain dicts) so the reporting module,
-the benchmark suite and external analysis can consume them without custom
-types.
+Sweeps are *declarative*: each ``*_jobs`` builder returns a flat work
+list of fully-specified :class:`~repro.experiments.executor.PointJob`
+objects — its own axis loop around one shared block builder — and
+:func:`run_sweep` hands the list to an
+:class:`~repro.experiments.executor.Executor` (serial by default,
+process-parallel and/or disk-cached when the caller provides one).  Job
+lists are plain lists, so a figure composes several sweeps with ``+``
+and still pays for one executor run.  Columns that only name a job's
+place in its sweep (topology, shape, microarchitecture...) travel as
+``PointJob.labels`` and are stamped onto the record by the executor.
+Sweep outputs are flat lists of records (plain dicts) so the reporting
+module, the benchmark suite and external analysis can consume them
+without custom types.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import replace
+from typing import Any, Iterable, Sequence
 
 from ..routing.catalog import supported_mechanisms
 from ..simulator.config import PAPER_CONFIG, SimConfig
@@ -20,7 +26,8 @@ from ..simulator.schedule import FaultSchedule
 from ..simulator.workload import WorkloadSchedule
 from ..topology.base import Network, Topology
 from ..topology.faults import random_connected_fault_sequence
-from ..traffic import supported_traffics
+from ..traffic import canonical_traffic_name, supported_traffics
+from ..updown.roots import choose_root
 from .executor import RECORD_KEYS, Executor, PointJob, SerialExecutor
 from .runner import PointSpec
 
@@ -28,35 +35,31 @@ __all__ = [
     "DEFAULT_ARBITERS",
     "DEFAULT_INJECTIONS",
     "RECORD_KEYS",
-    "ablation_arbiter",
     "ablation_arbiter_jobs",
-    "annotate_collective",
-    "annotate_components",
-    "annotate_topology",
-    "annotate_workload",
-    "collective_sweep",
     "collective_sweep_jobs",
-    "fault_sweep",
     "fault_sweep_jobs",
     "filter_records",
-    "load_sweep",
     "load_sweep_jobs",
+    "run_sweep",
     "saturation_throughput",
-    "shape_fault_run",
-    "shape_fault_run_jobs",
     "supported_mechanisms",
     "supported_traffics",
-    "topology_sweep",
     "topology_sweep_jobs",
-    "transient_run",
     "transient_run_jobs",
-    "workload_sweep",
+    "with_labels",
     "workload_sweep_jobs",
 ]
 
 
-def _run(jobs: list[PointJob], executor: Executor | None) -> list[dict]:
+def run_sweep(jobs: list[PointJob], executor: Executor | None = None) -> list[dict]:
+    """Run a job list to its records (same order), serially by default."""
     return (executor if executor is not None else SerialExecutor()).run(jobs)
+
+
+def with_labels(jobs: Iterable[PointJob], **labels: Any) -> list[PointJob]:
+    """Copies of ``jobs`` carrying extra label columns (after their own)."""
+    extra = tuple(labels.items())
+    return [replace(job, labels=job.labels + extra) for job in jobs]
 
 
 def _validate_traffics(
@@ -64,15 +67,14 @@ def _validate_traffics(
 ) -> None:
     """Reject structurally impossible patterns before any job runs.
 
-    Every sweep validates its full pattern list against the (healthy)
-    network upfront, so a bad request fails with one clean error naming
-    the patterns and the topology — not a ``TypeError`` mid-sweep inside
-    a pool worker.  Names are canonicalised first: an alias ("Random
-    Server Permutation", "bit reverse") validates exactly like its short
-    name, and an unknown name raises the factory's typo error.
+    Every sweep validates its full pattern list against the network
+    upfront (patterns depend on the topology, never on the fault set), so
+    a bad request fails with one clean error naming the patterns and the
+    topology — not a ``TypeError`` mid-sweep inside a pool worker.  Names
+    are canonicalised first: an alias ("Random Server Permutation", "bit
+    reverse") validates exactly like its short name, and an unknown name
+    raises the factory's typo error.
     """
-    from ..traffic import canonical_traffic_name
-
     wanted = list(traffics) + list(extra)
     # Probe only the requested names; the full registry is constructed
     # lazily, for the error message alone (building every pattern per
@@ -90,9 +92,60 @@ def _validate_traffics(
         )
 
 
-# ----------------------------------------------------------------------
-# Load sweeps (Figures 4 and 5)
-# ----------------------------------------------------------------------
+def _block(
+    network: Network,
+    mechanisms: Sequence[str],
+    traffics: Sequence[str],
+    loads: Sequence[float],
+    *,
+    warmup: int,
+    measure: int,
+    seed: int,
+    config: SimConfig,
+    root: int,
+    n_vcs: int | None,
+    schedule: FaultSchedule | None = None,
+    series_interval: int | None = None,
+    workload: WorkloadSchedule | None = None,
+    labels: tuple[tuple[str, Any], ...] = (),
+) -> list[PointJob]:
+    """One job per (traffic, supported mechanism, load) on one network.
+
+    The block every sweep is made of, in nested-loop order.  Patterns
+    (the workload schedule's phase patterns included) and the fault
+    schedule are validated against the network before any job exists; a
+    collective job's "traffic" is its collective name, which
+    :class:`SimConfig` has already validated.
+    """
+    if config.collective == "none":
+        _validate_traffics(
+            network, traffics,
+            extra=workload.pattern_names() if workload is not None else (),
+        )
+    if schedule is not None:
+        schedule.validate(network.topology, network.faults)
+    faults = tuple(sorted(network.faults))
+    return [
+        PointJob(
+            topology=network.topology,
+            faults=faults,
+            spec=PointSpec(
+                mechanism, traffic, offered, seed=seed, n_vcs=n_vcs, root=root
+            ),
+            warmup=warmup,
+            measure=measure,
+            config=config,
+            schedule=schedule,
+            series_interval=series_interval,
+            workload=workload,
+            labels=labels,
+        )
+        for traffic in traffics
+        for mechanism in supported_mechanisms(network.topology, mechanisms)
+        for offered in loads
+    ]
+
+
 def load_sweep_jobs(
     network: Network,
     mechanisms: Sequence[str],
@@ -106,56 +159,19 @@ def load_sweep_jobs(
     root: int = 0,
     n_vcs: int | None = None,
 ) -> list[PointJob]:
-    """The work list behind :func:`load_sweep`: one job per point."""
-    _validate_traffics(network, traffics)
-    faults = tuple(sorted(network.faults))
-    return [
-        PointJob(
-            topology=network.topology,
-            faults=faults,
-            spec=PointSpec(
-                mechanism, traffic, offered, seed=seed, n_vcs=n_vcs, root=root
-            ),
-            warmup=warmup,
-            measure=measure,
-            config=config,
-        )
-        for traffic in traffics
-        for mechanism in supported_mechanisms(network.topology, mechanisms)
-        for offered in loads
-    ]
-
-
-def load_sweep(
-    network: Network,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    loads: Sequence[float],
-    *,
-    warmup: int = 300,
-    measure: int = 600,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = None,
-    executor: Executor | None = None,
-) -> list[dict]:
     """Throughput/latency/Jain versus offered load (Figures 4 and 5).
 
-    Returns one record per (mechanism, traffic, load), in nested-loop
-    order regardless of the executor's scheduling.
+    One job per (traffic, mechanism, load), in nested-loop order.  With
+    a single saturating load, 4 VCs and a structured-fault network this
+    is also the sweep behind Figures 8 and 9.
     """
-    jobs = load_sweep_jobs(
+    return _block(
         network, mechanisms, traffics, loads,
         warmup=warmup, measure=measure, seed=seed, config=config,
         root=root, n_vcs=n_vcs,
     )
-    return _run(jobs, executor)
 
 
-# ----------------------------------------------------------------------
-# Fault sweeps (Figure 6)
-# ----------------------------------------------------------------------
 def fault_sweep_jobs(
     topology: Topology,
     mechanisms: Sequence[str],
@@ -171,131 +187,30 @@ def fault_sweep_jobs(
     root: int = 0,
     n_vcs: int | None = None,
 ) -> list[PointJob]:
-    """The work list behind :func:`fault_sweep`: one job per point.
+    """Saturation throughput versus cumulative random faults (Figure 6).
 
     One random connected fault sequence is drawn; each requested count is
     a prefix of it, so fault sets are nested exactly as in the paper's
-    "sequence of random faults" scenario.
+    "sequence of random faults" scenario.  SurePath mechanisms use 4 VCs
+    by default here, matching §6 (pass ``n_vcs`` to override).
     """
-    _validate_traffics(Network(topology), traffics)
     counts = sorted(set(int(c) for c in fault_counts))
-    if counts and counts[-1] > 0:
-        sequence = random_connected_fault_sequence(
-            topology, counts[-1], rng=fault_seed
-        )
-    else:
-        sequence = []
+    sequence = (
+        random_connected_fault_sequence(topology, counts[-1], rng=fault_seed)
+        if counts and counts[-1] > 0
+        else []
+    )
     jobs: list[PointJob] = []
     for count in counts:
-        faults = tuple(sequence[:count])
-        for traffic in traffics:
-            for mechanism in supported_mechanisms(topology, mechanisms):
-                jobs.append(
-                    PointJob(
-                        topology=topology,
-                        faults=faults,
-                        spec=PointSpec(
-                            mechanism, traffic, offered, seed=seed,
-                            n_vcs=4 if n_vcs is None else n_vcs, root=root,
-                        ),
-                        warmup=warmup,
-                        measure=measure,
-                        config=config,
-                    )
-                )
+        jobs += _block(
+            Network(topology, sequence[:count]), mechanisms, traffics,
+            (offered,),
+            warmup=warmup, measure=measure, seed=seed, config=config,
+            root=root, n_vcs=4 if n_vcs is None else n_vcs,
+        )
     return jobs
 
 
-def fault_sweep(
-    topology: Topology,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    fault_counts: Sequence[int],
-    *,
-    offered: float = 1.0,
-    warmup: int = 300,
-    measure: int = 600,
-    seed: int = 0,
-    fault_seed: int = 12345,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = None,
-    executor: Executor | None = None,
-) -> list[dict]:
-    """Saturation throughput versus cumulative random faults (Figure 6).
-
-    SurePath mechanisms use 4 VCs by default here, matching §6 (pass
-    ``n_vcs`` to override).
-    """
-    jobs = fault_sweep_jobs(
-        topology, mechanisms, traffics, fault_counts,
-        offered=offered, warmup=warmup, measure=measure, seed=seed,
-        fault_seed=fault_seed, config=config, root=root, n_vcs=n_vcs,
-    )
-    return _run(jobs, executor)
-
-
-# ----------------------------------------------------------------------
-# Structured-fault runs (Figures 8 and 9)
-# ----------------------------------------------------------------------
-def shape_fault_run_jobs(
-    network: Network,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    *,
-    offered: float = 1.0,
-    warmup: int = 300,
-    measure: int = 600,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = 4,
-) -> list[PointJob]:
-    """The work list behind :func:`shape_fault_run`."""
-    _validate_traffics(network, traffics)
-    faults = tuple(sorted(network.faults))
-    return [
-        PointJob(
-            topology=network.topology,
-            faults=faults,
-            spec=PointSpec(
-                mechanism, traffic, offered, seed=seed, n_vcs=n_vcs, root=root
-            ),
-            warmup=warmup,
-            measure=measure,
-            config=config,
-        )
-        for traffic in traffics
-        for mechanism in supported_mechanisms(network.topology, mechanisms)
-    ]
-
-
-def shape_fault_run(
-    network: Network,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    *,
-    offered: float = 1.0,
-    warmup: int = 300,
-    measure: int = 600,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = 4,
-    executor: Executor | None = None,
-) -> list[dict]:
-    """Saturation throughput on one structured-fault network (Figures 8/9)."""
-    jobs = shape_fault_run_jobs(
-        network, mechanisms, traffics,
-        offered=offered, warmup=warmup, measure=measure, seed=seed,
-        config=config, root=root, n_vcs=n_vcs,
-    )
-    return _run(jobs, executor)
-
-
-# ----------------------------------------------------------------------
-# Transient runs (scheduled mid-run fault events)
-# ----------------------------------------------------------------------
 def transient_run_jobs(
     network: Network,
     mechanisms: Sequence[str],
@@ -311,68 +226,24 @@ def transient_run_jobs(
     root: int = 0,
     n_vcs: int | None = 4,
 ) -> list[PointJob]:
-    """The work list behind :func:`transient_run`: one job per point.
-
-    The schedule content enters every job's cache key, so transient points
-    parallelise and cache exactly like static ones.
-    """
-    _validate_traffics(network, traffics)
-    schedule.validate(network.topology, network.faults)
-    faults = tuple(sorted(network.faults))
-    return [
-        PointJob(
-            topology=network.topology,
-            faults=faults,
-            spec=PointSpec(
-                mechanism, traffic, offered, seed=seed, n_vcs=n_vcs, root=root
-            ),
-            warmup=warmup,
-            measure=measure,
-            config=config,
-            schedule=schedule,
-            series_interval=series_interval,
-        )
-        for traffic in traffics
-        for mechanism in supported_mechanisms(network.topology, mechanisms)
-    ]
-
-
-def transient_run(
-    network: Network,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    schedule: FaultSchedule,
-    *,
-    offered: float = 0.6,
-    warmup: int = 300,
-    measure: int = 600,
-    series_interval: int = 25,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = 4,
-    executor: Executor | None = None,
-) -> list[dict]:
-    """Simulate mid-run link failures/repairs and the traffic's recovery.
+    """Mid-run link failures/repairs and the traffic's recovery.
 
     Each record is a static sweep record plus ``dropped`` (packets lost on
     failed links), ``schedule_events`` and ``series`` — the per-interval
     transient recovery series (accepted load, latency, stalls, drops
     around each event).  SurePath mechanisms reconfigure and keep
     delivering; ladder mechanisms show the stall the paper predicts.
+    The schedule content enters every job's cache key, so transient
+    points parallelise and cache exactly like static ones.
     """
-    jobs = transient_run_jobs(
-        network, mechanisms, traffics, schedule,
-        offered=offered, warmup=warmup, measure=measure,
-        series_interval=series_interval, seed=seed, config=config,
+    return _block(
+        network, mechanisms, traffics, (offered,),
+        warmup=warmup, measure=measure, seed=seed, config=config,
         root=root, n_vcs=n_vcs,
+        schedule=schedule, series_interval=series_interval,
     )
-    return _run(jobs, executor)
 
 
-# ----------------------------------------------------------------------
-# Router-microarchitecture ablation (arbiter / flow control / link latency)
-# ----------------------------------------------------------------------
 #: The arbiters the ablation sweeps by default, paper's rule first.
 DEFAULT_ARBITERS = ("qp", "roundrobin", "age", "random")
 
@@ -393,87 +264,40 @@ def ablation_arbiter_jobs(
     root: int = 0,
     n_vcs: int | None = None,
 ) -> list[PointJob]:
-    """The work list behind :func:`ablation_arbiter`.
-
-    One :func:`load_sweep_jobs` block per microarchitecture — the
-    component selection travels inside each job's ``SimConfig``, so the
-    points parallelise and cache exactly like any other sweep point.
-    """
-    jobs: list[PointJob] = []
-    for arbiter in arbiters:
-        for flow_control in flow_controls:
-            for latency in link_latencies:
-                cfg = config.with_(
-                    arbiter=arbiter,
-                    flow_control=flow_control,
-                    link_latency_slots=int(latency),
-                )
-                jobs += load_sweep_jobs(
-                    network, mechanisms, traffics, loads,
-                    warmup=warmup, measure=measure, seed=seed, config=cfg,
-                    root=root, n_vcs=n_vcs,
-                )
-    return jobs
-
-
-def annotate_components(jobs: Sequence[PointJob], records: Sequence[dict]) -> None:
-    """Stamp each record with its job's microarchitecture (in place).
-
-    Records coming back from the content-addressed cache carry only the
-    standard sweep keys; the component columns are derived from the job
-    list (same order by executor contract), so cached and fresh records
-    look identical.
-    """
-    for job, rec in zip(jobs, records):
-        cfg = job.config
-        rec["arbiter"] = cfg.arbiter
-        rec["flow_control"] = cfg.flow_control
-        rec["link_latency"] = cfg.link_latency_slots
-        rec["microarch"] = (
-            f"{cfg.arbiter}/{cfg.flow_control}/L{cfg.link_latency_slots}"
-        )
-
-
-def ablation_arbiter(
-    network: Network,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    loads: Sequence[float],
-    *,
-    arbiters: Sequence[str] = DEFAULT_ARBITERS,
-    flow_controls: Sequence[str] = ("vct",),
-    link_latencies: Sequence[int] = (1,),
-    warmup: int = 300,
-    measure: int = 600,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = None,
-    executor: Executor | None = None,
-) -> list[dict]:
     """Sweep the router microarchitecture itself.
 
     The paper hardwires Q+P output selection, virtual cut-through and
     1-slot links; this sweep crosses arbiters x flow controls x link
     latencies over a load sweep and reports how much of the routing
-    story each choice carries.  Every record is a standard sweep record
-    plus ``arbiter`` / ``flow_control`` / ``link_latency`` and the
-    combined ``microarch`` label.
+    story each choice carries.  The component selection travels inside
+    each job's ``SimConfig`` (so it enters the cache key); every record
+    is a standard sweep record plus the ``arbiter`` / ``flow_control`` /
+    ``link_latency`` labels and the combined ``microarch`` one.
     """
-    jobs = ablation_arbiter_jobs(
-        network, mechanisms, traffics, loads,
-        arbiters=arbiters, flow_controls=flow_controls,
-        link_latencies=link_latencies, warmup=warmup, measure=measure,
-        seed=seed, config=config, root=root, n_vcs=n_vcs,
-    )
-    records = _run(jobs, executor)
-    annotate_components(jobs, records)
-    return records
+    jobs: list[PointJob] = []
+    for arbiter in arbiters:
+        for flow_control in flow_controls:
+            for latency in link_latencies:
+                latency = int(latency)
+                jobs += _block(
+                    network, mechanisms, traffics, loads,
+                    warmup=warmup, measure=measure, seed=seed,
+                    config=config.with_(
+                        arbiter=arbiter,
+                        flow_control=flow_control,
+                        link_latency_slots=latency,
+                    ),
+                    root=root, n_vcs=n_vcs,
+                    labels=(
+                        ("arbiter", arbiter),
+                        ("flow_control", flow_control),
+                        ("link_latency", latency),
+                        ("microarch", f"{arbiter}/{flow_control}/L{latency}"),
+                    ),
+                )
+    return jobs
 
 
-# ----------------------------------------------------------------------
-# Workload sweeps (patterns x injection processes, optional phasing)
-# ----------------------------------------------------------------------
 #: Injection processes the workload sweep crosses by default.
 DEFAULT_INJECTIONS = ("bernoulli", "onoff")
 
@@ -495,115 +319,51 @@ def workload_sweep_jobs(
     root: int = 0,
     n_vcs: int | None = None,
 ) -> list[PointJob]:
-    """The work list behind :func:`workload_sweep`.
-
-    One :func:`load_sweep_jobs`-shaped block per injection process; the
-    selection travels inside each job's :class:`SimConfig` (and the
-    optional phase schedule inside the job itself), so the points
-    parallelise and cache exactly like any other sweep point.  Every job
-    runs with ``rng_streams="split"`` — destination sequences then depend
-    on the seed alone, so the bernoulli and on-off rows of the resulting
-    table route *identical* traffic and differ only in arrival timing.
-    """
-    # Validate every pattern the sweep will touch upfront — the explicit
-    # traffic list and any schedule phase names alike — so a bad request
-    # fails here with one clean error, not mid-sweep inside a pool worker.
-    _validate_traffics(
-        network, traffics,
-        extra=workload.pattern_names() if workload is not None else (),
-    )
-    jobs: list[PointJob] = []
-    for injection in injections:
-        cfg = config.with_(
-            injection=injection,
-            burst_slots=int(burst_slots),
-            idle_slots=int(idle_slots),
-            rng_streams="split",
-        )
-        jobs += [
-            PointJob(
-                topology=network.topology,
-                faults=tuple(sorted(network.faults)),
-                spec=PointSpec(
-                    mechanism, traffic, offered, seed=seed, n_vcs=n_vcs, root=root
-                ),
-                warmup=warmup,
-                measure=measure,
-                config=cfg,
-                workload=workload,
-            )
-            for traffic in traffics
-            for mechanism in supported_mechanisms(network.topology, mechanisms)
-            for offered in loads
-        ]
-    return jobs
-
-
-def annotate_workload(jobs: Sequence[PointJob], records: Sequence[dict]) -> None:
-    """Stamp each record with its job's injection process (in place).
-
-    Mirrors :func:`annotate_components`: records from the
-    content-addressed cache carry only the standard keys, so the workload
-    columns are derived from the job list (same order by executor
-    contract).  ``workload`` is the row label — the process name plus its
-    burst geometry when that matters, e.g. ``onoff(8/8)``.
-    """
-    for job, rec in zip(jobs, records):
-        cfg = job.config
-        rec["injection"] = cfg.injection
-        rec["burst_slots"] = cfg.burst_slots
-        rec["idle_slots"] = cfg.idle_slots
-        rec["workload"] = (
-            f"onoff({cfg.burst_slots}/{cfg.idle_slots})"
-            if cfg.injection == "onoff"
-            else cfg.injection
-        )
-        if job.workload is not None:
-            rec["workload"] += f"+{len(job.workload)}ev"
-
-
-def workload_sweep(
-    network: Network,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    loads: Sequence[float],
-    *,
-    injections: Sequence[str] = DEFAULT_INJECTIONS,
-    burst_slots: int = 8,
-    idle_slots: int = 8,
-    workload: WorkloadSchedule | None = None,
-    warmup: int = 300,
-    measure: int = 600,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = None,
-    executor: Executor | None = None,
-) -> list[dict]:
     """Sweep mechanisms x traffic patterns x injection processes.
 
     The paper evaluates four patterns under steady-state Bernoulli
     injection only; this sweep crosses the full registered pattern
-    catalog with bursty (on-off) and optionally phased workloads.  Every
-    record is a standard sweep record plus ``injection`` /
-    ``burst_slots`` / ``idle_slots`` and the combined ``workload`` label
-    (and, for phased jobs, ``workload_events`` + the per-phase
-    ``phase_series``).
+    catalog with bursty (on-off) and optionally phased workloads, one
+    block per injection process.  Every job runs with
+    ``rng_streams="split"`` — destination sequences then depend on the
+    seed alone, so the bernoulli and on-off rows of the resulting table
+    route *identical* traffic and differ only in arrival timing.  Every
+    record is a standard sweep record plus the ``injection`` /
+    ``burst_slots`` / ``idle_slots`` labels and the combined ``workload``
+    row label — the process name plus its burst geometry when that
+    matters, e.g. ``onoff(8/8)`` (and, for phased jobs,
+    ``workload_events`` + the per-phase ``phase_series``).
     """
-    jobs = workload_sweep_jobs(
-        network, mechanisms, traffics, loads,
-        injections=injections, burst_slots=burst_slots, idle_slots=idle_slots,
-        workload=workload, warmup=warmup, measure=measure, seed=seed,
-        config=config, root=root, n_vcs=n_vcs,
-    )
-    records = _run(jobs, executor)
-    annotate_workload(jobs, records)
-    return records
+    burst_slots, idle_slots = int(burst_slots), int(idle_slots)
+    jobs: list[PointJob] = []
+    for injection in injections:
+        name = (
+            f"onoff({burst_slots}/{idle_slots})"
+            if injection == "onoff"
+            else injection
+        )
+        if workload is not None:
+            name += f"+{len(workload)}ev"
+        jobs += _block(
+            network, mechanisms, traffics, loads,
+            warmup=warmup, measure=measure, seed=seed,
+            config=config.with_(
+                injection=injection,
+                burst_slots=burst_slots,
+                idle_slots=idle_slots,
+                rng_streams="split",
+            ),
+            root=root, n_vcs=n_vcs, workload=workload,
+            labels=(
+                ("injection", injection),
+                ("burst_slots", burst_slots),
+                ("idle_slots", idle_slots),
+                ("workload", name),
+            ),
+        )
+    return jobs
 
 
-# ----------------------------------------------------------------------
-# Topology sweeps (mechanism x traffic x load, across topology families)
-# ----------------------------------------------------------------------
 def topology_sweep_jobs(
     networks: dict[str, Network | Topology],
     mechanisms: Sequence[str],
@@ -616,11 +376,12 @@ def topology_sweep_jobs(
     config: SimConfig = PAPER_CONFIG,
     root_strategy: str = "first",
     n_vcs: int | None = None,
-) -> tuple[list[PointJob], list[str]]:
-    """The work list behind :func:`topology_sweep`: jobs plus their labels.
+) -> list[PointJob]:
+    """Sweep mechanisms x traffic x load across topology *families*.
 
     ``networks`` maps display labels to :class:`Network` (or bare
-    :class:`Topology`) instances.  One pattern/mechanism list serves every
+    :class:`Topology`) instances; each job carries its label as the
+    ``topology`` column.  One pattern/mechanism list serves every
     family: structurally impossible combinations (HyperX-only mechanisms,
     coordinate-bound or power-of-two patterns) are dropped *per topology*
     through the same filters single-topology sweeps use, so the job list
@@ -628,83 +389,20 @@ def topology_sweep_jobs(
     topology by :func:`repro.updown.roots.choose_root` with
     ``root_strategy`` — the Up/Down tree has no canonical root on an
     asymmetric family like a fat-tree or a random graph.
-
-    Returns ``(jobs, labels)`` with ``labels[i]`` naming the topology of
-    ``jobs[i]`` (the job itself only carries the topology object; the
-    label is a sweep-level annotation, applied by
-    :func:`annotate_topology`).
     """
-    from ..updown.roots import choose_root
-
     jobs: list[PointJob] = []
-    labels: list[str] = []
     for label, net in networks.items():
         if not isinstance(net, Network):
             net = Network(net)
-        root = choose_root(net, root_strategy)
-        block = load_sweep_jobs(
-            net,
-            supported_mechanisms(net.topology, mechanisms),
-            supported_traffics(net, tuple(traffics)),
-            loads,
+        jobs += _block(
+            net, mechanisms, supported_traffics(net, tuple(traffics)), loads,
             warmup=warmup, measure=measure, seed=seed, config=config,
-            root=root, n_vcs=n_vcs,
+            root=choose_root(net, root_strategy), n_vcs=n_vcs,
+            labels=(("topology", label),),
         )
-        jobs += block
-        labels += [label] * len(block)
-    return jobs, labels
+    return jobs
 
 
-def annotate_topology(
-    labels: Sequence[str], records: Sequence[dict]
-) -> None:
-    """Stamp each record with its topology label (in place).
-
-    Mirrors :func:`annotate_components`: records from the
-    content-addressed cache carry only the standard keys, so the
-    ``topology`` column is derived from the label list
-    :func:`topology_sweep_jobs` returned (same order by executor
-    contract).
-    """
-    for label, rec in zip(labels, records):
-        rec["topology"] = label
-
-
-def topology_sweep(
-    networks: dict[str, Network | Topology],
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    loads: Sequence[float],
-    *,
-    warmup: int = 300,
-    measure: int = 600,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root_strategy: str = "first",
-    n_vcs: int | None = None,
-    executor: Executor | None = None,
-) -> list[dict]:
-    """Sweep mechanisms x traffic x load across topology *families*.
-
-    The paper holds the topology axis fixed (HyperX, with Dragonfly as
-    the §7 contrast); this sweep crosses the full registry — torus/mesh,
-    fat-tree, random-regular — with the same mechanism and pattern lists,
-    filtering per family.  Every record is a standard sweep record plus
-    its ``topology`` label.
-    """
-    jobs, labels = topology_sweep_jobs(
-        networks, mechanisms, traffics, loads,
-        warmup=warmup, measure=measure, seed=seed, config=config,
-        root_strategy=root_strategy, n_vcs=n_vcs,
-    )
-    records = _run(jobs, executor)
-    annotate_topology(labels, records)
-    return records
-
-
-# ----------------------------------------------------------------------
-# Collective (CCL) sweeps — job-completion-time mode
-# ----------------------------------------------------------------------
 def collective_sweep_jobs(
     network: Network,
     mechanisms: Sequence[str],
@@ -718,106 +416,42 @@ def collective_sweep_jobs(
     config: SimConfig = PAPER_CONFIG,
     root: int = 0,
     n_vcs: int | None = 4,
-) -> tuple[list[PointJob], list[str]]:
-    """The work list behind :func:`collective_sweep`: jobs plus labels.
+) -> list[PointJob]:
+    """Run collectives to completion across mechanisms and fault schedules.
 
-    One job per (collective, fault-schedule, mechanism) cell, all
+    One job per (fault-schedule, collective, mechanism) cell, all
     closed-loop: the collective name rides in ``config.collective`` (so
     it enters the cache key with everything else) *and* in
     ``spec.traffic`` (so the record's standard ``traffic`` column is
     self-describing).  ``max_slots`` becomes the job's ``measure`` — the
-    drain budget — and ``warmup`` is 0 by the JCT convention.
-
-    ``schedules`` pairs a display label with a
-    :class:`~repro.simulator.schedule.FaultSchedule` (or ``None`` for the
-    healthy baseline); schedules are link-specific, so a multi-topology
-    collective figure loops this sweep per network (see
-    ``fig_collectives``).  Returns ``(jobs, labels)`` with ``labels[i]``
-    the schedule label of ``jobs[i]``, applied to records by
-    :func:`annotate_collective`.
-    """
-    from ..simulator.collective import COLLECTIVES
-
-    for name in collectives:
-        COLLECTIVES.require(name)
-    faults = tuple(sorted(network.faults))
-    jobs: list[PointJob] = []
-    labels: list[str] = []
-    for label, schedule in schedules:
-        if schedule is not None:
-            schedule.validate(network.topology, network.faults)
-        for coll in collectives:
-            for mechanism in supported_mechanisms(
-                network.topology, mechanisms
-            ):
-                jobs.append(
-                    PointJob(
-                        topology=network.topology,
-                        faults=faults,
-                        spec=PointSpec(
-                            mechanism, coll, 1.0,
-                            seed=seed, n_vcs=n_vcs, root=root,
-                        ),
-                        warmup=0,
-                        measure=max_slots,
-                        config=config.with_(
-                            collective=coll, chunk_packets=chunk_packets
-                        ),
-                        schedule=schedule,
-                        series_interval=series_interval,
-                    )
-                )
-                labels.append(label)
-    return jobs, labels
-
-
-def annotate_collective(
-    labels: Sequence[str], records: Sequence[dict]
-) -> None:
-    """Stamp each record with its fault-schedule label (in place).
-
-    Mirrors :func:`annotate_topology`: cached records carry only
-    job-derivable keys, so the ``schedule`` column comes from the label
-    list :func:`collective_sweep_jobs` returned (same order by executor
-    contract).
-    """
-    for label, rec in zip(labels, records):
-        rec["schedule"] = label
-
-
-def collective_sweep(
-    network: Network,
-    mechanisms: Sequence[str],
-    collectives: Sequence[str],
-    *,
-    schedules: Sequence[tuple[str, FaultSchedule | None]] = (("none", None),),
-    chunk_packets: int = 1,
-    max_slots: int = 100_000,
-    series_interval: int | None = None,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = 4,
-    executor: Executor | None = None,
-) -> list[dict]:
-    """Run collectives to completion across mechanisms and fault schedules.
-
-    Each record is a standard sweep record plus ``collective``,
+    drain budget — and ``warmup`` is 0 by the JCT convention.  Each
+    record is a standard sweep record plus ``collective``,
     ``chunk_packets``, ``jct_cycles`` (``None`` when the budget ran out),
-    ``completion_slot``, ``drained``, ``retransmitted`` and the
-    ``schedule`` label — the figure of merit is JCT, lower is better,
-    with a fault mid-collective showing up as degradation rather than
-    deadlock.
+    ``completion_slot``, ``drained`` and ``retransmitted`` — the figure
+    of merit is JCT, lower is better, with a fault mid-collective showing
+    up as degradation rather than deadlock.
+
+    ``schedules`` pairs a display label (the record's ``schedule``
+    column) with a :class:`~repro.simulator.schedule.FaultSchedule` (or
+    ``None`` for the healthy baseline); schedules are link-specific, so a
+    multi-topology collective figure builds one such list per network
+    (see ``fig_collectives``).
     """
-    jobs, labels = collective_sweep_jobs(
-        network, mechanisms, collectives,
-        schedules=schedules, chunk_packets=chunk_packets,
-        max_slots=max_slots, series_interval=series_interval, seed=seed,
-        config=config, root=root, n_vcs=n_vcs,
-    )
-    records = _run(jobs, executor)
-    annotate_collective(labels, records)
-    return records
+    configs = [
+        config.with_(collective=coll, chunk_packets=chunk_packets)
+        for coll in collectives
+    ]
+    jobs: list[PointJob] = []
+    for label, schedule in schedules:
+        for cfg in configs:
+            jobs += _block(
+                network, mechanisms, (cfg.collective,), (1.0,),
+                warmup=0, measure=max_slots, seed=seed, config=cfg,
+                root=root, n_vcs=n_vcs,
+                schedule=schedule, series_interval=series_interval,
+                labels=(("schedule", label),),
+            )
+    return jobs
 
 
 # ----------------------------------------------------------------------

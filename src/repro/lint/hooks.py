@@ -25,10 +25,8 @@ The check, fully AST-derived:
    ``allocate``.
 4. For each reference method a backend overrides, every hook reachable
    from the reference method must be reachable from the override —
-   modulo the equivalence classes in ``invariants.toml`` (the batch
-   forms ``on_stalled_many`` / ``on_stalled_pids`` are order-insensitive
-   spellings of ``on_stalled``) and the per-(backend, method, hook)
-   allowlist.
+   modulo the per-(backend, method, hook) allowlist in
+   ``invariants.toml``.
 """
 
 from __future__ import annotations
@@ -165,12 +163,6 @@ def check_hook_parity(modules: list[Module], config: LintConfig) -> list[Violati
     if ref_mod is None:
         return []
 
-    # Equivalence classes: a hook is satisfied by any member of its group.
-    group: dict[str, frozenset] = {}
-    for members in cfg.get("equivalent", ()):
-        fs = frozenset(members)
-        for m in members:
-            group[m] = fs
     allow = {
         (e.get("backend"), e.get("method"), e.get("hook"))
         for e in cfg.get("allow", ())
@@ -205,8 +197,7 @@ def check_hook_parity(modules: list[Module], config: LintConfig) -> list[Violati
                 (rel, f"{cls}.{method}"), table, name_index
             )
             for hook in sorted(ref_hooks):
-                accepted = group.get(hook, frozenset({hook})) | {hook}
-                if accepted & own_hooks:
+                if hook in own_hooks:
                     continue
                 if (backend_name, method, hook) in allow:
                     continue
@@ -215,7 +206,7 @@ def check_hook_parity(modules: list[Module], config: LintConfig) -> list[Violati
                         CHECKER, rel, line,
                         f"backend {backend_name!r} overrides {ref_cls}."
                         f"{method}, which dispatches metrics.{hook} in the "
-                        f"slot reference ({ref_rel}), but no equivalent "
+                        f"slot reference ({ref_rel}), but no such "
                         "dispatch is reachable from the override — records "
                         "will diverge from the reference fingerprint",
                     )

@@ -145,18 +145,6 @@ class Registry(Mapping[str, Any]):
         """Human-readable label of a registered name (or alias)."""
         return self._display[self.canonical(name)]
 
-    def alias_table(self) -> dict[str, tuple[str, ...]]:
-        """``canonical name -> aliases`` in registration order — the
-        compatibility view modules expose as their ``_ALIASES`` dict."""
-        table: dict[str, list[str]] = {name: [] for name in self._entries}
-        for alias, canon in self._alias_of.items():
-            table[canon].append(alias)
-        return {name: tuple(alts) for name, alts in table.items()}
-
-    def display_table(self) -> dict[str, str]:
-        """``canonical name -> display label`` in registration order."""
-        return dict(self._display)
-
     def make(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Call the registered factory/class for ``name`` (or an alias)."""
         return self[name](*args, **kwargs)

@@ -95,7 +95,7 @@ class Arbiter(ABC):
                 pkt.cand_switch = sid
                 pkt.cand_list = cands
             if not cands:
-                sim.metrics.on_stalled(pkt, sim.slot)
+                sim.metrics.on_stalled((pkt.pid,), sim.slot)
                 continue
             feasible = [
                 (port, vc, pen)
@@ -197,7 +197,7 @@ class QPArbiter(Arbiter):
                     pkt.cand_switch = sid
                     pkt.cand_list = cands
                 if not cands:
-                    metrics.on_stalled(pkt, slot)
+                    metrics.on_stalled((pkt.pid,), slot)
                     continue
                 best_score = None
                 best: list[tuple[int, int]] = []

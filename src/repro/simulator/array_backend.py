@@ -77,7 +77,7 @@ What is vectorized, and why it is safe
   ``select_rebuilds`` / ``fallback_rebuilds``) and
   :meth:`ArraySimulator.enable_grant_profile` times the
   predraw/select/commit/fallback sub-phases (surfaced by
-  ``benchmarks/run_bench.py --profile``).
+  ``perfbench/bench.py --trace``).
   The round-robin arbiter rides its own fast path — pointer walks over
   the memo's pv-sorted candidate lists, no RNG, no score matrices —
   and mechanisms without candidate keys fall back to a
@@ -494,7 +494,7 @@ class ArraySimulator(Simulator):
                     pids = sc.stall_pids = [
                         p.pid for p in sc.stall.values()
                     ]
-                metrics.on_stalled_pids(pids, slot)
+                metrics.on_stalled(pids, slot)
             plan = sc.plan
             fb = feedback[sid]
             if fb or dirty or plan is None or sc.plan_once or stale[sid]:
@@ -716,7 +716,7 @@ class ArraySimulator(Simulator):
                 pids = sc.stall_pids
                 if pids is None:
                     pids = sc.stall_pids = [p.pid for p in sc.stall.values()]
-                metrics.on_stalled_pids(pids, slot)
+                metrics.on_stalled(pids, slot)
             ent_map = sc.ent
             if not ent_map:
                 continue
@@ -803,7 +803,7 @@ class ArraySimulator(Simulator):
             if pkt.cand_switch == sid:
                 cands = pkt.cand_list
                 if not cands:
-                    metrics.on_stalled(pkt, slot)
+                    metrics.on_stalled((pkt.pid,), slot)
                     continue
             else:
                 key = cand_key(pkt, sid)
@@ -826,7 +826,7 @@ class ArraySimulator(Simulator):
                     pkt.cand_port = None
                     pkt.cand_pv = None
                 if not cands:
-                    metrics.on_stalled(pkt, slot)
+                    metrics.on_stalled((pkt.pid,), slot)
                     continue
             if pkt.cand_pv is None:
                 cp = pkt.cand_port

@@ -60,7 +60,6 @@ from ``config.backend``.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 
@@ -146,26 +145,6 @@ class Simulator:
     #: Engine-backend registry key (see :mod:`repro.simulator.backends`).
     backend_name = "slot"
 
-    def __new__(cls, *args, **kwargs):
-        # Deprecation shim: direct ``Simulator(...)`` construction with a
-        # config naming another backend still works — it dispatches to
-        # the registered class — but warns; new code should resolve
-        # backends through ``make_simulator``.
-        if cls is Simulator:
-            config = kwargs.get("config", PAPER_CONFIG)
-            if config.backend != Simulator.backend_name:
-                from .backends import ENGINE_BACKENDS
-
-                warnings.warn(
-                    "constructing Simulator(...) directly with "
-                    f"config.backend={config.backend!r} is deprecated; "
-                    "use repro.simulator.make_simulator(...)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                return object.__new__(ENGINE_BACKENDS[config.backend])
-        return object.__new__(cls)
-
     def __init__(
         self,
         network: Network,
@@ -184,6 +163,12 @@ class Simulator:
         flow_control: FlowControl | None = None,
         link_model: LinkModel | None = None,
     ):
+        if config.backend != self.backend_name:
+            raise ValueError(
+                f"{type(self).__name__} is the {self.backend_name!r} backend "
+                f"but config.backend={config.backend!r}; build simulators "
+                "with repro.simulator.make_simulator(config, ...)"
+            )
         self.network = network
         self.mechanism = mechanism
         self.traffic = traffic

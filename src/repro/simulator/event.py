@@ -55,8 +55,8 @@ loops, which dominate the interpreter cost of sparse runs.
 
 ``tests/experiments/test_backend_equivalence.py`` pins the equivalence
 by differential fingerprint across mechanisms × topologies × schedules;
-``benchmarks/run_bench.py`` tracks the speedup on a sparse low-load and
-a long-warmup transient kernel.
+``perfbench/bench.py`` tracks the speedup on its sparse, long-warmup
+``sparse_transient_event`` workload.
 """
 
 from __future__ import annotations

@@ -188,35 +188,17 @@ class MetricsCollector:
                 )
                 self._series_lat_count[b] = self._series_lat_count.get(b, 0) + 1
 
-    def on_stalled(self, pkt, slot: int | None = None) -> None:
-        self.stalled_pids.add(pkt.pid)
-        if self.series_interval and self.measuring and slot is not None:
-            b = slot // self.series_interval
-            self._series_stalls[b] = self._series_stalls.get(b, 0) + 1
+    def on_stalled(self, pids, slot: int | None = None) -> None:
+        """Head packets ``pids`` (sized) found no candidate this slot.
 
-    def on_stalled_many(self, pkts, slot: int | None = None) -> None:
-        """Batch form of :meth:`on_stalled` (``pkts`` must be sized).
-
-        The array backend replays its cached stalled-head set in one
-        call per switch instead of per packet.  Equivalent to the loop
-        by construction — and only because both accumulators are
-        order-insensitive: the pid set deduplicates and the series bin
-        is a plain count.  Any future per-stall metric that depends on
-        visit order would break backend equivalence; add it as ordered
-        state here and the differential suite will catch the divergence.
-        """
-        self.stalled_pids.update(pkt.pid for pkt in pkts)
-        if self.series_interval and self.measuring and slot is not None:
-            b = slot // self.series_interval
-            self._series_stalls[b] = self._series_stalls.get(b, 0) + len(pkts)
-
-    def on_stalled_pids(self, pids, slot: int | None = None) -> None:
-        """Like :meth:`on_stalled_many`, but over precomputed pids.
-
-        The array backend caches each switch's stalled-head pid list
-        between slots (the set changes only when a head changes), so the
-        per-slot replay is one set update with no per-packet attribute
-        loads.  The same order-insensitivity caveat applies.
+        One batch hook for every backend: the scalar allocation loops
+        report a single head as ``(pkt.pid,)``, the array backend replays
+        a switch's cached stalled-head pid list in one call.  The two are
+        interchangeable only because both accumulators are
+        order-insensitive: the pid set deduplicates and the series bin is
+        a plain count.  Any future per-stall metric that depends on visit
+        order would break backend equivalence; add it as ordered state
+        here and the differential suite will catch the divergence.
         """
         self.stalled_pids.update(pids)
         if self.series_interval and self.measuring and slot is not None:

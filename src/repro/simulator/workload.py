@@ -50,15 +50,11 @@ class WorkloadEvent:
                 raise ValueError(f"offered load must be in [0, 1], got {v}")
             object.__setattr__(self, "value", v)
         elif self.kind == SET_PATTERN:
-            from ..traffic import TRAFFIC_PATTERNS
+            from ..traffic import canonical_traffic_name
 
-            name = str(self.value).strip().lower()
-            if name not in TRAFFIC_PATTERNS:
-                raise ValueError(
-                    f"unknown traffic pattern {self.value!r}; "
-                    f"expected one of {TRAFFIC_PATTERNS}"
-                )
-            object.__setattr__(self, "value", name)
+            object.__setattr__(
+                self, "value", canonical_traffic_name(str(self.value))
+            )
         else:
             raise ValueError(
                 f"event kind must be {SET_OFFERED!r} or {SET_PATTERN!r}, "

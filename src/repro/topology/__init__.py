@@ -5,7 +5,7 @@ graph metrics.  :func:`make_topology` builds any family by short name."""
 from __future__ import annotations
 
 from .base import Link, Network, Topology, normalize_link
-from .catalog import TOPOLOGIES, TOPOLOGY_DISPLAY, make_topology
+from .catalog import TOPOLOGIES, TOPOLOGY_REGISTRY, make_topology
 from .custom import ExplicitTopology, mesh_topology, ring_topology
 from .dragonfly import Dragonfly, balanced_dragonfly
 from .fattree import FatTree
@@ -50,7 +50,7 @@ __all__ = [
     "NetworkDisconnected",
     "RandomRegular",
     "TOPOLOGIES",
-    "TOPOLOGY_DISPLAY",
+    "TOPOLOGY_REGISTRY",
     "Topology",
     "Torus",
     "UNREACHABLE",

@@ -74,12 +74,6 @@ del _entry
 #: Short names accepted by :func:`make_topology`, in registration order.
 TOPOLOGIES: tuple[str, ...] = TOPOLOGY_REGISTRY.names
 
-#: Accepted aliases per registry name (compatibility view).
-_ALIASES: dict[str, tuple[str, ...]] = TOPOLOGY_REGISTRY.alias_table()
-
-#: Display names by short name (compatibility view).
-TOPOLOGY_DISPLAY: dict[str, str] = TOPOLOGY_REGISTRY.display_table()
-
 
 def canonical_name(name: str) -> str:
     """Resolve a family name or alias to its registry name.

@@ -64,12 +64,6 @@ del _entry
 #: Short names accepted by :func:`make_traffic`, in registration order.
 TRAFFIC_PATTERNS: tuple[str, ...] = TRAFFIC_REGISTRY.names
 
-#: Accepted aliases per registry name (compatibility view).
-_ALIASES: dict[str, tuple[str, ...]] = TRAFFIC_REGISTRY.alias_table()
-
-#: Display names by short name (compatibility view).
-TRAFFIC_DISPLAY: dict[str, str] = TRAFFIC_REGISTRY.display_table()
-
 
 def canonical_traffic_name(name: str) -> str:
     """Resolve a pattern name or alias to its registry short name.
@@ -130,7 +124,6 @@ __all__ = [
     "RandomServerPermutation",
     "RegularPermutationToNeighbour",
     "ShiftTraffic",
-    "TRAFFIC_DISPLAY",
     "TRAFFIC_PATTERNS",
     "TRAFFIC_REGISTRY",
     "TornadoTraffic",

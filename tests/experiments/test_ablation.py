@@ -11,8 +11,8 @@ from repro.experiments.executor import (
 from repro.experiments.figures import fig_ablation_arbiter
 from repro.experiments.sweeps import (
     DEFAULT_ARBITERS,
-    ablation_arbiter,
     ablation_arbiter_jobs,
+    run_sweep,
 )
 from repro.topology.base import Network
 from repro.topology.hyperx import HyperX
@@ -49,10 +49,10 @@ class TestAblationJobs:
         assert len({job_key(base), job_key(qp_alt), job_key(lat_alt)}) == 3
 
     def test_records_annotated(self):
-        recs = ablation_arbiter(
+        recs = run_sweep(ablation_arbiter_jobs(
             _net(), ("PolSP",), ("uniform",), (0.4,),
             arbiters=("qp", "random"), warmup=20, measure=60,
-        )
+        ))
         assert len(recs) == 2
         for rec in recs:
             assert rec["flow_control"] == "vct"
@@ -61,22 +61,17 @@ class TestAblationJobs:
         assert {r["arbiter"] for r in recs} == {"qp", "random"}
 
     def test_serial_parallel_cache_identical(self, tmp_path):
-        kw = dict(
+        jobs = ablation_arbiter_jobs(
+            _net(), ("PolSP",), ("uniform",), (0.5,),
             arbiters=("qp", "roundrobin"), link_latencies=(1, 2),
             warmup=20, measure=40,
         )
-        args = (_net(), ("PolSP",), ("uniform",), (0.5,))
-        serial = ablation_arbiter(*args, **kw)
-        parallel = ablation_arbiter(*args, executor=ParallelExecutor(jobs=2), **kw)
-        assert parallel == serial
+        serial = run_sweep(jobs)
+        assert run_sweep(jobs, ParallelExecutor(jobs=2)) == serial
         cache = tmp_path / "cache"
-        first = ablation_arbiter(
-            *args, executor=SerialExecutor(cache_dir=cache), **kw
-        )
-        cached = ablation_arbiter(
-            *args, executor=SerialExecutor(cache_dir=cache), **kw
-        )
-        # Annotation is re-applied on cache hits, so records round-trip.
+        first = run_sweep(jobs, SerialExecutor(cache_dir=cache))
+        cached = run_sweep(jobs, SerialExecutor(cache_dir=cache))
+        # Labels are re-stamped on cache hits, so records round-trip.
         assert first == cached
         assert {r["microarch"] for r in cached} == {r["microarch"] for r in serial}
 

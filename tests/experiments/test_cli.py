@@ -32,6 +32,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4", "--scale", "gigantic"])
 
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--jobs", "0"],
+        ["fig1", "--step", "0"],
+        ["fig1", "--sequences", "0"],
+        ["fig-transient", "--links", "-1"],
+        ["fig-collectives", "--links", "-1"],
+        ["point", "--traffic", "bogus"],
+    ])
+    def test_bad_argument_exits_with_usage(self, argv, capsys):
+        """Out-of-range / unknown values are usage errors (exit 2), not
+        tracebacks or silently-accepted zeros."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestFastCommands:
     def test_table2(self, capsys):

@@ -16,22 +16,20 @@ from repro.experiments.executor import (
 )
 from repro.experiments.runner import ExperimentRunner, PointSpec
 from repro.experiments.sweeps import (
-    fault_sweep,
     fault_sweep_jobs,
-    load_sweep,
     load_sweep_jobs,
+    run_sweep,
 )
-from repro.topology.base import Network
 
 SWEEP_KW = dict(warmup=30, measure=60)
 
 
 def _fig4_style(net2d, executor=None):
     """A miniature Figure-4 sweep: 2 mechanisms x 1 traffic x 2 loads."""
-    return load_sweep(
-        net2d, ["Minimal", "PolSP"], ["uniform"], [0.2, 0.6],
-        executor=executor, **SWEEP_KW,
+    jobs = load_sweep_jobs(
+        net2d, ["Minimal", "PolSP"], ["uniform"], [0.2, 0.6], **SWEEP_KW
     )
+    return run_sweep(jobs, executor)
 
 
 class TestPointJobs:
@@ -112,13 +110,10 @@ class TestParallelExecutor:
         assert parallel == serial
 
     def test_fault_sweep_identical_to_serial(self, hx2d):
-        kw = dict(fault_seed=3, **SWEEP_KW)
-        serial = fault_sweep(hx2d, ["PolSP"], ["uniform"], [0, 4], **kw)
-        parallel = fault_sweep(
-            hx2d, ["PolSP"], ["uniform"], [0, 4],
-            executor=ParallelExecutor(jobs=4), **kw,
+        jobs = fault_sweep_jobs(
+            hx2d, ["PolSP"], ["uniform"], [0, 4], fault_seed=3, **SWEEP_KW
         )
-        assert parallel == serial
+        assert run_sweep(jobs, ParallelExecutor(jobs=4)) == run_sweep(jobs)
 
     def test_deterministic_across_worker_counts(self, net2d):
         one = _fig4_style(net2d, executor=ParallelExecutor(jobs=1))

@@ -23,7 +23,7 @@ from repro.experiments.executor import (
     SerialExecutor,
     encode_json_safe,
 )
-from repro.experiments.sweeps import annotate_topology, topology_sweep_jobs
+from repro.experiments.sweeps import topology_sweep_jobs
 from repro.topology.base import Network
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus
@@ -54,10 +54,7 @@ def _normalize(records):
 
 def test_serial_matches_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
-    jobs, labels = golden_jobs()
-    fresh = SerialExecutor().run(jobs)
-    annotate_topology(labels, fresh)
-    fresh = _normalize(fresh)
+    fresh = _normalize(SerialExecutor().run(golden_jobs()))
     assert len(fresh) == len(golden)
     for got, want in zip(fresh, golden):
         assert got == want, (
@@ -67,7 +64,7 @@ def test_serial_matches_golden():
 
 
 def test_parallel_and_cache_match_serial(tmp_path):
-    jobs, _ = golden_jobs()
+    jobs = golden_jobs()
     serial = SerialExecutor().run(jobs)
     parallel = ParallelExecutor(jobs=2).run(jobs)
     assert parallel == serial
@@ -78,9 +75,7 @@ def test_parallel_and_cache_match_serial(tmp_path):
 
 
 def regenerate() -> None:  # pragma: no cover - manual tool
-    jobs, labels = golden_jobs()
-    records = SerialExecutor().run(jobs)
-    annotate_topology(labels, records)
+    records = SerialExecutor().run(golden_jobs())
     bad = [r for r in records if r["deadlocked"]]
     assert not bad, "golden points must not deadlock (early-stop skews them)"
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

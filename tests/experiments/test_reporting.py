@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.reporting import (
     ascii_table,
-    collective_matrix,
     curve_sparkline,
     format_value,
     records_to_csv,
@@ -64,6 +63,14 @@ class TestThroughputMatrix:
     def test_rejects_unknown_agg(self):
         with pytest.raises(ValueError, match="agg"):
             throughput_matrix(RECORDS, agg="median")
+
+
+def collective_matrix(records):
+    """The JCT pivot ``fig-collectives`` prints."""
+    return throughput_matrix(
+        records, row_key=("mechanism", "collective"),
+        col_key=("topology", "schedule"), value_key="jct_cycles", agg="min",
+    )
 
 
 class TestCollectiveMatrix:

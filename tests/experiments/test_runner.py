@@ -1,7 +1,6 @@
 """ExperimentRunner tests (caching, point runs, batch runs)."""
 
 from repro.experiments.runner import ExperimentRunner
-from repro.routing.catalog import MECHANISMS
 
 
 class TestCaching:
@@ -32,7 +31,3 @@ class TestPoints:
         assert res.completion_slot is not None
         assert res.delivered == 3 * net2d.n_servers
         assert res.time_series
-
-    def test_supported_mechanisms_on_hyperx(self, net2d):
-        runner = ExperimentRunner(net2d)
-        assert runner.supported_mechanisms(MECHANISMS) == list(MECHANISMS)

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.experiments.sweeps import (
-    fault_sweep,
+    collective_sweep_jobs,
+    fault_sweep_jobs,
     filter_records,
-    load_sweep,
+    load_sweep_jobs,
+    run_sweep,
     saturation_throughput,
-    shape_fault_run,
 )
 from repro.topology.base import Network
 from repro.topology.faults import row_faults
@@ -15,35 +16,36 @@ from repro.topology.faults import row_faults
 
 class TestLoadSweep:
     def test_record_per_point(self, net2d):
-        recs = load_sweep(
+        recs = run_sweep(load_sweep_jobs(
             net2d, ["Minimal", "PolSP"], ["uniform"], [0.1, 0.3],
             warmup=40, measure=80,
-        )
+        ))
         assert len(recs) == 4
         keys = {(r["mechanism"], r["offered"]) for r in recs}
         assert keys == {("Minimal", 0.1), ("Minimal", 0.3),
                         ("PolSP", 0.1), ("PolSP", 0.3)}
 
     def test_accepted_tracks_offered_below_saturation(self, net2d):
-        recs = load_sweep(net2d, ["PolSP"], ["uniform"], [0.2],
-                          warmup=80, measure=200)
+        recs = run_sweep(load_sweep_jobs(
+            net2d, ["PolSP"], ["uniform"], [0.2], warmup=80, measure=200
+        ))
         assert recs[0]["accepted"] == pytest.approx(0.2, abs=0.05)
 
 
 class TestFaultSweep:
     def test_counts_are_prefixes(self, hx2d):
-        recs = fault_sweep(
+        recs = run_sweep(fault_sweep_jobs(
             hx2d, ["PolSP"], ["uniform"], [0, 4, 8],
             warmup=40, measure=80, fault_seed=3,
-        )
+        ))
         counts = sorted({r["faults"] for r in recs})
         assert counts == [0, 4, 8]
 
     def test_throughput_degrades_gracefully(self, hx2d):
-        recs = fault_sweep(
+        recs = run_sweep(fault_sweep_jobs(
             hx2d, ["PolSP"], ["uniform"], [0, 12],
             warmup=150, measure=300, fault_seed=3,
-        )
+        ))
         healthy = [r for r in recs if r["faults"] == 0][0]
         faulty = [r for r in recs if r["faults"] == 12][0]
         assert faulty["accepted"] > 0.25 * healthy["accepted"]
@@ -53,10 +55,10 @@ class TestFaultSweep:
 class TestShapeRun:
     def test_runs_on_shaped_network(self, hx2d):
         net = Network(hx2d, row_faults(hx2d))
-        recs = shape_fault_run(
-            net, ["OmniSP", "PolSP"], ["uniform"],
-            warmup=60, measure=120,
-        )
+        recs = run_sweep(load_sweep_jobs(
+            net, ["OmniSP", "PolSP"], ["uniform"], [1.0],
+            warmup=60, measure=120, n_vcs=4,
+        ))
         assert len(recs) == 2
         for r in recs:
             assert r["faults"] == len(net.faults)
@@ -88,11 +90,9 @@ class TestCollectiveSweep:
         return Network(HyperX((4, 4), 2))
 
     def test_records_carry_jct_keys(self):
-        from repro.experiments.sweeps import collective_sweep
-
-        recs = collective_sweep(
+        recs = run_sweep(collective_sweep_jobs(
             self._net(), ("PolSP",), ("allreduce_tree",), max_slots=50_000
-        )
+        ))
         assert len(recs) == 1
         r = recs[0]
         assert r["collective"] == "allreduce_tree"
@@ -103,7 +103,6 @@ class TestCollectiveSweep:
         assert r["retransmitted"] == 0
 
     def test_unknown_collective_rejected_before_any_run(self):
-        from repro.experiments.sweeps import collective_sweep_jobs
 
         with pytest.raises(ValueError, match="collective"):
             collective_sweep_jobs(
@@ -111,7 +110,6 @@ class TestCollectiveSweep:
             )
 
     def test_schedule_validated_upfront(self):
-        from repro.experiments.sweeps import collective_sweep_jobs
         from repro.simulator.schedule import FaultSchedule
 
         with pytest.raises(ValueError):
@@ -126,10 +124,9 @@ class TestCollectiveSweep:
         import dataclasses
 
         from repro.experiments.executor import run_job
-        from repro.experiments.sweeps import collective_sweep_jobs
         from repro.simulator.workload import WorkloadSchedule
 
-        jobs, _ = collective_sweep_jobs(
+        jobs = collective_sweep_jobs(
             self._net(), ("PolSP",), ("allreduce_tree",)
         )
         bad = dataclasses.replace(
@@ -140,14 +137,13 @@ class TestCollectiveSweep:
 
     def test_disconnected_collective_record_shape(self):
         from repro.experiments.executor import run_job
-        from repro.experiments.sweeps import collective_sweep_jobs
         from repro.topology.hyperx import HyperX
 
         # Fail every link of switch 0: its servers are unreachable.
         topo = HyperX((4, 4), 2)
         cut = tuple(sorted((0, n) for n in topo.neighbours(0)))
         net = Network(topo, cut)
-        jobs, _ = collective_sweep_jobs(
+        jobs = collective_sweep_jobs(
             net, ("PolSP",), ("allreduce_tree",)
         )
         rec = run_job(jobs[0])

@@ -25,9 +25,9 @@ from repro.experiments.executor import (
     topology_signature,
 )
 from repro.experiments.figures import fig_topologies
-from repro.experiments.reporting import topology_matrix
+from repro.experiments.reporting import throughput_matrix
 from repro.experiments.runner import PointSpec
-from repro.experiments.sweeps import topology_sweep, topology_sweep_jobs
+from repro.experiments.sweeps import run_sweep, topology_sweep_jobs
 from repro.simulator.schedule import FaultSchedule
 from repro.topology.base import Network
 from repro.topology.fattree import FatTree
@@ -36,6 +36,10 @@ from repro.topology.random_regular import RandomRegular
 from repro.topology.torus import Torus
 
 SWEEP_KW = dict(warmup=30, measure=60)
+
+
+def _labels(jobs):
+    return [dict(job.labels)["topology"] for job in jobs]
 
 
 def family_networks():
@@ -48,12 +52,11 @@ def family_networks():
 
 class TestJobs:
     def test_labels_align_and_families_filter(self):
-        jobs, labels = topology_sweep_jobs(
+        labels = _labels(topology_sweep_jobs(
             {"hyperx": Network(HyperX((4, 4), 2)), **family_networks()},
             ["Minimal", "OmniSP", "PolSP"], ["uniform", "dcr"], [0.3],
             **SWEEP_KW,
-        )
-        assert len(jobs) == len(labels)
+        ))
         # HyperX keeps all three mechanisms; the others drop OmniSP.
         # dcr needs servers_per_switch == side on 2D, so it drops everywhere
         # here; uniform survives on every family.
@@ -62,17 +65,17 @@ class TestJobs:
 
     def test_root_strategy_applies_per_topology(self):
         nets = family_networks()
-        jobs, labels = topology_sweep_jobs(
+        jobs = topology_sweep_jobs(
             nets, ["PolSP"], ["uniform"], [0.3],
             root_strategy="central", **SWEEP_KW,
         )
         from repro.updown.roots import choose_root
 
-        for job, label in zip(jobs, labels):
+        for job, label in zip(jobs, _labels(jobs)):
             assert job.spec.root == choose_root(nets[label], "central")
 
     def test_distinct_topologies_distinct_job_keys(self):
-        jobs, _ = topology_sweep_jobs(
+        jobs = topology_sweep_jobs(
             family_networks(), ["PolSP"], ["uniform"], [0.3], **SWEEP_KW
         )
         assert len({job_key(j) for j in jobs}) == len(jobs)
@@ -80,11 +83,11 @@ class TestJobs:
     def test_random_draws_distinct_job_keys(self):
         """Two seeds give different graphs, so they must never share a
         cache entry even though n/degree match."""
-        a, _ = topology_sweep_jobs(
+        a = topology_sweep_jobs(
             {"r": Network(RandomRegular(16, 4, 2, seed=0))},
             ["PolSP"], ["uniform"], [0.3], **SWEEP_KW,
         )
-        b, _ = topology_sweep_jobs(
+        b = topology_sweep_jobs(
             {"r": Network(RandomRegular(16, 4, 2, seed=1))},
             ["PolSP"], ["uniform"], [0.3], **SWEEP_KW,
         )
@@ -112,29 +115,25 @@ class TestJobs:
 class TestExecutorIdentity:
     def test_serial_parallel_cached_identical(self, tmp_path):
         nets = family_networks()
-        kw = dict(seed=0, root_strategy="max_live_degree", **SWEEP_KW)
-        serial = topology_sweep(nets, ["Minimal", "PolSP"], ["uniform"], [0.3], **kw)
-        parallel = topology_sweep(
+        jobs = topology_sweep_jobs(
             nets, ["Minimal", "PolSP"], ["uniform"], [0.3],
-            executor=ParallelExecutor(jobs=2), **kw,
+            seed=0, root_strategy="max_live_degree", **SWEEP_KW,
         )
+        serial = run_sweep(jobs)
+        parallel = run_sweep(jobs, ParallelExecutor(jobs=2))
         cache = tmp_path / "cache"
-        first = topology_sweep(
-            nets, ["Minimal", "PolSP"], ["uniform"], [0.3],
-            executor=SerialExecutor(cache_dir=cache), **kw,
-        )
-        cached = topology_sweep(
-            nets, ["Minimal", "PolSP"], ["uniform"], [0.3],
-            executor=SerialExecutor(cache_dir=cache), **kw,
-        )
+        first = run_sweep(jobs, SerialExecutor(cache_dir=cache))
+        cached = run_sweep(jobs, SerialExecutor(cache_dir=cache))
         assert serial == parallel == first == cached
         assert {r["topology"] for r in serial} == set(nets)
 
     def test_matrix_pivots_by_topology(self):
-        recs = topology_sweep(
+        recs = run_sweep(topology_sweep_jobs(
             family_networks(), ["PolSP"], ["uniform"], [0.3], **SWEEP_KW
+        ))
+        out = throughput_matrix(
+            recs, row_key=("mechanism", "traffic"), col_key="topology"
         )
-        out = topology_matrix(recs)
         assert "torus" in out and "fattree" in out and "random" in out
         assert "PolSP:uniform" in out
 

@@ -13,7 +13,7 @@ from repro.experiments.executor import (
     job_key,
     make_executor,
 )
-from repro.experiments.sweeps import load_sweep, transient_run, transient_run_jobs
+from repro.experiments.sweeps import load_sweep_jobs, run_sweep, transient_run_jobs
 from repro.simulator.schedule import FaultSchedule
 from repro.topology.faults import random_connected_fault_sequence
 
@@ -33,8 +33,9 @@ def _norm(records):
 
 class TestTransientThroughExecutor:
     def test_records_carry_transient_payload(self, net2d, schedule):
-        recs = transient_run(net2d, ["PolSP"], ["uniform"], schedule, **KW)
-        (rec,) = recs
+        (rec,) = run_sweep(
+            transient_run_jobs(net2d, ["PolSP"], ["uniform"], schedule, **KW)
+        )
         assert rec["schedule_events"] == len(schedule)
         assert isinstance(rec["series"], list) and rec["series"]
         assert {"slot", "accepted", "latency_cycles", "stalls", "dropped"} <= set(
@@ -43,23 +44,18 @@ class TestTransientThroughExecutor:
         assert rec["accepted"] > 0.3  # recovered, not deadlocked
 
     def test_serial_parallel_identity(self, net2d, schedule):
-        serial = transient_run(net2d, ["OmniSP", "PolSP"], ["uniform"], schedule, **KW)
-        for jobs in (1, 4):
-            par = transient_run(
-                net2d, ["OmniSP", "PolSP"], ["uniform"], schedule,
-                executor=ParallelExecutor(jobs=jobs), **KW,
-            )
+        jobs = transient_run_jobs(
+            net2d, ["OmniSP", "PolSP"], ["uniform"], schedule, **KW
+        )
+        serial = run_sweep(jobs)
+        for workers in (1, 4):
+            par = run_sweep(jobs, ParallelExecutor(jobs=workers))
             assert _norm(par) == _norm(serial)
 
     def test_identity_through_the_cache(self, net2d, schedule, tmp_path):
-        fresh = transient_run(
-            net2d, ["PolSP"], ["uniform"], schedule,
-            executor=SerialExecutor(cache_dir=tmp_path), **KW,
-        )
-        cached = transient_run(
-            net2d, ["PolSP"], ["uniform"], schedule,
-            executor=ParallelExecutor(jobs=2, cache_dir=tmp_path), **KW,
-        )
+        jobs = transient_run_jobs(net2d, ["PolSP"], ["uniform"], schedule, **KW)
+        fresh = run_sweep(jobs, SerialExecutor(cache_dir=tmp_path))
+        cached = run_sweep(jobs, ParallelExecutor(jobs=2, cache_dir=tmp_path))
         assert _norm(cached) == _norm(fresh)
 
     def test_schedule_content_enters_job_key(self, net2d, schedule):
@@ -75,20 +71,19 @@ class TestTransientThroughExecutor:
     def test_jobs_are_order_independent(self, net2d, schedule):
         """Transient jobs bypass the shared runner cache, so a mutated
         network from one job can never leak into the next."""
-        once = transient_run(net2d, ["PolSP"], ["uniform"], schedule, **KW)
-        ex = SerialExecutor()
         jobs = transient_run_jobs(net2d, ["PolSP"], ["uniform"], schedule, **KW)
-        assert _norm(ex.run(jobs + jobs)) == _norm(once + once)
+        once = run_sweep(jobs)
+        assert _norm(run_sweep(jobs + jobs)) == _norm(once + once)
 
 
 class TestStrictJsonCache:
     def _deadlocked_sweep(self, net2d, tmp_path):
         """A zero-delivery point: offered 0.0 yields NaN latency."""
         ex = SerialExecutor(cache_dir=tmp_path)
-        return load_sweep(
-            net2d, ["Minimal"], ["uniform"], [0.0],
-            warmup=5, measure=10, executor=ex,
+        jobs = load_sweep_jobs(
+            net2d, ["Minimal"], ["uniform"], [0.0], warmup=5, measure=10
         )
+        return run_sweep(jobs, ex)
 
     def test_nan_record_round_trips_via_null(self, net2d, tmp_path):
         first = self._deadlocked_sweep(net2d, tmp_path)

@@ -1,28 +1,21 @@
 """Workload-diversity subsystem: sweeps, executor identity, cache keys.
 
-The differential guarantees the executor contract extends to the new
-workloads: for every new injection process / phased schedule,
-``serial == parallel == cached`` record-for-record, and any two jobs
-that could produce different records get different cache keys (the
-cache can never alias two workloads).
+Any two jobs that could produce different records get different cache
+keys (the cache can never alias two workloads); the ``serial == parallel
+== cached`` guarantee for every injection process and for phased
+schedules is pinned by ``test_sweep_contract.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    job_key,
-    run_job,
-)
+from repro.experiments.executor import job_key, run_job
 from repro.experiments.figures import fig_workloads
-from repro.experiments.reporting import workload_matrix
+from repro.experiments.reporting import throughput_matrix
 from repro.experiments.sweeps import (
     DEFAULT_INJECTIONS,
-    annotate_workload,
-    workload_sweep,
+    run_sweep,
     workload_sweep_jobs,
 )
 from repro.simulator.workload import WorkloadSchedule
@@ -88,33 +81,6 @@ class TestJobs:
 
 
 class TestDifferential:
-    """serial == parallel == cached, for every new injection process."""
-
-    @pytest.mark.parametrize("injections", [("bernoulli",), ("onoff",)])
-    def test_serial_parallel_cached_identical(self, small_net, tmp_path, injections):
-        jobs = _jobs(small_net, injections=injections)
-        serial = SerialExecutor().run(jobs)
-        parallel = ParallelExecutor(jobs=2).run(jobs)
-        assert parallel == serial
-        cache = tmp_path / "cache"
-        first = SerialExecutor(cache_dir=cache).run(jobs)
-        assert first == serial
-        again = SerialExecutor(cache_dir=cache).run(jobs)
-        assert again == serial
-
-    def test_phased_jobs_serial_parallel_cached_identical(self, small_net, tmp_path):
-        sched = WorkloadSchedule(
-            [(30, "offered", 0.1), (60, "pattern", "shift")]
-        )
-        jobs = _jobs(small_net, workload=sched)
-        serial = SerialExecutor().run(jobs)
-        parallel = ParallelExecutor(jobs=2).run(jobs)
-        assert parallel == serial
-        cache = tmp_path / "cache"
-        SerialExecutor(cache_dir=cache).run(jobs)
-        cached = SerialExecutor(cache_dir=cache).run(jobs)
-        assert cached == serial
-
     def test_onoff_record_differs_from_bernoulli(self, small_net):
         """The burst knob is live: same load, different dynamics."""
         bern = run_job(_jobs(small_net, injections=("bernoulli",))[1])
@@ -151,22 +117,12 @@ class TestPhasedRecords:
 
 class TestSweepAndFigure:
     def test_workload_sweep_annotates_records(self, small_net):
-        recs = workload_sweep(
+        recs = run_sweep(workload_sweep_jobs(
             small_net, ["PolSP"], ["uniform"], [0.3],
             burst_slots=12, idle_slots=4, **SWEEP_KW,
-        )
+        ))
         assert [r["workload"] for r in recs] == ["bernoulli", "onoff(12/4)"]
         assert all(set(("injection", "burst_slots", "idle_slots")) <= set(r) for r in recs)
-
-    def test_annotate_workload_matches_cache_contract(self, small_net, tmp_path):
-        """Cached records get the same workload columns as fresh ones."""
-        jobs = _jobs(small_net)
-        cache = tmp_path / "cache"
-        fresh = SerialExecutor(cache_dir=cache).run(jobs)
-        annotate_workload(jobs, fresh)
-        cached = SerialExecutor(cache_dir=cache).run(jobs)
-        annotate_workload(jobs, cached)
-        assert [r["workload"] for r in cached] == [r["workload"] for r in fresh]
 
     def test_fig_workloads_emits_mechanism_by_pattern_table(self):
         recs = fig_workloads(
@@ -174,7 +130,7 @@ class TestSweepAndFigure:
             loads=(0.3,), injections=("bernoulli", "onoff"),
         )
         assert {r["traffic"] for r in recs} == {"uniform", "shift"}
-        table = workload_matrix(recs)
+        table = throughput_matrix(recs, row_key=("mechanism", "workload"))
         assert "PolSP:bernoulli" in table and "PolSP:onoff(8/8)" in table
         assert "uniform" in table and "shift" in table
 

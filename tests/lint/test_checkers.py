@@ -330,9 +330,7 @@ METRICS_SRC = """
 class MetricsCollector:
     def on_eject(self, slot, pkt):
         pass
-    def on_stalled(self, pid):
-        pass
-    def on_stalled_many(self, pids):
+    def on_stalled(self, pids):
         pass
 """
 
@@ -362,7 +360,6 @@ def hooks_cfg() -> LintConfig:
                 "package": "repro/simulator/",
                 "reference": "slot",
                 "receivers": ["metrics"],
-                "equivalent": [["on_stalled", "on_stalled_many"]],
                 "allow": [],
             }
         },
@@ -411,14 +408,6 @@ class TestHookParityChecker:
         class FastSim(Simulator):
             def _eject(self):
                 batch_eject(self)
-        """
-        assert check_hook_parity(hook_mods(fast), hooks_cfg()) == []
-
-    def test_equivalent_batch_hook_satisfies_parity(self):
-        fast = """
-        class FastSim(Simulator):
-            def _watchdog(self):
-                self.metrics.on_stalled_many([0])
         """
         assert check_hook_parity(hook_mods(fast), hooks_cfg()) == []
 

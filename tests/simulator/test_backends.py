@@ -1,5 +1,5 @@
 """Engine-backend API tests: registry, config validation, the
-``make_simulator`` façade, the deprecation shim and the busy agenda.
+``make_simulator`` façade, the retired deprecation shim and the busy agenda.
 
 The *records* produced by the backends are pinned by the differential
 suite in ``tests/experiments/test_backend_equivalence.py``; this module
@@ -105,27 +105,22 @@ class TestMakeSimulator:
 
 
 class TestDeprecationShim:
+    """The ``Simulator.__new__`` re-dispatch shim is gone: a backend
+    class accepts only a config naming itself."""
+
     def _collaborators(self, net):
         return (net, make_mechanism("Minimal", net, rng=1),
                 make_traffic("uniform", net, 0))
 
-    def test_direct_construction_with_event_config_warns_and_dispatches(
-        self, net2d
-    ):
+    @pytest.mark.parametrize("cls, backend", [
+        (Simulator, "event"), (Simulator, "array"),
+        (EventSimulator, "slot"), (ArraySimulator, "event"),
+    ])
+    def test_foreign_config_raises(self, net2d, cls, backend):
         net, mech, traffic = self._collaborators(net2d)
-        with pytest.warns(DeprecationWarning, match="make_simulator"):
-            sim = Simulator(net, mech, traffic, offered=0.2,
-                            config=PAPER_CONFIG.with_(backend="event"))
-        assert type(sim) is EventSimulator
-
-    def test_direct_construction_with_array_config_warns_and_dispatches(
-        self, net2d
-    ):
-        net, mech, traffic = self._collaborators(net2d)
-        with pytest.warns(DeprecationWarning, match="make_simulator"):
-            sim = Simulator(net, mech, traffic, offered=0.2,
-                            config=PAPER_CONFIG.with_(backend="array"))
-        assert type(sim) is ArraySimulator
+        with pytest.raises(ValueError, match="make_simulator"):
+            cls(net, mech, traffic, offered=0.2,
+                config=PAPER_CONFIG.with_(backend=backend))
 
     def test_plain_slot_construction_stays_silent(self, net2d):
         net, mech, traffic = self._collaborators(net2d)
@@ -135,11 +130,12 @@ class TestDeprecationShim:
         assert type(sim) is Simulator
 
     def test_subclass_construction_not_intercepted(self, net2d):
-        # EventSimulator(...) must not recurse through the shim.
+        # A backend class built with its own config is just that class.
         net, mech, traffic = self._collaborators(net2d)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sim = EventSimulator(net, mech, traffic, offered=0.2)
+            sim = EventSimulator(net, mech, traffic, offered=0.2,
+                                 config=PAPER_CONFIG.with_(backend="event"))
         assert type(sim) is EventSimulator
 
 
@@ -213,5 +209,6 @@ class TestRegistryHelper:
         reg.register("b", object(), aliases=("bee",), display="The B")
         reg.register("a", object())
         assert reg.names == ("b", "a")
-        assert reg.alias_table() == {"b": ("bee",), "a": ()}
-        assert reg.display_table() == {"b": "The B", "a": "a"}
+        assert reg.canonical("bee") == "b"
+        assert reg.display_name("bee") == "The B"
+        assert reg.display_name("a") == "a"

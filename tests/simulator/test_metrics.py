@@ -122,7 +122,7 @@ class TestCollector:
         m.start_measurement(0)
         eject(m, 2, 6)  # 4 slots = 64 cycles, bin 0
         p = Packet(9, 0, 4, 0, 1, 0)
-        m.on_stalled(p, 14)
+        m.on_stalled((p.pid,), 14)
         m.on_dropped(p, 23)
         series = m.transient_series()
         assert [rec["slot"] for rec in series] == [0, 10, 20]
@@ -136,15 +136,15 @@ class TestCollector:
 
     def test_on_stalled_many_matches_loop(self):
         # The array backend's batch replay must be indistinguishable
-        # from per-packet on_stalled calls.
-        pkts = [Packet(pid, 0, 4, 0, 1, 0) for pid in (3, 5, 5, 8)]
+        # from the scalar loops' one-pid-at-a-time calls.
+        pids = [3, 5, 5, 8]
         loop = MetricsCollector(2, 16, series_interval=10)
         batch = MetricsCollector(2, 16, series_interval=10)
         for m in (loop, batch):
             m.start_measurement(0)
-        for p in pkts:
-            loop.on_stalled(p, 14)
-        batch.on_stalled_many(pkts, 14)
+        for pid in pids:
+            loop.on_stalled((pid,), 14)
+        batch.on_stalled(pids, 14)
         assert batch.stalled_pids == loop.stalled_pids == {3, 5, 8}
         # Straight dict equality would trip on NaN latency bins; the
         # stall counts are the field the batch path touches.

@@ -25,6 +25,11 @@ class TestEvents:
         ev = WorkloadEvent(10, SET_PATTERN, "  Hotspot ")
         assert ev.value == "hotspot"
         assert ev.label == "pattern=hotspot"
+        # An alias resolves like everywhere else: same canonical name,
+        # hence the same cache-key payload as the short name.
+        alias = WorkloadEvent(10, SET_PATTERN, "Bit Reverse")
+        assert alias == WorkloadEvent(10, SET_PATTERN, "bitrev")
+        assert alias.value == "bitrev"
 
     def test_rejects_bad_events(self):
         with pytest.raises(ValueError, match="slot"):
@@ -33,6 +38,8 @@ class TestEvents:
             WorkloadEvent(0, SET_OFFERED, 1.5)
         with pytest.raises(ValueError, match="unknown traffic pattern"):
             WorkloadEvent(0, SET_PATTERN, "nope")
+        with pytest.raises(ValueError, match="unknown traffic pattern"):
+            WorkloadEvent(0, SET_PATTERN, "bit revers")  # typo of an alias
         with pytest.raises(ValueError, match="kind"):
             WorkloadEvent(0, "faults", 0.5)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.topology import (
     TOPOLOGIES,
-    TOPOLOGY_DISPLAY,
+    TOPOLOGY_REGISTRY,
     FatTree,
     HyperX,
     Network,
@@ -24,7 +24,7 @@ class TestRegistry:
         assert topo.servers_per_switch >= 1
 
     def test_display_names_cover_registry(self):
-        assert set(TOPOLOGY_DISPLAY) == set(TOPOLOGIES)
+        assert all(TOPOLOGY_REGISTRY.display_name(name) for name in TOPOLOGIES)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown topology"):
@@ -97,6 +97,4 @@ class TestScaledTopologies:
             canonical_name("moebius")
 
     def test_alias_registry_aligned_with_topologies(self):
-        from repro.topology.catalog import _ALIASES
-
-        assert set(_ALIASES) == set(TOPOLOGIES) == set(TOPOLOGY_DISPLAY)
+        assert TOPOLOGIES == TOPOLOGY_REGISTRY.names == tuple(TOPOLOGY_REGISTRY)

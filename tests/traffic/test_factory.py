@@ -3,8 +3,8 @@
 import pytest
 
 from repro.traffic import (
-    TRAFFIC_DISPLAY,
     TRAFFIC_PATTERNS,
+    TRAFFIC_REGISTRY,
     make_traffic,
     supported_traffics,
 )
@@ -41,7 +41,7 @@ class TestFactory:
             make_traffic("zipfian", net2d)
 
     def test_display_names_cover_patterns(self):
-        assert set(TRAFFIC_DISPLAY) == set(TRAFFIC_PATTERNS)
+        assert all(TRAFFIC_REGISTRY.display_name(n) for n in TRAFFIC_PATTERNS)
 
     def test_randperm_seed_forwarded(self, net2d):
         import numpy as np
@@ -163,8 +163,5 @@ class TestStructuralRejections:
             canonical_traffic_name("zipfian")
 
     def test_alias_registry_aligned_with_patterns(self):
-        """The alias table, the name tuple and the display map must name
-        the same pattern set — three registries that must not drift."""
-        from repro.traffic import _ALIASES
-
-        assert set(_ALIASES) == set(TRAFFIC_PATTERNS) == set(TRAFFIC_DISPLAY)
+        """The name tuple is the registry's, in registration order."""
+        assert TRAFFIC_PATTERNS == TRAFFIC_REGISTRY.names == tuple(TRAFFIC_REGISTRY)
