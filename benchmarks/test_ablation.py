@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices README.md ("Key substitutions") calls out.
 
 Not figures from the paper — these quantify the claims the paper makes in
 prose:

@@ -16,8 +16,8 @@ Examples::
     surepath-sim point --mechanism PolSP --traffic rpn --offered 0.8 --dims 3
 
 Every figure/table of the paper has a subcommand; ``--scale paper`` runs
-the exact paper topologies (slow in pure Python — see DESIGN.md).  The
-sweep-based experiments (figures 4, 5, 6, 8, 9, fig-transient,
+the exact paper topologies (slow in pure Python — see README.md,
+"Running experiments").  The sweep-based experiments (figures 4, 5, 6, 8, 9, fig-transient,
 fig-ablation-arbiter, fig-workloads, fig-topologies and
 fig-collectives) accept ``--jobs N`` to simulate points on a process
 pool, ``--cache-dir DIR`` to reuse

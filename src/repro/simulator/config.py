@@ -4,7 +4,7 @@ The paper simulates phit-level virtual cut-through with 16-phit packets.
 This reproduction advances time in *slots* of one packet transmission
 (= ``packet_phits`` cycles): every link moves at most one packet per slot
 and all occupancies and penalties are accounted in phits so the paper's
-penalty constants apply unchanged (see DESIGN.md, "Key substitutions").
+penalty constants apply unchanged (see README.md, "Key substitutions").
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Slot-level network simulator (the CAMINOS substitute).
 
 One simulation slot (= 16 cycles, one packet serialization) advances in
-four phases, following DESIGN.md:
+four phases (README.md, "Architecture"):
 
 1. **Ejection** — every server consumes at most one head-of-line packet
    addressed to it; the freed input slot returns a credit upstream.

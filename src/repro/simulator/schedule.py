@@ -111,7 +111,7 @@ class FaultSchedule:
         from the topology, fails an already-failed link or repairs a live
         one (replaying the events against ``initial_faults``).
         """
-        healthy = set(topology.links())
+        healthy = topology.link_tables.index
         dead = {normalize_link(a, b) for a, b in initial_faults}
         for ev in self.events:
             if ev.link not in healthy:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,14 +32,31 @@ def normalize_link(a: int, b: int) -> Link:
     return (a, b) if a < b else (b, a)
 
 
+class LinkTables(NamedTuple):
+    """The links of a healthy topology (see ``Topology.link_tables``)."""
+
+    #: Every link, normalised, sorted, listed once.
+    links: tuple[Link, ...]
+    #: Position of each link in ``links`` (and its row in ``ends``).
+    index: dict[Link, int]
+    #: ``ends[i] = (a, port on a, b, port on b)`` for ``links[i] == (a, b)``.
+    ends: np.ndarray
+
+
 class Topology(ABC):
     """A healthy switch-level topology with stable port numbering.
 
     Subclasses define the switch count, the per-switch neighbour lists and
     how many servers attach to every switch.  Port ``p`` of switch ``s``
     refers to the ``p``-th entry of ``neighbours(s)`` and keeps meaning even
-    when the link on it fails.
+    when the link on it fails.  ``neighbours()`` must not change once the
+    topology is constructed: the adjacency array, port map and link tables
+    every :class:`Network` starts from are each derived from it on first
+    use and cached.
     """
+
+    #: The cached derivations; left out of pickles (jobs ship topologies).
+    _DERIVED = ("healthy_nbr", "port_map", "link_tables")
 
     @property
     @abstractmethod
@@ -72,19 +89,51 @@ class Topology(ABC):
         """Switch radix: network ports plus server ports (uniform case)."""
         return self.degree(0) + self.servers_per_switch
 
+    @cached_property
+    def healthy_nbr(self) -> np.ndarray:
+        """``[s, p]`` -> neighbour on port ``p`` of ``s``; short rows padded with -1."""
+        rows = [self.neighbours(s) for s in range(self.n_switches)]
+        width = max(map(len, rows))
+        return np.array(
+            [[*row, *[-1] * (width - len(row))] for row in rows], dtype=np.intp
+        )
+
+    @cached_property
+    def port_map(self) -> dict[tuple[int, int], int]:
+        """``(s, t)`` -> index of ``t`` in ``neighbours(s)``."""
+        port: dict[tuple[int, int], int] = {}
+        for s in range(self.n_switches):
+            for p, t in enumerate(self.neighbours(s)):
+                port.setdefault((s, t), p)
+        return port
+
+    @cached_property
+    def link_tables(self) -> LinkTables:
+        """The sorted links, with each one's position and its two ports."""
+        port = self.port_map
+        links = tuple(sorted({normalize_link(s, t) for s, t in port}))
+        ends = [(a, port[a, b], b, port[b, a]) for a, b in links]
+        return LinkTables(
+            links,
+            {link: i for i, link in enumerate(links)},
+            np.array(ends, dtype=np.intp).reshape(-1, 4),
+        )
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            state.pop(name, None)
+        return state
+
     def links(self) -> list[Link]:
         """All healthy links, normalised, sorted, each listed once."""
-        out: set[Link] = set()
-        for s in range(self.n_switches):
-            for t in self.neighbours(s):
-                out.add(normalize_link(s, t))
-        return sorted(out)
+        return list(self.link_tables.links)
 
     def port_of(self, s: int, t: int) -> int:
         """Port index on switch ``s`` whose link leads to switch ``t``."""
         try:
-            return self.neighbours(s).index(t)
-        except ValueError:
+            return self.port_map[s, t]
+        except KeyError:
             raise ValueError(f"switches {s} and {t} are not adjacent") from None
 
     def server_switch(self, server: int) -> int:
@@ -111,27 +160,28 @@ class Network:
         self.faults: frozenset[Link] = frozenset(
             normalize_link(a, b) for a, b in faults
         )
-        healthy = set(topology.links())
-        unknown = self.faults - healthy
-        if unknown:
-            raise ValueError(f"faulty links not present in topology: {sorted(unknown)[:5]}")
-
-        n = topology.n_switches
+        # Three views of the live adjacency, kept in step by _set_port_state.
+        # nbr[s, p] = neighbour on port p, -1 if the link failed or the
+        # switch has no such port (the array the BFS kernel gathers through)
+        self.nbr: np.ndarray = topology.healthy_nbr.copy()
+        if self.faults:
+            tables = topology.link_tables
+            unknown = self.faults - tables.index.keys()
+            if unknown:
+                raise ValueError(
+                    f"faulty links not present in topology: {sorted(unknown)[:5]}"
+                )
+            dead = tables.ends[[tables.index[link] for link in self.faults]]
+            self.nbr[dead[:, 0], dead[:, 1]] = -1
+            self.nbr[dead[:, 2], dead[:, 3]] = -1
         # port_neighbour[s][p] = neighbour on port p, or -1 if the link failed
-        self.port_neighbour: list[list[int]] = []
+        self.port_neighbour: list[list[int]] = [
+            row[: topology.degree(s)] for s, row in enumerate(self.nbr.tolist())
+        ]
         # live_ports[s] = [(port, neighbour), ...] for live links only
-        self.live_ports: list[list[tuple[int, int]]] = []
-        for s in range(n):
-            row: list[int] = []
-            live: list[tuple[int, int]] = []
-            for p, t in enumerate(topology.neighbours(s)):
-                if normalize_link(s, t) in self.faults:
-                    row.append(-1)
-                else:
-                    row.append(t)
-                    live.append((p, t))
-            self.port_neighbour.append(row)
-            self.live_ports.append(live)
+        self.live_ports: list[list[tuple[int, int]]] = [
+            [(p, t) for p, t in enumerate(row) if t >= 0] for row in self.port_neighbour
+        ]
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -150,7 +200,7 @@ class Network:
 
     def live_links(self) -> list[Link]:
         """Normalised list of live (non-faulty) links."""
-        return [link for link in self.topology.links() if link not in self.faults]
+        return [link for link in self.topology.link_tables.links if link not in self.faults]
 
     def neighbour_on_port(self, s: int, p: int) -> int:
         """Neighbour reached through port ``p`` of switch ``s`` (-1 if dead)."""
@@ -171,11 +221,11 @@ class Network:
     # Online reconfiguration (dynamic fault injection / repair)
     # ------------------------------------------------------------------
     def _set_port_state(self, link: Link, alive: bool) -> None:
-        """Rewrite ``port_neighbour`` / ``live_ports`` for one link."""
+        """Rewrite ``nbr`` / ``port_neighbour`` / ``live_ports`` for one link."""
         a, b = link
         for s, t in ((a, b), (b, a)):
             p = self.topology.port_of(s, t)
-            self.port_neighbour[s][p] = t if alive else -1
+            self.port_neighbour[s][p] = self.nbr[s, p] = t if alive else -1
             self.live_ports[s] = [
                 (q, u) for q, u in enumerate(self.port_neighbour[s]) if u >= 0
             ]
@@ -203,7 +253,7 @@ class Network:
         :meth:`~repro.routing.base.RoutingMechanism.on_topology_change`.
         """
         link = normalize_link(*link)
-        if link not in set(self.topology.links()):
+        if link not in self.topology.link_tables.index:
             raise ValueError(f"link {link} not present in topology")
         if link in self.faults:
             raise ValueError(f"link {link} is already failed")

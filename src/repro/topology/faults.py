@@ -68,8 +68,8 @@ def random_connected_fault_sequence(
     """
     rng = as_generator(rng)
     sequence: list[Link] = []
-    current = Network(topology)
-    links = set(topology.links())
+    network = Network(topology)
+    remaining = topology.links()  # sorted, and stays so as links leave it
     tries = 0
     while len(sequence) < n_faults:
         tries += 1
@@ -77,14 +77,14 @@ def random_connected_fault_sequence(
             raise RuntimeError(
                 f"could not extend connected fault sequence past {len(sequence)} faults"
             )
-        remaining = sorted(links - set(sequence))
         if not remaining:
             raise ValueError("no links left to fail")
-        cand = remaining[int(rng.integers(len(remaining)))]
-        trial = current.with_faults([cand])
-        if trial.is_connected:
-            sequence.append(cand)
-            current = trial
+        i = int(rng.integers(len(remaining)))
+        network.apply_fault(remaining[i])
+        if network.is_connected:
+            sequence.append(remaining.pop(i))
+        else:
+            network.restore_link(remaining[i])
     return sequence
 
 
@@ -93,7 +93,7 @@ def random_connected_fault_sequence(
 # ----------------------------------------------------------------------
 def _clique_links(switches: Sequence[int], topology: Topology) -> list[Link]:
     """All healthy links with both endpoints in ``switches``."""
-    have = set(topology.links())
+    have = topology.link_tables.index
     out = []
     for a, b in combinations(sorted(set(switches)), 2):
         link = normalize_link(a, b)

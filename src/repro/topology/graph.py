@@ -1,17 +1,32 @@
 """Graph algorithms over :class:`~repro.topology.base.Network`.
 
-These are the BFS-style computations the paper assumes are re-run whenever
-the topology changes (boot, upgrade or failure): all-pairs distances,
-diameter, connectivity.  They are vectorised through scipy's compiled
-``csgraph`` kernels so that even the paper-scale 512-switch network with
-hundreds of fault steps (Figure 1) runs in seconds.
+These are the BFS computations the paper assumes are re-run whenever the
+topology changes (boot, upgrade or failure): all-pairs distances,
+diameter, connectivity and, in :mod:`repro.updown.escape`, the Up/Down
+layering.  All of them run through one bit-parallel kernel,
+:func:`bitset_distances`, over a compiled adjacency array such as
+``Network.nbr`` (``succ[i, p]`` = state reached from ``i`` through port
+``p``, -1 for none).
+
+Every state ``i`` carries a bitset ``R_k[i]`` of the targets it reaches in
+at most ``k`` steps, packed 64 to a word.  One BFS level for *all* states
+and *all* targets at once is the recurrence
+
+    R_0[i]     = {target seeded at i}
+    R_{k+1}[i] = R_k[i]  |  OR_p R_k[succ[i, p]]
+
+i.e. one gather and one ``bitwise_or.reduce`` per level, with a zero
+sentinel row standing in for dead ports.  A target first reached at level
+``d`` is in ``R_d .. R_{L-1}``, so the distance is ``L`` minus the number
+of levels that held it: one small-integer add of the unpacked bits per
+level, no per-level scatter.  The paper-scale 512-switch network with
+thousands of failed links (Figure 1) takes a few milliseconds per
+all-pairs matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .base import Network
 
@@ -30,46 +45,63 @@ class NetworkDisconnected(ValueError):
     """
 
 
-def adjacency_matrix(network: Network) -> sp.csr_matrix:
-    """Sparse boolean adjacency matrix over live links."""
-    n = network.n_switches
-    rows: list[int] = []
-    cols: list[int] = []
-    for a, b in network.live_links():
-        rows += (a, b)
-        cols += (b, a)
-    data = np.ones(len(rows), dtype=np.int8)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+def bitset_distances(succ: np.ndarray, seed: np.ndarray, n_targets: int) -> np.ndarray:
+    """Hop distance from every state to every target (int16 ``[N, n_targets]``).
+
+    ``succ[N, P]`` lists each state's successors (-1 = none) and
+    ``seed[i]`` the target state ``i`` counts as having reached at
+    distance 0 (-1 = none).  Pairs with no path get ``UNREACHABLE``.
+    """
+    n = len(succ)
+    # Rows are whole uint64 words so levels OR 64 targets at a time, but
+    # they are filled and unpacked as bytes: no step depends on the host's
+    # byte order.  Row n stays zero; succ's -1 entries index it.
+    packed = np.zeros((n + 1, 8 * -(-n_targets // 64)), dtype=np.uint8)
+    seeded = np.flatnonzero(seed >= 0)
+    packed[seeded, seed[seeded] >> 3] = 128 >> (seed[seeded] & 7)
+    reach = packed.view(np.uint64)
+    # Port-major, so a level ORs P contiguous [N, words] slabs.
+    ports = np.ascontiguousarray(succ.T)
+    held = np.zeros((n, n_targets), dtype=np.int16)
+    levels = 0
+    while True:
+        bits = np.unpackbits(packed[:n], axis=1, count=n_targets)
+        held += bits
+        levels += 1
+        if bits.all():
+            break
+        grown = reach[:n] | np.bitwise_or.reduce(reach[ports], axis=0)
+        if np.array_equal(grown, reach[:n]):
+            break
+        reach[:n] = grown
+    dist = levels - held
+    dist[bits == 0] = UNREACHABLE
+    return dist
 
 
 def all_pairs_distances(network: Network) -> np.ndarray:
     """All-pairs hop distances (int16), ``UNREACHABLE`` when disconnected."""
-    adj = adjacency_matrix(network)
-    d = csgraph.shortest_path(adj, method="D", unweighted=True, directed=False)
-    out = np.where(np.isinf(d), float(UNREACHABLE), d)
-    return out.astype(np.int16)
+    n = network.n_switches
+    return bitset_distances(network.nbr, np.arange(n), n)
 
 
 def bfs_distances(network: Network, source: int) -> np.ndarray:
     """Hop distances from one switch (int16, ``UNREACHABLE`` if cut off)."""
-    adj = adjacency_matrix(network)
-    d = csgraph.dijkstra(adj, unweighted=True, directed=False, indices=source)
-    out = np.where(np.isinf(d), float(UNREACHABLE), d)
-    return out.astype(np.int16)
+    seed = np.full(network.n_switches, -1)
+    seed[source] = 0
+    # Links are undirected: the distance *to* the source is the one from it.
+    return bitset_distances(network.nbr, seed, 1)[:, 0]
 
 
 def is_connected(network: Network) -> bool:
     """True when every switch can reach every other over live links."""
-    adj = adjacency_matrix(network)
-    n_comp, _ = csgraph.connected_components(adj, directed=False)
-    return n_comp == 1
+    return bool((bfs_distances(network, 0) != UNREACHABLE).all())
 
 
 def connected_components(network: Network) -> np.ndarray:
-    """Component label per switch."""
-    adj = adjacency_matrix(network)
-    _, labels = csgraph.connected_components(adj, directed=False)
-    return labels
+    """Component label per switch (components numbered by lowest member)."""
+    lowest = (network.distances != UNREACHABLE).argmax(axis=1)
+    return np.unique(lowest, return_inverse=True)[1].astype(np.int32)
 
 
 def diameter(network: Network) -> int:

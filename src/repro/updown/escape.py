@@ -38,24 +38,37 @@ HyperX the restricted escape still contains every one-dimension minimal
 route (rows are cliques, so the direct link is always up, down or one
 shortcut) and still steers load away from the root; what it loses are the
 chained-shortcut multi-dimension minimal routes, for which it pays one
-extra up/down hop.  DESIGN.md records the substitution.
+extra up/down hop.  README.md ("Key substitutions") records the
+substitution.
 
 The implementation is table-driven exactly as the paper suggests: two
 distance matrices indexed (current, target) — the *full escape distance*
 ``dist_a`` (up* [h] down* paths, for packets that may still climb) and the
 *pure-descent distance* ``dist_b`` (down* only, for packets past their
-apex) — plus per-link colours.  Both come from one compiled BFS over a
-layered digraph with (switch, phase) states, so full paper-scale networks
-are cheap to (re)build after every fault event.
+apex) — plus per-link colours ``sign(level[s] - level[neighbour])``.  The
+distances are BFS levels over (switch, phase) states, computed by the
+same bit-parallel kernel as the plain distance matrix
+(:func:`repro.topology.graph.bitset_distances`): per switch ``c`` a
+bitset of reachable target switches for each family of routes,
+
+    D_k[c] = {c} | OR_down D_{k-1}                           (down*)
+    U_k[c] = {c} | OR_up U_{k-1} | OR_down D_{k-1}           (up* down*)
+    A_k[c] = {c} | OR_up A_{k-1} | OR_{down, horiz} D_{k-1}  (up* [h] down*)
+
+each OR ranging over the neighbours of ``c`` on links of that colour.
+``D`` gives ``dist_b``, ``U`` the classic Up/Down distance ``udist`` and
+``A`` (equal to ``U`` when shortcuts are off) ``dist_a``; the three
+families are rows of one successor array, so ``D`` is advanced once and
+shared, and full paper-scale networks are cheap to (re)build after every
+fault event.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from ..topology.base import Network
+from ..topology.graph import UNREACHABLE, NetworkDisconnected, bfs_distances, bitset_distances
 
 #: Penalties in phits (paper §3.2): black tree links and red shortcuts.
 UP_PENALTY = 112
@@ -98,48 +111,13 @@ class EscapeSubnetwork:
     def __init__(self, network: Network, root: int = 0, shortcuts: bool = True):
         if not 0 <= root < network.n_switches:
             raise ValueError(f"root {root} out of range")
-        if not network.is_connected:
-            from ..topology.graph import NetworkDisconnected
-
-            raise NetworkDisconnected(
-                "escape subnetwork requires a connected network; "
-                "disconnected fault sets cannot be escaped"
-            )
         self.network = network
         self.root = int(root)
         self.shortcuts = bool(shortcuts)
-        self._build()
-
-    def _build(self) -> None:
-        """(Re)compute every table from the network's current live links."""
-        network = self.network
-        from ..topology.graph import bfs_distances
-
-        #: BFS level of every switch (distance to the root).
-        self.root_distance: np.ndarray = bfs_distances(network, self.root)
-
-        # Link colours, indexed [switch][port]: +1 up (towards root),
-        # -1 down (away from root), 0 red/horizontal; dead ports get 0 but
-        # never appear among live_ports so the value is moot.
-        n = network.n_switches
-        self.link_kind: list[list[int]] = []
-        for s in range(n):
-            kinds = []
-            ds = int(self.root_distance[s])
-            for t in network.port_neighbour[s]:
-                if t < 0:
-                    kinds.append(0)
-                    continue
-                dt = int(self.root_distance[t])
-                kinds.append(+1 if dt < ds else (-1 if dt > ds else 0))
-            self.link_kind.append(kinds)
-
-        self.dist_a, self.dist_b = self._compute_escape_distances()
-        #: Classic Up/Down distance over black links only (analysis/tests).
-        self.udist: np.ndarray = self._compute_updown_distances()
+        self.rebuild()
 
     def rebuild(self) -> None:
-        """Recompute the escape tables after an online topology change.
+        """(Re)compute every table from the network's current live links.
 
         This is the paper's reconfiguration story: the Up/Down layering and
         both phase-distance matrices come from BFS over the network's *live*
@@ -147,74 +125,49 @@ class EscapeSubnetwork:
         root).  The network must still be connected — SurePath's guarantee
         covers every fault set short of disconnection.
         """
-        if not self.network.is_connected:
-            from ..topology.graph import NetworkDisconnected
-
+        network = self.network
+        n, nbr = network.n_switches, network.nbr
+        level = bfs_distances(network, self.root)
+        if (level == UNREACHABLE).any():
             raise NetworkDisconnected(
-                "escape subnetwork cannot be rebuilt on a disconnected network"
+                "escape subnetwork requires a connected network; "
+                "disconnected fault sets cannot be escaped"
             )
-        self._build()
+        #: BFS level of every switch (distance to the root).
+        self.root_distance: np.ndarray = level
 
-    # ------------------------------------------------------------------
-    # Distance tables over layered (switch, phase) digraphs
-    # ------------------------------------------------------------------
-    def _layered_edges(self, with_shortcuts: bool) -> tuple[list[int], list[int]]:
-        """Edges of the (switch, phase) digraph.
+        # Link colours, indexed [switch][port]: +1 up (towards root),
+        # -1 down (away from root), 0 red/horizontal; dead ports get 0 but
+        # never appear among live_ports so the value is moot.
+        kind = np.where(nbr >= 0, np.sign(level[:, None] - level[nbr]), 0)
+        self.link_kind: list[list[int]] = [
+            kinds[: len(ports)]
+            for kinds, ports in zip(kind.tolist(), network.port_neighbour)
+        ]
 
-        State encoding: ``s`` = (s, CLIMB), ``n + s`` = (s, DESCEND).
-        CLIMB takes up edges (staying CLIMB) and down edges (entering
-        DESCEND); with shortcuts enabled, a horizontal edge also enters
-        DESCEND (the single allowed shortcut).  DESCEND takes down edges.
-        """
-        n = self.network.n_switches
-        level = self.root_distance
-        rows: list[int] = []
-        cols: list[int] = []
-        for a, b in self.network.live_links():
-            la, lb = int(level[a]), int(level[b])
-            if la == lb:
-                if with_shortcuts:
-                    rows += (a, b)
-                    cols += (n + b, n + a)
-                continue
-            lo, hi = (a, b) if la < lb else (b, a)
-            # Up move hi -> lo keeps the climb phase.
-            rows.append(hi)
-            cols.append(lo)
-            # Down move lo -> hi enters/keeps the descend phase.
-            rows += (lo, n + lo)
-            cols += (n + hi, n + hi)
-        return rows, cols
-
-    def _phase_distances(self, with_shortcuts: bool) -> tuple[np.ndarray, np.ndarray]:
-        n = self.network.n_switches
-        rows, cols = self._layered_edges(with_shortcuts)
-        data = np.ones(len(rows), dtype=np.int8)
-        layered = sp.csr_matrix((data, (rows, cols)), shape=(2 * n, 2 * n))
-        dist = csgraph.shortest_path(
-            layered, method="D", unweighted=True, directed=True
+        # Successors of the (switch, family) states, families stacked as
+        # rows D | U | A (see the module docstring): state (c, D) is row c,
+        # (c, U) row n + c, (c, A) row 2n + c.  An up move stays in its own
+        # family; a down move — and from A the one horizontal move —
+        # continues in D.
+        down = np.where(kind < 0, nbr, -1)
+        families = [down, np.where(kind > 0, nbr + n, down)]
+        if self.shortcuts:
+            families.append(np.where(kind > 0, nbr + 2 * n, nbr))
+        dist = bitset_distances(
+            np.concatenate(families), np.tile(np.arange(n), len(families)), n
         )
-        # dist_a[c, t]: from (c, CLIMB), arriving at t in either phase.
-        da = np.minimum(dist[:n, :n], dist[:n, n:])
-        # dist_b[c, t]: from (c, DESCEND), necessarily arriving in DESCEND.
-        db = dist[n:, n:]
-        da = np.where(np.isinf(da), NO_PATH, da).astype(np.int32)
-        db = np.where(np.isinf(db), NO_PATH, db).astype(np.int32)
-        return da, db
-
-    def _compute_escape_distances(self) -> tuple[np.ndarray, np.ndarray]:
-        da, db = self._phase_distances(with_shortcuts=self.shortcuts)
-        if (da >= NO_PATH).any():
+        if (dist[n:] == UNREACHABLE).any():
             raise AssertionError(
                 "connected network has unreachable escape pairs; "
                 "the layered BFS construction is broken"
             )
-        return da, db
-
-    def _compute_updown_distances(self) -> np.ndarray:
-        """Classic shortcut-free Up/Down distance (paper §3.2 definition)."""
-        da, _db = self._phase_distances(with_shortcuts=False)
-        return da.astype(np.int16)
+        #: Pure-descent distance (down* only); ``NO_PATH`` where none exists.
+        self.dist_b: np.ndarray = np.where(dist[:n] == UNREACHABLE, NO_PATH, dist[:n])
+        #: Classic Up/Down distance over black links only (analysis/tests).
+        self.udist: np.ndarray = dist[n : 2 * n].copy()
+        #: Full escape distance (up* [shortcut] down*).
+        self.dist_a: np.ndarray = dist[-n:].astype(np.int32)
 
     # ------------------------------------------------------------------
     # Candidate enumeration

@@ -18,6 +18,42 @@ from repro.topology.faults import (
     subplane_faults,
 )
 from repro.topology.hyperx import HyperX
+from repro.topology.random_regular import RandomRegular
+from repro.topology.torus import Torus
+
+#: ``random_connected_fault_sequence`` on three families, three seeds each,
+#: as drawn by the implementation that built a fresh Network per candidate.
+#: Each runs into rejected (disconnecting) candidates, so both the
+#: ``rng.integers`` draws and the candidate list they index are pinned.
+PINNED_CONNECTED_SEQUENCES = {
+    "hyperx": (lambda: HyperX((4, 4), 4), 30, {
+        0: [(10, 14), (6, 14), (5, 6), (2, 6), (2, 14), (0, 2), (0, 8), (0, 1), (1, 13),
+            (10, 11), (8, 9), (12, 15), (5, 9), (7, 11), (14, 15), (8, 12), (6, 10),
+            (4, 12), (5, 7), (13, 14), (2, 3), (9, 13), (7, 15), (0, 3), (3, 15),
+            (11, 15), (4, 8), (0, 4), (9, 10), (8, 10)],
+        1: [(4, 12), (5, 9), (9, 10), (13, 14), (0, 2), (1, 3), (10, 11), (12, 15), (2, 3),
+            (3, 7), (11, 15), (4, 6), (2, 6), (9, 11), (1, 13), (4, 7), (7, 11), (6, 7),
+            (0, 4), (0, 1), (12, 13), (8, 11), (9, 13), (5, 7), (8, 12), (2, 14), (4, 5),
+            (8, 10), (0, 12), (2, 10)],
+        2: [(10, 14), (2, 6), (0, 12), (3, 7), (4, 8), (10, 11), (4, 12), (0, 4), (3, 15),
+            (7, 11), (9, 13), (8, 11), (14, 15), (1, 5), (12, 13), (0, 2), (5, 13),
+            (2, 10), (1, 13), (8, 9), (3, 11), (6, 10), (2, 3), (1, 2), (9, 10), (5, 6),
+            (13, 14), (4, 7), (1, 9), (12, 15)],
+    }),
+    "torus": (lambda: Torus((4, 4), 1), 14, {
+        0: [(11, 15), (7, 11), (5, 6), (2, 3), (2, 14), (0, 3), (0, 4), (0, 1), (2, 6),
+            (10, 14), (8, 12), (13, 14), (6, 7), (8, 9)],
+        1: [(5, 6), (5, 9), (9, 13), (13, 14), (0, 1), (1, 2), (10, 14), (12, 15), (2, 3),
+            (3, 7), (11, 15), (4, 5), (2, 6), (9, 10)],
+        2: [(10, 14), (2, 6), (0, 12), (3, 7), (4, 8), (10, 11), (5, 6), (0, 4), (4, 5),
+            (8, 9), (11, 15), (9, 10), (14, 15), (1, 5)],
+    }),
+    "random": (lambda: RandomRegular(16, 3, seed=1), 8, {
+        0: [(9, 12), (5, 7), (3, 15), (1, 12), (2, 10), (0, 6), (1, 9), (8, 14)],
+        1: [(3, 15), (4, 12), (8, 10), (11, 15), (0, 6), (8, 14), (1, 12), (2, 10)],
+        2: [(9, 12), (2, 7), (0, 14), (2, 13), (3, 15), (8, 14), (4, 12), (5, 8)],
+    }),
+}
 
 
 class TestRandomSequences:
@@ -44,6 +80,13 @@ class TestRandomSequences:
         seq = random_connected_fault_sequence(hx2d, 20, rng=3)
         for k in range(0, 21, 5):
             assert Network(hx2d, seq[:k]).is_connected
+
+    @pytest.mark.parametrize("family", sorted(PINNED_CONNECTED_SEQUENCES))
+    def test_connected_sequence_same_draws_same_links(self, family):
+        build, n_faults, by_seed = PINNED_CONNECTED_SEQUENCES[family]
+        topo = build()
+        for seed, expected in by_seed.items():
+            assert random_connected_fault_sequence(topo, n_faults, rng=seed) == expected
 
     def test_connected_sequence_impossible_raises(self, hx2d):
         # 16 switches need >= 15 links; 48 - 40 = 8 < 15.

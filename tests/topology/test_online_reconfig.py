@@ -1,6 +1,11 @@
 """Online reconfiguration: in-place link failure/repair on Network."""
 
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology.base import Network
 from repro.topology.fattree import FatTree
@@ -73,6 +78,78 @@ class TestApplyFault:
         assert net.distances[a, b] == 2  # direct hop gone, row detour
         net.restore_link(link)
         assert (net.distances == d0).all()
+
+
+TOPOLOGIES = {
+    "hyperx": HyperX((4, 4), 4),
+    "mesh": Torus((3, 4), 2, wrap=False),  # non-uniform degree: padded nbr rows
+    "fattree": FatTree(4),
+}
+
+
+class TestInPlaceAdjacencyStaysHonest:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(TOPOLOGIES)),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=25),
+    )
+    def test_any_interleaving_matches_fresh_network(self, family, picks):
+        """Toggle links in any order: every view of the adjacency and every
+        cached metric equals a network built from scratch at each step."""
+        topo = TOPOLOGIES[family]
+        links = topo.links()
+        net = Network(topo)
+        for pick in picks:
+            # Fill the caches, so a missed invalidation would serve them stale.
+            _ = net.distances, net.is_connected
+            link = links[pick % len(links)]
+            if link in net.faults:
+                net.restore_link(link)
+            else:
+                net.apply_fault(link)
+            fresh = Network(topo, net.faults)
+            assert np.array_equal(net.nbr, fresh.nbr)
+            assert net.port_neighbour == fresh.port_neighbour
+            assert net.live_ports == fresh.live_ports
+            assert net.faults == fresh.faults
+            assert net.live_links() == fresh.live_links()
+            assert np.array_equal(net.distances, fresh.distances)
+            assert net.is_connected == fresh.is_connected
+            if fresh.is_connected:
+                assert net.diameter == fresh.diameter
+
+    def test_nbr_agrees_with_port_neighbour(self):
+        for topo in TOPOLOGIES.values():
+            net = Network(topo, topo.links()[::3])
+            for s, row in enumerate(net.port_neighbour):
+                assert net.nbr[s, : len(row)].tolist() == row
+                assert (net.nbr[s, len(row) :] == -1).all()
+
+    def test_links_returns_a_fresh_sorted_list(self):
+        topo = HyperX((3, 3), 1)
+        first = topo.links()
+        assert isinstance(first, list) and first == sorted(set(first))
+        first.clear()  # the caller owns the list ...
+        assert len(topo.links()) == 18  # ... and the cached tables are intact
+        assert Network(topo).live_links() == topo.links()
+
+    def test_port_of_rejects_non_adjacent_switches(self):
+        topo = HyperX((4, 4), 4)
+        assert topo.neighbours(0)[topo.port_of(0, 3)] == 3
+        for s, t in ((0, 15), (0, 0), (0, 99)):
+            with pytest.raises(ValueError, match=f"switches {s} and {t} are not adjacent"):
+                topo.port_of(s, t)
+            with pytest.raises(ValueError, match="not adjacent"):
+                Network(topo).port_of(s, t)
+
+    def test_pickled_topology_leaves_the_derived_tables_behind(self):
+        topo = HyperX((4, 4), 4)
+        bare = len(pickle.dumps(topo))
+        Network(topo, topo.links()[:2]).port_of(0, 1)  # derives all three
+        assert set(topo._DERIVED) <= set(vars(topo))
+        assert len(pickle.dumps(topo)) == bare
+        clone = pickle.loads(pickle.dumps(topo))
+        assert clone.links() == topo.links()
 
 
 class TestReconfigNewFamilies:

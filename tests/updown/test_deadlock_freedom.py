@@ -1,6 +1,7 @@
 """Deadlock-freedom of the escape subnetwork.
 
-Two layers of evidence, matching DESIGN.md's analysis:
+Two layers of evidence, matching the analysis in the
+``repro.updown.escape`` module docstring (README.md, "Key substitutions"):
 
 1. **Structural**: the escape request graph over directed channels is
    acyclic.  Channels are classed UP / H / DOWN; requests must be
