@@ -28,6 +28,7 @@ sweep into data plus a strategy:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -490,19 +491,24 @@ class Executor:
         """Run ``jobs``; the result list matches the job order."""
         job_list = list(jobs)
         records: dict[int, dict] = {}
-        misses: list[int] = []
+        # Misses grouped by cache address: jobs differing only in labels
+        # (a sweep's shared healthy-reference points) are one simulation.
+        misses: dict[str, list[int]] = {}
         for i, job in enumerate(job_list):
             hit = self._cache_load(job) if self.cache_dir else None
             if hit is not None:
                 records[i] = hit
             else:
-                misses.append(i)
+                misses.setdefault(job_key(job), []).append(i)
         if misses:
-            fresh = self._execute([job_list[i] for i in misses])
-            for i, rec in zip(misses, fresh):
-                records[i] = rec
+            groups = list(misses.values())
+            fresh = self._execute([job_list[group[0]] for group in groups])
+            for (first, *rest), rec in zip(groups, fresh):
                 if self.cache_dir:
-                    self._cache_store(job_list[i], rec)
+                    self._cache_store(job_list[first], rec)
+                records[first] = rec
+                for i in rest:
+                    records[i] = copy.deepcopy(rec)
         # Labels go on after the cache, so a stored entry never holds
         # them and a hit gets exactly the columns a fresh run does.
         for i, job in enumerate(job_list):

@@ -129,7 +129,7 @@ def walk_scoped(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
     """Yield ``(scope_qualname, node)`` for every node in the module.
 
     The qualname stacks enclosing class and function names
-    (``QPArbiter.allocate_switch``); module level is ``"<module>"``.
+    (``QPArbiter.allocate``); module level is ``"<module>"``.
     Lambdas do not open a scope of their own — a draw inside a
     registration lambda reports under the enclosing (module) scope,
     which is where a reviewer will look for it.

@@ -6,7 +6,7 @@ byte-identical.  The slot-synchronous ``Simulator`` is the reference;
 the other backends subclass it and override phase methods, and an
 override that forgets a ``metrics.on_*`` dispatch the reference makes
 (directly, or transitively through a shared helper like the arbiters'
-``allocate_switch``) silently skews a counter that only a golden
+``_hol_requests``) silently skews a counter that only a golden
 fingerprint would eventually catch.
 
 The check, fully AST-derived:
@@ -21,8 +21,8 @@ The check, fully AST-derived:
    mapped to the hooks it dispatches on a ``metrics`` receiver plus the
    simple names of everything it calls; dispatch sets are propagated to
    a fixpoint through name-matched callees, so a hook fired inside
-   ``QPArbiter.allocate_switch`` counts for every method that reaches
-   ``allocate``.
+   ``Arbiter._hol_requests`` counts for every method that reaches
+   an arbiter's ``allocate``.
 4. For each reference method a backend overrides, every hook reachable
    from the reference method must be reachable from the override —
    modulo the per-(backend, method, hook) allowlist in

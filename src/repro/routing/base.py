@@ -58,6 +58,8 @@ class RoutingMechanism(ABC):
         (e.g. ladder exhausted, or faults removed all legal ports); the
         simulator will record it as *stalled*, which is exactly the failure
         mode the paper attributes to non-fault-tolerant mechanisms.
+
+        The list holds at most one entry per ``(port, vc)``.
         """
 
     @abstractmethod
@@ -90,21 +92,25 @@ class RoutingMechanism(ABC):
         SurePath's escape phase) override it.
         """
 
-    def candidate_key(self, pkt: "Packet", current: int) -> tuple | None:
-        """A hashable key such that two packets with equal keys get equal
-        :meth:`candidates` lists, or ``None`` when no such key is cheap.
+    def candidate_key(self, pkt: "Packet", current: int) -> tuple:
+        """The index of the routing table :meth:`candidates` reads: a
+        hashable key such that two packets with equal keys get equal
+        candidate lists.
 
         The contract: between two calls to :meth:`on_topology_change`,
-        ``candidate_key(a, c) == candidate_key(b, c) != None`` implies
+        ``candidate_key(a, c) == candidate_key(b, c)`` implies
         ``candidates(a, c) == candidates(b, c)`` — i.e. the key captures
-        *every* per-packet field the candidate computation reads.  The
-        array backend uses it to share one candidate list (and its
-        pre-built score arrays) across all packets on the same route
-        situation, instead of recomputing per packet-hop; mechanisms
-        whose candidates depend on unbounded per-packet state simply
-        return ``None`` (the default) and keep per-packet memoisation.
+        *every* per-packet field the candidate computation reads, and
+        performs any lazy per-packet update :meth:`candidates` would.
+        The array backend shares one candidate list (and its pre-built
+        kernel columns) across all packets in the same route situation,
+        instead of recomputing per packet-hop.
+
+        Overriding is per mechanism, not per packet: every mechanism in
+        this package does, and one that does not is allocated by the
+        arbiter's scalar reference path on every backend.
         """
-        return None
+        raise NotImplementedError(f"{self.name} declares no candidate key")
 
     # ------------------------------------------------------------------
     def max_route_length(self) -> int | None:

@@ -59,6 +59,9 @@ class EscapeOnlyRouting(RoutingMechanism):
                 out.append((port, vc, pen))
         return out
 
+    def candidate_key(self, pkt, current: int) -> tuple:
+        return (current, pkt.dst_switch, pkt.escape_phase)
+
     def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
         pkt.escape_phase = self.escape.next_phase(old_switch, port, pkt.escape_phase)
         pkt.hops += 1

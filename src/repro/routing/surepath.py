@@ -49,7 +49,7 @@ class RouteSet(Protocol):
 
     def ports(self, pkt, current: int) -> list[tuple[int, int, int]]: ...
 
-    def ports_key(self, pkt) -> tuple | None: ...
+    def ports_key(self, pkt) -> tuple: ...
 
     def on_hop(self, pkt, new_switch: int) -> None: ...
 
@@ -129,7 +129,7 @@ class SurePathRouting(RoutingMechanism):
             out.append((port, self.escape_vc, pen))
         return out
 
-    def candidate_key(self, pkt, current: int) -> tuple | None:
+    def candidate_key(self, pkt, current: int) -> tuple:
         """See :meth:`RoutingMechanism.candidate_key`.
 
         :meth:`candidates` reads, besides ``current``: ``pkt.in_escape``,
@@ -140,10 +140,7 @@ class SurePathRouting(RoutingMechanism):
         """
         if pkt.in_escape:
             return (1, current, pkt.dst_switch, pkt.escape_phase)
-        rk = self.routes.ports_key(pkt)
-        if rk is None:
-            return None
-        return (0, current, pkt.dst_switch) + rk
+        return (0, current, pkt.dst_switch) + self.routes.ports_key(pkt)
 
     def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
         if vc == self.escape_vc:

@@ -112,6 +112,9 @@ class TableMinimalRouting(RoutingMechanism):
                 out.append((port, vc, NO_PENALTY))
         return out
 
+    def candidate_key(self, pkt, current: int) -> tuple:
+        return (current, pkt.dst_switch, pkt.hops)
+
     def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
         pkt.hops += 1
 

@@ -59,6 +59,11 @@ class ValiantRouting(RoutingMechanism):
                 out.append((port, vc, NO_PENALTY))
         return out
 
+    def candidate_key(self, pkt, current: int) -> tuple:
+        # Through ``_phase_target``, so a packet served from a shared
+        # list still gets the lazy phase flip ``candidates`` performs.
+        return (current, self._phase_target(pkt, current), pkt.hops)
+
     def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
         pkt.hops += 1
         # Phase flip is evaluated lazily in candidates(); do it here too so

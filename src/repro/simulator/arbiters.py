@@ -293,26 +293,20 @@ class RoundRobinArbiter(Arbiter):
         for sw in sim.alloc_switches():
             if not sw.active_inputs:
                 continue
-            granted += self.allocate_switch(sim, sw)
+            sid = sw.sid
+            n_vcs = sw.n_vcs
+            requests: dict[int, list[tuple[int, int, Packet]]] = {}
+            for idx, pkt, feasible in self._hol_requests(sim, sw):
+                ptr = self._cand_ptr.get((sid, idx), 0)
+                keyed = sorted(feasible, key=lambda c: c[0] * n_vcs + c[1])
+                chosen = next(
+                    (c for c in keyed if c[0] * n_vcs + c[1] >= ptr), keyed[0]
+                )
+                port, vc, _pen = chosen
+                self._cand_ptr[(sid, idx)] = port * n_vcs + vc + 1
+                requests.setdefault(port, []).append((idx, vc, pkt))
+            granted += self._grant_requests(sim, sw, requests)
         return granted
-
-    def allocate_switch(self, sim, sw) -> int:
-        """Request + grant pass for one switch (the per-switch body of
-        :meth:`allocate`, split out so the array backend's keyed fast
-        path can delegate individual keyless switches here)."""
-        sid = sw.sid
-        n_vcs = sw.n_vcs
-        requests: dict[int, list[tuple[int, int, Packet]]] = {}
-        for idx, pkt, feasible in self._hol_requests(sim, sw):
-            ptr = self._cand_ptr.get((sid, idx), 0)
-            keyed = sorted(feasible, key=lambda c: c[0] * n_vcs + c[1])
-            chosen = next(
-                (c for c in keyed if c[0] * n_vcs + c[1] >= ptr), keyed[0]
-            )
-            port, vc, _pen = chosen
-            self._cand_ptr[(sid, idx)] = port * n_vcs + vc + 1
-            requests.setdefault(port, []).append((idx, vc, pkt))
-        return self._grant_requests(sim, sw, requests)
 
     def _grant_requests(self, sim, sw, requests) -> int:
         """The grant half: ports in ascending index order, each granting

@@ -25,13 +25,12 @@ What is vectorized, and why it is safe
 * **Allocation** (the Q+P arbiter) — four layers remove the
   reference's per-slot re-walk of every head-of-line packet:
 
-  1. *Candidate memo* — mechanisms that implement
-     :meth:`~repro.routing.base.RoutingMechanism.candidate_key` declare
-     their candidate lists pure functions of a small route situation;
-     every packet in the same situation shares one list and one
-     pre-built ``(pv, penalty)`` column pair, so ``mech.candidates``
-     runs once per situation per topology epoch instead of once per
-     packet-hop.
+  1. *Candidate memo* — every shipped mechanism overrides
+     :meth:`~repro.routing.base.RoutingMechanism.candidate_key`,
+     declaring its candidate lists pure functions of a small route
+     situation; every packet in the same situation shares one list and
+     one pre-built penalty row, so ``mech.candidates`` runs once per
+     situation per topology epoch instead of once per packet-hop.
   2. *Head cache* — per switch, the derived state of every head-of-line
      packet (its category: routable / stalled / awaiting ejection, and
      its memo entry) is kept between slots and re-derived only for the
@@ -78,12 +77,10 @@ What is vectorized, and why it is safe
   :meth:`ArraySimulator.enable_grant_profile` times the
   predraw/select/commit/fallback sub-phases (surfaced by
   ``perfbench/bench.py --trace``).
-  The round-robin arbiter rides its own fast path — pointer walks over
-  the memo's pv-sorted candidate lists, no RNG, no score matrices —
-  and mechanisms without candidate keys fall back to a
-  reference-shaped per-switch walk with per-packet candidate caching
-  (still vectorized scoring, see
-  :attr:`ArraySimulator.PROMOTE_AFTER`).
+  The round-robin arbiter shares the memo and the head cache and
+  swaps in its own selection kernel — pointer walks over the memo's
+  pv-sorted candidate lists against one admission row per switch, no
+  RNG, no score matrices.
 * **Transmission** — the ``out_occ`` column, summed per port, finds
   every buffered (switch, port) pair in the reference's visit order;
   the pop itself (round-robin VC scan, link delivery) is reference
@@ -96,18 +93,20 @@ What is vectorized, and why it is safe
   init) stays scalar in attempt order — those draws are the RNG
   contract.
 
-Arbiters other than Q+P and round-robin fall back to their
-(backend-agnostic) scalar ``allocate``; every other phase stays
-vectorized.  Select with
-``SimConfig(backend="array")`` — the config field flows into the
-executor cache key (CACHE_VERSION 7), so array records never alias
+Anything without a kernel — the ``age``/``random`` arbiters, or a
+mechanism that does not override ``candidate_key`` — runs the arbiter's
+own (backend-agnostic) scalar ``allocate``; every other phase stays
+vectorized.  Select with ``SimConfig(backend="array")`` — the config
+field is part of the executor cache key, so array records never alias
 slot/event cache entries.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +114,21 @@ from ..routing.base import RoutingMechanism
 from .arbiters import QPArbiter, RoundRobinArbiter
 from .engine import Simulator
 from .packet import Packet
+from .switch import Switch
+
+
+class _MemoEntry(NamedTuple):
+    """What every packet in one route situation shares (see
+    :meth:`ArraySimulator._memo_entry`)."""
+
+    #: The mechanism's candidate list, as returned.
+    cands: list
+    #: Q+P kernel: penalty by output-VC index, ``inf`` off the list.
+    pen_row: np.ndarray | None
+    #: Q+P kernel: output-VC index -> position in ``cands``.
+    pos_map: dict[int, int] | None
+    #: Round-robin kernel: ``(pv, port, vc)`` in ascending flat-pv order.
+    rr: tuple | None
 
 
 class _SwCache:
@@ -129,10 +143,8 @@ class _SwCache:
     derive is a dict update plus one ``pen_mat`` row write, so there is
     no per-slot rebuild step at all.  ``sbuf`` is the kernel's
     preallocated score scratch (same shape as ``pen_mat``); the
-    round-robin fast path scores through the memo's sorted candidate
+    round-robin kernel scores through the memo's sorted candidate
     lists instead, so it skips both matrices (``mats=False``).
-    ``generic`` pins the switch to the keyless fallback path after a
-    head without a candidate key was seen.
 
     ``plan`` is the cached outcome of the whole request half: the
     switch's live heads in reference visit order, each with its winning
@@ -141,26 +153,21 @@ class _SwCache:
     — while no head changed (``dirty_heads``), the switch's combined
     admission/Q row is byte-equal to the one the plan was built from,
     and no same-phase credit feedback landed on the switch.
-    ``plan_once`` marks plans holding a duplicate-``(port, vc)`` head,
-    which tie-break through a per-slot gather and are never reused.
     ``stall_pids`` caches the stalled heads' pid list for the batch
     metrics replay; any derive invalidates it.
     """
 
     __slots__ = (
-        "generic", "cat", "ent", "stall", "pen_mat", "sbuf",
-        "plan", "plan_once", "stall_pids",
+        "cat", "ent", "stall", "pen_mat", "sbuf", "plan", "stall_pids",
     )
 
-    def __init__(self, n_inputs: int, npv: int, mats: bool = True) -> None:
-        self.generic = False
+    def __init__(self, n_inputs: int, npv: int, mats: bool) -> None:
         self.cat: dict[int, int] = {}
-        self.ent: dict[int, tuple] = {}
+        self.ent: dict[int, tuple[Packet, _MemoEntry]] = {}
         self.stall: dict[int, Packet] = {}
         self.pen_mat = np.full((n_inputs, npv), math.inf) if mats else None
         self.sbuf = np.empty((n_inputs, npv)) if mats else None
         self.plan: tuple | list | None = None
-        self.plan_once = False
         self.stall_pids: list[int] | None = None
 
 
@@ -176,40 +183,26 @@ class ArraySimulator(Simulator):
 
     backend_name = "array"
 
-    #: Keyless-fallback knob: a head-of-line packet is scored the
-    #: reference scalar way until it has been seen blocked at the same
-    #: switch this many times; then its candidate arrays are built once
-    #: and every further re-score rides the vector kernel.  Short-lived
-    #: packets never pay the array build, long-blocked ones (the dense-
-    #: congestion common case) amortize it across every blocked slot.
-    #: Both paths are byte-identical, so this is purely a performance
-    #: knob.
-    PROMOTE_AFTER = 1
-
     def __init__(self, *args, **kwargs):
         # The request-phase caches must exist before super().__init__
         # finishes (nothing touches them there, but hooks must be safe).
         #: sid -> :class:`_SwCache`: the per-switch head cache.
         self._qp_cache: dict[int, _SwCache] = {}
-        #: candidate_key -> memo entry (see :meth:`_memo_entry`): one
-        #: shared candidate list + pre-built score columns and penalty
-        #: row per route situation (see
+        #: candidate_key -> :class:`_MemoEntry`: one shared candidate
+        #: list + pre-built kernel columns per route situation (see
         #: :meth:`RoutingMechanism.candidate_key`).  Cleared on
         #: topology events — the lists would be recomputed differently.
-        self._cand_memo: dict[tuple, tuple] = {}
+        self._cand_memo: dict[tuple, _MemoEntry] = {}
         super().__init__(*args, **kwargs)
-        self._use_qp_kernel = type(self.arbiter) is QPArbiter
-        #: Mechanisms that never override ``candidate_key`` go straight
-        #: to the keyless fallback — no per-head probing.
-        self._keyed = (
+        # The kernels read candidates through the memo, so they serve
+        # only mechanisms that declare its index; anything else runs
+        # the arbiter's own scalar ``allocate``.
+        keyed = (
             type(self.mechanism).candidate_key
             is not RoutingMechanism.candidate_key
         )
-        #: Keyed round-robin rides its own kernel: memo-sorted candidate
-        #: walks against one vectorized admission row per switch.
-        self._use_rr_kernel = (
-            type(self.arbiter) is RoundRobinArbiter and self._keyed
-        )
+        self._use_qp_kernel = keyed and type(self.arbiter) is QPArbiter
+        self._use_rr_kernel = keyed and type(self.arbiter) is RoundRobinArbiter
         state = self.state
         #: Per-switch snapshot of the combined admission/Q row each
         #: cached plan was built from.  ``NaN`` rows never compare equal,
@@ -283,67 +276,55 @@ class ArraySimulator(Simulator):
         return ejected
 
     # ------------------------------------------------------------------
-    # Phase 2: allocation (vectorized Q+P request building)
+    # Phase 2: allocation (one request-building core, two kernels)
     # ------------------------------------------------------------------
-    def _memo_entry(self, pkt, sid: int, key: tuple, npv: int) -> tuple:
-        """Build (and memoise) the candidate-key entry for one route
-        situation: ``(cands, pv column, penalty column, penalty-by-
-        output-VC row, position map, has-duplicate-pv flag, rr-sorted
-        list)``.
+    def _memo_entry(self, pkt, sid: int, key: tuple, npv: int) -> _MemoEntry:
+        """Build (and memoise) the entry for one route situation.
 
-        The penalty row is the dense form consumed by the matrix
-        kernel: the candidate's penalty at its output-VC index, ``inf``
-        elsewhere.  Should a mechanism ever offer the same (port, vc)
-        twice, the row keeps the *minimum* penalty (the score minimum
-        is then still exact) and the ``dup`` flag routes the head's
-        tie-break through the list-order gather, where the reference's
-        per-entry tie counting is reproduced exactly.
+        The Q+P kernel gets the dense penalty row the matrix kernel
+        adds against — each candidate's penalty at its output-VC index,
+        ``inf`` elsewhere — plus the map from output-VC index back to
+        candidate-list position, through which tied columns recover the
+        reference's list-order tie indices.  The round-robin kernel gets
+        the candidates sorted by flat ``(port, vc)`` index: the order
+        the reference's per-head ``sorted(feasible)`` walk visits,
+        shared across every head in the situation instead of re-sorted
+        per head per slot.
 
-        Under the round-robin kernel the score columns are dead weight,
-        so the entry instead carries ``rr``: the candidates stably
-        sorted by flat ``(port, vc)`` index — the exact order the
-        reference's per-head ``sorted(feasible)`` walk visits, shared
-        across every head in the situation instead of re-sorted per
-        head per slot.
+        Both forms hold one value per output VC, so a list naming the
+        same ``(port, vc)`` twice — which the ``candidates`` contract
+        forbids — is rejected here, once per key.
         """
         cands = self.mechanism.candidates(pkt, sid)
-        if not cands:
-            ent = (cands, None, None, None, None, False, None)
-        elif self._use_rr_kernel:
-            n_vcs = self._n_vcs
-            rr = tuple(
-                sorted(
-                    ((port * n_vcs + vc, port, vc) for port, vc, _pen in cands),
-                )
+        n_vcs = self._n_vcs
+        pvs = [port * n_vcs + vc for port, vc, _pen in cands]
+        pos_map = {pv: i for i, pv in enumerate(pvs)}
+        if len(pos_map) < len(pvs):
+            raise ValueError(
+                f"{self.mechanism.name} offered the same (port, vc) twice "
+                f"at switch {sid}: {cands}"
             )
-            ent = (cands, None, None, None, None, False, rr)
+        if not cands:
+            ent = _MemoEntry(cands, None, None, None)
+        elif self._use_rr_kernel:
+            rr = tuple(
+                sorted((pv, port, vc) for pv, (port, vc, _pen) in zip(pvs, cands))
+            )
+            ent = _MemoEntry(cands, None, None, rr)
         else:
-            carr = np.asarray(cands, dtype=np.float64)
-            pvi = carr[:, :2].astype(np.int64)
-            pv_a = pvi[:, 0] * self._n_vcs + pvi[:, 1]
-            pen_a = np.ascontiguousarray(carr[:, 2])
             pen_row = np.full(npv, math.inf)
-            pen_row[pv_a] = pen_a
-            #: output-VC index -> candidate-list position, for mapping
-            #: the kernel's tied columns back to the reference's
-            #: list-order tie indices without touching numpy per head.
-            pos_map = {int(p): i for i, p in enumerate(pv_a.tolist())}
-            dup = len(pos_map) < pv_a.size
-            if dup:
-                np.minimum.at(pen_row, pv_a, pen_a)
-            ent = (cands, pv_a, pen_a, pen_row, pos_map, dup, None)
+            pen_row[pvs] = [pen for _port, _vc, pen in cands]
+            ent = _MemoEntry(cands, pen_row, pos_map, None)
         self._cand_memo[key] = ent
         return ent
 
-    def _derive_head(self, sc: _SwCache, sw, sid: int, idx: int) -> bool:
+    def _derive_head(self, sc: _SwCache, sw, sid: int, idx: int) -> None:
         """Re-derive the cache entry of one (possibly changed) head.
 
         Handles every transition: a new head, a head that changed
         category, a vanished input (popped empty).  A derive is a dict
         update plus at most one ``pen_mat`` row write, so membership
         churn elsewhere in the switch never invalidates anything.
-        Returns ``False`` when the head's mechanism offers no candidate
-        key — the caller pins the switch to the keyless fallback.
         """
         cat_map = sc.cat
         old = cat_map.get(idx, -1)
@@ -359,31 +340,25 @@ class ArraySimulator(Simulator):
                 del sc.stall[idx]
             if old >= 0:
                 del cat_map[idx]
-            return True
+            return
         pkt = q[0]
         if pkt.dst_switch == sid:
             cat = 2
         else:
             key = self.mechanism.candidate_key(pkt, sid)
-            if key is None:
-                return False
             ent = self._cand_memo.get(key)
             if ent is None:
                 ent = self._memo_entry(pkt, sid, key, sw.n_ports * self._n_vcs)
             # The reference's per-packet ``pkt.cand_*`` cache is left
-            # untouched: the keyed kernel reads the memo entry instead,
-            # and the only other consumers (the reference arbiter and
-            # the keyless fallback) re-derive identical lists from the
-            # same memo if this switch ever leaves the keyed path.
-            cands = ent[0]
-            if cands:
+            # untouched: the kernels read the memo entry instead.
+            if ent.cands:
                 if sc.pen_mat is not None:
-                    sc.pen_mat[idx] = ent[3]
+                    sc.pen_mat[idx] = ent.pen_row
                 sc.ent[idx] = (pkt, ent)
                 if old == 1:
                     del sc.stall[idx]
                 cat_map[idx] = 0
-                return True
+                return
             cat = 1
         # cat is 1 (stalled) or 2 (awaiting ejection).
         if old == 0:
@@ -395,7 +370,47 @@ class ArraySimulator(Simulator):
         elif old == 1:
             del sc.stall[idx]
         cat_map[idx] = cat
-        return True
+
+    def _synced_switches(self) -> Iterator[tuple[Switch, _SwCache, bool]]:
+        """The request-building core both kernels consume: every switch
+        with active inputs, in the reference's visit order, as ``(switch,
+        head cache, dirty)``.
+
+        Lazily, at each switch's turn (so after every earlier switch's
+        grants, like the reference's visit): derive all heads on the
+        first visit, re-derive only ``Switch.dirty_heads`` afterwards
+        (``dirty`` says whether anything was derived), and count the
+        stalled heads — every slot, like the reference.
+        """
+        cache = self._qp_cache
+        derive = self._derive_head
+        metrics = self.metrics
+        slot = self.slot
+        mats = self._use_qp_kernel
+        n_vcs = self._n_vcs
+        for sw in self.alloc_switches():
+            if not sw.active_inputs:
+                continue
+            sid = sw.sid
+            sc = cache.get(sid)
+            if sc is None:
+                sc = cache[sid] = _SwCache(
+                    sw.n_inputs, sw.n_ports * n_vcs, mats
+                )
+                heads = sw.active_sorted
+            else:
+                heads = sw.dirty_heads
+            dirty = bool(heads)
+            if dirty:
+                for idx in heads:
+                    derive(sc, sw, sid, idx)
+                sw.dirty_heads.clear()
+            if sc.stall:
+                pids = sc.stall_pids
+                if pids is None:
+                    pids = sc.stall_pids = [p.pid for p in sc.stall.values()]
+                metrics.on_stalled(pids, slot)
+            yield sw, sc, dirty
 
     def _allocate(self) -> int:
         if not self._use_qp_kernel:
@@ -408,9 +423,7 @@ class ArraySimulator(Simulator):
         phits = float(self._phits)
         fc = self.flow_control
         rng = self.rng
-        metrics = self.metrics
         n_vcs = self._n_vcs
-        slot = self.slot
         inf = math.inf
         state = self.state
         credits_all = state.credits
@@ -418,9 +431,6 @@ class ArraySimulator(Simulator):
         load_all = state.load
         port_load_all = state.port_load
         full_row = slice(None)
-        cache = self._qp_cache
-        keyed = self._keyed
-        derive = self._derive_head
         stats = self.grant_stats
         # ---- select, batch half: one admission-masked Q row per switch
         # (~6 whole-matrix ops on [S, max_ports * n_vcs]).  Element-wise
@@ -454,54 +464,14 @@ class ArraySimulator(Simulator):
         if prof is not None:
             t1 = perf_counter()
             prof["select"] += t1 - t0
-        for sw in self.alloc_switches():
-            if not sw.active_inputs:
-                continue
+        for sw, sc, dirty in self._synced_switches():
             sid = sw.sid
-            # ---- head-cache maintenance: changed heads only ----------
-            dirty = False
-            if keyed:
-                sc = cache.get(sid)
-                if sc is None:
-                    sc = _SwCache(sw.n_inputs, sw.n_ports * n_vcs)
-                    cache[sid] = sc
-                    dirty = True
-                    sw.dirty_heads.clear()
-                    for idx in sw.active_sorted:
-                        if not derive(sc, sw, sid, idx):
-                            sc.generic = True
-                            break
-                elif not sc.generic:
-                    dh = sw.dirty_heads
-                    if dh:
-                        dirty = True
-                        for idx in dh:
-                            if not derive(sc, sw, sid, idx):
-                                sc.generic = True
-                                break
-                        dh.clear()
-                generic = sc.generic
-            else:
-                generic = True
-            if generic:
-                sw.dirty_heads.clear()
-                granted += self._allocate_generic(sw)
-                continue
-            # Stalled heads are counted every slot, like the reference.
-            if sc.stall:
-                pids = sc.stall_pids
-                if pids is None:
-                    pids = sc.stall_pids = [
-                        p.pid for p in sc.stall.values()
-                    ]
-                metrics.on_stalled(pids, slot)
             plan = sc.plan
             fb = feedback[sid]
-            if fb or dirty or plan is None or sc.plan_once or stale[sid]:
+            if fb or dirty or plan is None or stale[sid]:
                 # ---- select, per-switch half: (re)build the plan -----
                 if not sc.ent:
                     sc.plan = ()
-                    sc.plan_once = False
                     used[sid] = combined_all[sid]
                     continue
                 if prof is not None:
@@ -599,7 +569,6 @@ class ArraySimulator(Simulator):
         live = np.nonzero(mins != inf)[0]
         if live.size == 0:
             sc.plan = ()
-            sc.plan_once = False
             return ()
         live_l = live.tolist()
         lmins = mins[live]
@@ -629,40 +598,27 @@ class ArraySimulator(Simulator):
         else:
             order = (0,)
         plan = []
-        once = False
         for j in order:
             idx = live_l[j]
-            pkt, e = ent_map[idx]
-            cands = e[0]
-            if not e[5]:
-                t = tc_l[j]
-                base = tie_start[j]
-                pos_map = e[4]
-                if t == 1:
-                    choices = (cands[pos_map[tie_cols[base]]],)
-                else:
-                    # The reference tie-breaks over the tied candidates
-                    # in list order: sorted list positions reproduce it
-                    # exactly.
-                    poss = [pos_map[c] for c in tie_cols[base : base + t]]
-                    poss.sort()
-                    choices = tuple(cands[ci] for ci in poss)
+            pkt, ent = ent_map[idx]
+            cands = ent.cands
+            pos_map = ent.pos_map
+            t = tc_l[j]
+            base = tie_start[j]
+            if t == 1:
+                choices = (cands[pos_map[tie_cols[base]]],)
             else:
-                # Duplicate-pv head (no current mechanism emits one):
-                # the row collapsed the duplicates, so reproduce the
-                # reference's list-order tie positions with one small
-                # gather.  Such plans are built fresh every slot
-                # (``plan_once``) — the gather depends on the row.
-                once = True
-                tied = np.nonzero(combined[e[1]] + e[2] == mins_l[j])[0]
-                choices = tuple(cands[int(ci)] for ci in tied)
+                # The reference tie-breaks over the tied candidates in
+                # list order: sorted list positions reproduce it exactly.
+                poss = [pos_map[c] for c in tie_cols[base : base + t]]
+                poss.sort()
+                choices = tuple(cands[ci] for ci in poss)
             plan.append((idx, pkt, mins_l[j], choices))
         sc.plan = plan
-        sc.plan_once = once
         return plan
 
     def _allocate_rr(self) -> int:
-        """Keyed round-robin allocation: the head cache plus one
+        """The round-robin selection kernel: the head cache plus one
         vectorized admission row replace the reference's per-head
         candidate re-walk and per-head ``sorted(feasible)``.
 
@@ -677,46 +633,14 @@ class ArraySimulator(Simulator):
         granted = 0
         arb = self.arbiter
         fc = self.flow_control
-        metrics = self.metrics
         n_vcs = self._n_vcs
-        slot = self.slot
         state = self.state
         credits_all = state.credits
         out_occ_all = state.out_occ
         full_row = slice(None)
-        cache = self._qp_cache
-        derive = self._derive_head
         cand_ptr = arb._cand_ptr
-        for sw in self.alloc_switches():
-            if not sw.active_inputs:
-                continue
+        for sw, sc, _dirty in self._synced_switches():
             sid = sw.sid
-            sc = cache.get(sid)
-            if sc is None:
-                sc = _SwCache(sw.n_inputs, 0, mats=False)
-                cache[sid] = sc
-                sw.dirty_heads.clear()
-                for idx in sw.active_sorted:
-                    if not derive(sc, sw, sid, idx):
-                        sc.generic = True
-                        break
-            elif not sc.generic:
-                dh = sw.dirty_heads
-                if dh:
-                    for idx in dh:
-                        if not derive(sc, sw, sid, idx):
-                            sc.generic = True
-                            break
-                    dh.clear()
-            if sc.generic:
-                sw.dirty_heads.clear()
-                granted += arb.allocate_switch(self, sw)
-                continue
-            if sc.stall:
-                pids = sc.stall_pids
-                if pids is None:
-                    pids = sc.stall_pids = [p.pid for p in sc.stall.values()]
-                metrics.on_stalled(pids, slot)
             ent_map = sc.ent
             if not ent_map:
                 continue
@@ -730,14 +654,14 @@ class ArraySimulator(Simulator):
                 credits_all[r, :npv], out_occ_all[r, :npv], full_row
             ).tolist()
             requests: dict[int, list[tuple[int, int, Packet]]] = {}
-            for idx, (pkt, e) in ent_map.items():
+            for idx, (pkt, ent) in ent_map.items():
                 ptr = cand_ptr.get((sid, idx), 0)
                 first = chosen = None
                 # Ascending flat-(port, vc) walk over the memo's
                 # pre-sorted candidates: the first admissible entry is
                 # the reference's ``keyed[0]``, the first admissible at
                 # or past the pointer is its ``next(...)`` choice.
-                for pv, port, vc in e[6]:
+                for pv, port, vc in ent.rr:
                     if not ok[pv]:
                         continue
                     if first is None:
@@ -753,182 +677,6 @@ class ArraySimulator(Simulator):
             if requests:
                 granted += arb._grant_requests(self, sw, requests)
         return granted
-
-    def _allocate_generic(self, sw) -> int:
-        """Request+grant pass for one switch of a keyless mechanism.
-
-        The reference-shaped walk over every active head with per-packet
-        candidate caching: fresh heads are scored the scalar way,
-        long-blocked ones are promoted to per-packet score arrays (see
-        :attr:`PROMOTE_AFTER`) and ride the same fused kernel.  Packets
-        that do carry a candidate key (mixed-key mechanisms) still share
-        the global memo.  Byte-identical to the reference, like the
-        keyed path — just O(active heads) per slot.
-        """
-        mech = self.mechanism
-        phits = self._phits
-        fc = self.flow_control
-        min_cred = fc.min_credits
-        out_cap = fc.output_capacity
-        rng = self.rng
-        metrics = self.metrics
-        n_vcs = self._n_vcs
-        slot = self.slot
-        promote_after = self.PROMOTE_AFTER
-        inf = math.inf
-        state = self.state
-        memo = self._cand_memo
-        cand_key = mech.candidate_key
-        sid = sw.sid
-        in_q = sw.in_q
-        out_q = sw.out_q
-        # Per-packet results in set-iteration order.  Scalar-scored
-        # packets carry their (best_score, best) directly; promoted
-        # packets carry a placeholder and consume the vector kernel's
-        # segments in order during the RNG pass.
-        pending = []
-        counts: list[int] = []
-        chunk_pv: list = []
-        chunk_pen: list = []
-        # Plain-list snapshots for the scalar scorings (same argument as
-        # QPArbiter.allocate: nothing mutates this switch's state
-        # between here and its grant phase), built lazily — an
-        # all-promoted switch never pays them.
-        credits = load = port_load = None
-        # ---- phase A: gather + score (no RNG) ----------------------------
-        for idx in sw.active_inputs:
-            pkt = in_q[idx][0]
-            if pkt.dst_switch == sid:
-                continue  # waiting for ejection
-            if pkt.cand_switch == sid:
-                cands = pkt.cand_list
-                if not cands:
-                    metrics.on_stalled((pkt.pid,), slot)
-                    continue
-            else:
-                key = cand_key(pkt, sid)
-                if key is not None:
-                    ent = memo.get(key)
-                    if ent is None:
-                        ent = self._memo_entry(
-                            pkt, sid, key, sw.n_ports * n_vcs
-                        )
-                    cands = ent[0]
-                    pkt.cand_switch = sid
-                    pkt.cand_list = cands
-                    pkt.cand_port = None
-                    pkt.cand_pv = ent[1]
-                    pkt.cand_pen = ent[2]
-                else:
-                    cands = mech.candidates(pkt, sid)
-                    pkt.cand_switch = sid
-                    pkt.cand_list = cands
-                    pkt.cand_port = None
-                    pkt.cand_pv = None
-                if not cands:
-                    metrics.on_stalled((pkt.pid,), slot)
-                    continue
-            if pkt.cand_pv is None:
-                cp = pkt.cand_port
-                if cp is not None and cp >= promote_after:
-                    # Blocked long enough to earn cached candidate
-                    # arrays: one C-level conversion, reused every slot
-                    # the packet stays at this switch.
-                    carr = np.asarray(cands, dtype=np.float64)
-                    pvi = carr[:, :2].astype(np.int64)
-                    pkt.cand_pv = pvi[:, 0] * n_vcs + pvi[:, 1]
-                    pkt.cand_pen = np.ascontiguousarray(carr[:, 2])
-                else:
-                    # Fresh (or short-lived) head-of-line packet: score
-                    # it the reference scalar way — cheaper than
-                    # building numpy arrays it may never reuse.
-                    pkt.cand_port = 0 if cp is None else cp + 1
-                    if credits is None:
-                        credits = sw.credits.tolist()
-                        load = sw.load.tolist()
-                        port_load = sw.port_load.tolist()
-                    best_score = None
-                    best: list[tuple[int, int]] = []
-                    for port, vc, pen_ in cands:
-                        pv_ = port * n_vcs + vc
-                        if (
-                            credits[pv_] < min_cred
-                            or len(out_q[pv_]) >= out_cap
-                        ):
-                            continue
-                        score = (port_load[port] + load[pv_]) * phits + pen_
-                        if best_score is None or score < best_score:
-                            best_score = score
-                            best = [(port, vc)]
-                        elif score == best_score:
-                            best.append((port, vc))
-                    if best:
-                        pending.append((idx, pkt, best_score, best))
-                    # else: flow-control blocked this slot (no draw)
-                    continue
-            pending.append((idx, pkt, None, None))
-            counts.append(len(cands))
-            chunk_pv.append(pkt.cand_pv)
-            chunk_pen.append(pkt.cand_pen)
-        if not pending:
-            return 0
-        requests: dict[int, list[tuple[float, float, int, int, Packet]]] = {}
-        # ---- vector kernel: admission, score, segment-minimise -----------
-        if counts:
-            r = sw.row
-            npv = sw.n_ports * n_vcs
-            ok = fc.admission_mask(
-                state.credits[r, :npv], state.out_occ[r, :npv], slice(None)
-            )
-            combined = np.where(
-                ok,
-                (
-                    state.load[r, :npv]
-                    + np.repeat(state.port_load[r, : sw.n_ports], n_vcs)
-                )
-                * float(phits),
-                inf,
-            )
-            pv = np.concatenate(chunk_pv)
-            pen = np.concatenate(chunk_pen)
-            counts_a = np.asarray(counts)
-            starts = np.zeros(len(counts) + 1, np.int64)
-            np.cumsum(counts_a, out=starts[1:])
-            seg = starts[:-1]
-            starts_l = starts.tolist()
-            score = combined[pv] + pen
-            mins = np.minimum.reduceat(score, seg)
-            ties = score == np.repeat(mins, counts_a)
-            tie_counts = np.add.reduceat(ties, seg, dtype=np.int64)
-            tie_pos = np.nonzero(ties)[0].tolist()
-            tie_start = (np.cumsum(tie_counts) - tie_counts).tolist()
-            mins_l = mins.tolist()
-            tie_counts_l = tie_counts.tolist()
-        # ---- phase B: the RNG pass, reference draw order -----------------
-        p = 0  # vector segment cursor
-        for idx, pkt, best_score, best in pending:
-            if best is None:
-                m = mins_l[p]
-                if m == inf:
-                    p += 1
-                    continue  # flow-control blocked this slot
-                t = tie_counts_l[p]
-                ci = tie_pos[tie_start[p]] if t == 1 else tie_pos[
-                    tie_start[p] + int(rng.integers(t))
-                ]
-                port, vc, _pen = pkt.cand_list[ci - starts_l[p]]
-                best_score = m
-                p += 1
-            else:
-                port, vc = best[0] if len(best) == 1 else best[
-                    int(rng.integers(len(best)))
-                ]
-            requests.setdefault(port, []).append(
-                (best_score, rng.random(), idx, vc, pkt)
-            )
-        if not requests:
-            return 0
-        return self.arbiter._grant_requests(self, sw, requests)
 
     # ------------------------------------------------------------------
     # Phase 3: transmission

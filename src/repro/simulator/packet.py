@@ -44,9 +44,6 @@ class Packet:
         # --- engine-managed candidate cache ---
         "cand_switch",
         "cand_list",
-        "cand_port",
-        "cand_pv",
-        "cand_pen",
     )
 
     def __init__(
@@ -79,14 +76,8 @@ class Packet:
         # Routing candidates computed at switch ``cand_switch`` — valid
         # until the packet hops (candidates depend only on per-packet
         # routing state, which changes in on_hop, never between slots).
-        # The array backend additionally caches the candidates' flat
-        # (port, pv, penalty) columns as numpy arrays, built lazily
-        # under the same ``cand_switch`` guard.
         self.cand_switch = -1
         self.cand_list: list | None = None
-        self.cand_port = None
-        self.cand_pv = None
-        self.cand_pen = None
 
     @property
     def delivered(self) -> bool:

@@ -110,3 +110,39 @@ def test_sweep_contract(kind, tmp_path, monkeypatch):
     label_columns = {name for job in jobs for name, _ in job.labels}
     for path in files:
         assert not label_columns & set(json.loads(path.read_text())["record"])
+
+
+def test_duplicate_jobs_are_simulated_once(tmp_path, monkeypatch):
+    # fig8/fig9 repeat their healthy-reference points under one label set
+    # per shape: same cache address, different labels.
+    monkeypatch.setattr(executor_mod, "PER_WORKER_OVERHEAD", 0)
+    plain = SWEEPS["load"]()
+    jobs = (
+        with_labels(plain, shape="row")
+        + with_labels(plain[:1], shape="cross")
+        + with_labels(plain, shape="star")
+    )
+
+    class Counting(SerialExecutor):
+        def _execute(self, jobs):
+            executed.append([job_key(j) for j in jobs])
+            return super()._execute(jobs)
+
+    executed: list[list[str]] = []
+    cache = tmp_path / "cache"
+    cold = Counting(cache_dir=cache).run(jobs)
+    assert executed == [[job_key(j) for j in plain]]  # one job per key
+    assert len(list(cache.glob("*.json"))) == len(plain)
+
+    # Every index gets its own labels on its own record object.
+    assert [rec["shape"] for rec in cold] == [dict(j.labels)["shape"] for j in jobs]
+    assert len({id(rec) for rec in cold}) == len(jobs)
+    unlabelled = [{k: v for k, v in rec.items() if k != "shape"} for rec in cold]
+    assert _norm(unlabelled) == _norm(SerialExecutor().run(plain + plain[:1] + plain))
+
+    uncached = Counting().run(jobs)
+    assert executed[1] == executed[0]
+    parallel = ParallelExecutor(jobs=2).run(jobs)
+    warm = Counting(cache_dir=cache).run(jobs)
+    assert len(executed) == 2  # warm run: nothing reached _execute
+    assert _norm(cold) == _norm(uncached) == _norm(parallel) == _norm(warm)

@@ -6,7 +6,9 @@ rests on, so a break is named at the component:
 
 * the ``candidate_key`` contract — equal keys must mean equal candidate
   lists, or the shared memo would silently serve one packet another
-  packet's routes;
+  packet's routes — for every mechanism in ``routing/``, and its two
+  edges: a mechanism without a key runs the arbiter's scalar reference,
+  one that repeats a ``(port, vc)`` is rejected by name;
 * the memo entries — the dense penalty row and the output-VC -> list
   position map the matrix kernel scores and tie-breaks through;
 * the per-switch head cache — category bookkeeping (routable / stalled
@@ -21,13 +23,18 @@ import pytest
 
 from repro.routing.base import RoutingMechanism
 from repro.routing.catalog import MECHANISMS, make_mechanism
+from repro.routing.escape_only import EscapeOnlyRouting
+from repro.routing.minimal import MinimalRouting
+from repro.routing.tables import TableMinimalRouting
 from repro.simulator.backends import make_simulator
 from repro.simulator.config import PAPER_CONFIG
 from repro.simulator.packet import Packet
+from repro.simulator.schedule import FaultSchedule
 from repro.topology.base import Network
 from repro.topology.faults import random_connected_fault_sequence
 from repro.topology.hyperx import HyperX
 from repro.traffic import make_traffic
+from repro.updown.escape import EscapeSubnetwork
 
 
 def _net(n_faults=0, seed=3):
@@ -65,17 +72,32 @@ def _walk(mech, net, pkt, max_hops=3):
         current = nbr
 
 
+#: Every mechanism under ``routing/``: the six of Table 4 by catalogue
+#: name, plus the ablation / table-validation ones the catalogue omits.
+def _build(name, net):
+    if name == "EscapeOnly":
+        return EscapeOnlyRouting(net, n_vcs=2)
+    if name == "UpDownOnly":
+        escape = EscapeSubnetwork(net, 0, shortcuts=False)
+        return EscapeOnlyRouting(net, n_vcs=2, shortcuts=False, escape=escape)
+    if name == "Minimal(table)":
+        return TableMinimalRouting(net, 4)
+    return make_mechanism(name, net, rng=1)
+
+
+ALL_MECHANISMS = MECHANISMS + ("EscapeOnly", "UpDownOnly", "Minimal(table)")
+
+
 class TestCandidateKeyContract:
     """Equal ``candidate_key`` => equal ``candidates`` — the soundness
     condition of the array backend's shared route memo."""
 
-    @pytest.mark.parametrize("name", MECHANISMS)
+    @pytest.mark.parametrize("name", ALL_MECHANISMS)
     @pytest.mark.parametrize("n_faults", [0, 3])
     def test_key_determines_candidates(self, name, n_faults):
         net = _net(n_faults)
-        mech = make_mechanism(name, net, rng=1)
-        if type(mech).candidate_key is RoutingMechanism.candidate_key:
-            pytest.skip(f"{name} is keyless (generic fallback path)")
+        mech = _build(name, net)
+        assert type(mech).candidate_key is not RoutingMechanism.candidate_key
         sps = net.topology.servers_per_switch
         seen: dict[tuple, list] = {}
         collisions = 0
@@ -84,6 +106,8 @@ class TestCandidateKeyContract:
         # distinct objects in identical route situations, so every one
         # of their keys collides with pass 1 — the probe always has
         # teeth, on top of whatever cross-pair collisions occur.
+        # (Valiant draws fresh intermediates in pass 2; its collisions
+        # are the cross-pair ones.)
         for _ in range(2):
             for src in range(0, net.n_switches, 3):
                 for dst in range(net.n_switches):
@@ -94,10 +118,7 @@ class TestCandidateKeyContract:
                     mech.init_packet(pkt)
                     for p, current in _walk(mech, net, pkt):
                         key = mech.candidate_key(p, current)
-                        assert key is not None, (
-                            f"{name} advertises candidate_key but returned "
-                            "None"
-                        )
+                        assert isinstance(key, tuple)
                         cands = mech.candidates(p, current)
                         if key in seen:
                             collisions += 1
@@ -109,43 +130,108 @@ class TestCandidateKeyContract:
                             seen[key] = cands
         assert collisions > 0
 
+    def test_valiant_key_flips_phase_at_the_intermediate(self):
+        # The memo serves candidates without calling ``candidates``, so
+        # the lazy phase flip must happen in ``candidate_key`` alone.
+        net = _net()
+        mech = make_mechanism("Valiant", net, rng=1)
+        mid, dst = 5, 10
+
+        def injected_at_mid(pid):
+            pkt = Packet(pid, mid * 2, dst * 2, mid, dst, 0)
+            mech.init_packet(pkt)
+            pkt.mid = mid
+            assert pkt.phase == 0
+            return pkt
+
+        a, b = injected_at_mid(0), injected_at_mid(1)
+        key = mech.candidate_key(a, mid)
+        assert a.phase == 1  # flipped without a candidates() call
+        assert key == mech.candidate_key(b, mid) == (mid, dst, 0)
+        assert mech.candidates(a, mid) == mech.candidates(b, mid)
+
+        # A packet that hopped to ``mid`` shares the situation of one
+        # injected there with as many hops behind it.
+        src = next(s for s in range(net.n_switches) if net.distances[s, mid] == 1)
+        hopper = Packet(2, src * 2, dst * 2, src, dst, 0)
+        mech.init_packet(hopper)
+        hopper.mid = mid
+        port, vc, _pen = mech.candidates(hopper, src)[0]
+        mech.on_hop(hopper, src, mid, port, vc)
+        peer = injected_at_mid(3)
+        peer.hops = hopper.hops
+        assert mech.candidate_key(hopper, mid) == mech.candidate_key(peer, mid)
+        assert mech.candidates(hopper, mid) == mech.candidates(peer, mid)
+
+    @pytest.mark.parametrize("name", ["Minimal", "Valiant", "PolSP"])
+    def test_key_survives_a_fault_but_its_list_may_not(self, name):
+        # The key indexes the *current* tables: the same key may map to
+        # a different list after ``on_topology_change``.  That is legal
+        # only because the engine's topology hook drops the memo.
+        net = _net()
+        src, dst = 0, 15
+        port = MinimalRouting(net, 4).candidates(Packet(0, 0, 0, src, dst, 0), src)[0][0]
+        link = (src, int(net.port_neighbour[src][port]))
+        sim = make_simulator(
+            PAPER_CONFIG.with_(backend="array"), net,
+            make_mechanism(name, net, rng=1), make_traffic("uniform", net, 0),
+            offered=0.4, seed=0, fault_schedule=FaultSchedule.link_down(30, link),
+        )
+        mech = sim.mechanism
+        for _ in range(30):
+            sim.step()
+        stale = dict(sim._cand_memo)
+        assert stale
+        pkt = Packet(10**6, src * 2, dst * 2, src, dst, 0)
+        mech.init_packet(pkt)
+        pkt.mid = dst
+        key = mech.candidate_key(pkt, src)
+        before = mech.candidates(pkt, src)
+        assert port in {p for p, _vc, _pen in before}
+        sim.step()  # slot 30: the link goes down
+        assert mech.candidate_key(pkt, src) == key
+        after = mech.candidates(pkt, src)
+        assert after != before and port not in {p for p, _vc, _pen in after}
+        # Every entry now in the memo was built after the event.
+        assert sim._cand_memo
+        assert not any(ent is stale.get(k) for k, ent in sim._cand_memo.items())
+
 
 class TestMemoEntries:
     def _memo(self, sim, slots=40):
         for _ in range(slots):
             sim.step()
-        entries = [e for e in sim._cand_memo.values() if e[0]]
+        entries = [e for e in sim._cand_memo.values() if e.cands]
         assert entries, "no candidate memo entries built"
         return sim, entries
 
     def test_entry_columns_mirror_candidate_list(self):
-        sim, entries = self._memo(_array_sim(_net()))
+        entries = []
+        for name in ("PolSP", "Minimal", "Valiant"):
+            sim, built = self._memo(_array_sim(_net(), mechanism=name))
+            entries += built
         n_vcs = sim._n_vcs
-        for cands, pv_a, pen_a, pen_row, pos_map, dup, rr in entries:
-            assert not dup  # no shipped mechanism emits duplicate (port, vc)
-            assert rr is None  # rr-sorted lists are built under RR only
-            assert pv_a.shape == pen_a.shape == (len(cands),)
-            for i, (port, vc, pen) in enumerate(cands):
-                pv = port * n_vcs + vc
-                assert pv_a[i] == pv
-                assert pen_a[i] == pen
-                assert pen_row[pv] == pen
-                assert pos_map[pv] == i
+        for ent in entries:
+            assert ent.rr is None  # rr-sorted lists are built under RR only
+            pvs = [port * n_vcs + vc for port, vc, _pen in ent.cands]
+            assert len(set(pvs)) == len(pvs)
+            for i, (_port, _vc, pen) in enumerate(ent.cands):
+                assert ent.pen_row[pvs[i]] == pen
+                assert ent.pos_map[pvs[i]] == i
+            assert len(ent.pos_map) == len(pvs)
             # Non-candidate output VCs must never win the row minimum.
-            mask = np.ones(pen_row.size, dtype=bool)
-            mask[pv_a] = False
-            assert np.all(np.isinf(pen_row[mask]))
+            mask = np.ones(ent.pen_row.size, dtype=bool)
+            mask[pvs] = False
+            assert np.all(np.isinf(ent.pen_row[mask]))
 
     def test_empty_candidate_entry_shape(self):
         # Saturated VC ladders memoise an empty list with no columns.
         sim = _array_sim(_net(3), mechanism="OmniWAR", offered=0.8)
         for _ in range(80):
             sim.step()
-        empties = [e for e in sim._cand_memo.values() if not e[0]]
-        for cands, pv_a, pen_a, pen_row, pos_map, dup, rr in empties:
-            assert cands == []
-            assert pv_a is None and pen_row is None and pos_map is None
-            assert dup is False and rr is None
+        empties = [e for e in sim._cand_memo.values() if not e.cands]
+        for ent in empties:
+            assert ent == ([], None, None, None)
 
     def test_roundrobin_entries_presorted_by_flat_pv(self):
         net = _net()
@@ -157,10 +243,10 @@ class TestMemoEntries:
         assert sim._use_rr_kernel
         sim, entries = self._memo(sim)
         n_vcs = sim._n_vcs
-        for cands, pv_a, pen_a, pen_row, pos_map, dup, rr in entries:
+        for cands, pen_row, pos_map, rr in entries:
             # Score columns are dead weight under round-robin; the entry
             # carries the stable pv-sorted candidate walk instead.
-            assert pv_a is None and pen_row is None and pos_map is None
+            assert pen_row is None and pos_map is None
             assert rr is not None and len(rr) == len(cands)
             assert [pv for pv, _p, _v in rr] == sorted(
                 port * n_vcs + vc for port, vc, _pen in cands
@@ -174,12 +260,10 @@ class TestMemoEntries:
 class TestHeadCacheInvariants:
     def test_categories_track_queue_heads(self):
         net = _net(2)
-        sim = _array_sim(net, offered=0.6)
-        for _ in range(60):
+        sims = [_array_sim(net, mechanism=m, offered=0.6) for m in ("PolSP", "Valiant")]
+        for sim in sims * 60:
             sim.step()
             for sid, sc in sim._qp_cache.items():
-                if sc.generic:
-                    continue
                 sw = sim.switches[sid]
                 cats = set(sc.cat.values())
                 assert cats <= {0, 1, 2}
@@ -219,6 +303,77 @@ class TestHeadCacheInvariants:
         sim._refresh_inflight_packets()
         assert not sim._cand_memo
         assert not sim._qp_cache
+
+
+class _UnkeyedMinimal(MinimalRouting):
+    """A third-party-style mechanism: routes fine, declares no key."""
+
+    name = "UnkeyedMinimal"
+    candidate_key = RoutingMechanism.candidate_key
+
+
+class _TwiceMinimal(MinimalRouting):
+    """Breaks the ``candidates`` contract: every hop offered twice."""
+
+    name = "TwiceMinimal"
+
+    def candidates(self, pkt, current):
+        return super().candidates(pkt, current) * 2
+
+
+class TestKeyContractEdges:
+    @staticmethod
+    def _run(backend, arbiter, mech_cls, scheduled, slots=150):
+        net = _net()
+        schedule = None
+        if scheduled:
+            links = random_connected_fault_sequence(net.topology, 2, rng=5)
+            schedule = FaultSchedule.down_then_up(40, 90, links)
+        sim = make_simulator(
+            PAPER_CONFIG.with_(backend=backend, arbiter=arbiter), net,
+            mech_cls(net, 4), make_traffic("uniform", net, 0),
+            offered=0.7, seed=0, fault_schedule=schedule,
+        )
+        result = sim.run(warmup=50, measure=slots - 50)
+        probe = (
+            sim.in_flight, sim.next_pid, sim.state.credits.tobytes(),
+            sim.state.link_tx.tobytes(), int(sim.state.packets.live),
+            int(sim.rng.integers(1 << 30)),
+        )
+        return sim, repr(result), probe
+
+    @pytest.mark.parametrize("scheduled", [False, True])
+    @pytest.mark.parametrize("arbiter", ["qp", "roundrobin"])
+    def test_unkeyed_mechanism_runs_the_reference_arbiter(self, arbiter, scheduled):
+        _slot, want_result, want_probe = self._run(
+            "slot", arbiter, _UnkeyedMinimal, scheduled
+        )
+        sim, result, probe = self._run(
+            "array", arbiter, _UnkeyedMinimal, scheduled
+        )
+        assert result == want_result and probe == want_probe
+        # No kernel ran: neither the plan cache nor the memo was touched.
+        assert not sim._use_qp_kernel and not sim._use_rr_kernel
+        assert sim.grant_stats == {
+            "plan_hits": 0, "select_rebuilds": 0, "fallback_rebuilds": 0,
+        }
+        assert not sim._cand_memo and not sim._qp_cache
+
+    @pytest.mark.parametrize("arbiter", ["qp", "roundrobin"])
+    def test_repeated_port_vc_is_rejected_by_name(self, arbiter):
+        net = _net()
+        sim = make_simulator(
+            PAPER_CONFIG.with_(backend="array", arbiter=arbiter), net,
+            _TwiceMinimal(net, 4), make_traffic("uniform", net, 0),
+            offered=0.7, seed=0,
+        )
+        with pytest.raises(ValueError) as err:
+            for _ in range(20):
+                sim.step()
+        msg = str(err.value)
+        assert "TwiceMinimal" in msg and "same (port, vc) twice" in msg
+        assert "at switch" in msg and "[(" in msg  # names switch + candidates
+        assert sim.slot <= 1  # the first derive, not some later slot
 
 
 class TestGrantPlanCache:
