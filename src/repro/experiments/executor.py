@@ -33,6 +33,8 @@ import hashlib
 import json
 import math
 import os
+import tempfile
+import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -468,23 +470,42 @@ class Executor:
         try:
             with open(path) as f:
                 return decode_json_safe(json.load(f)["record"])
-        except (OSError, ValueError, KeyError):
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            # Not a miss like any other: say so, then recompute (the
+            # fresh record overwrites the bad entry).
+            warnings.warn(
+                f"unreadable cache entry {path} ({exc!r}); recomputing",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             return None
 
     def _cache_store(self, job: PointJob, record: dict) -> None:
         assert self.cache_dir is not None
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_path(job)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as f:
-            # allow_nan=False: a non-finite float slipping past the encoder
-            # fails loudly here instead of writing invalid strict JSON.
-            json.dump(
-                {"key": path.stem, "record": encode_json_safe(record)},
-                f,
-                allow_nan=False,
-            )
-        os.replace(tmp, path)  # atomic: concurrent sweeps never see halves
+        # One temporary per *writer*: two sweeps finishing the same point
+        # each publish a whole file, and the atomic replace means readers
+        # never see halves.
+        fd, tmp = tempfile.mkstemp(
+            dir=self.cache_dir, prefix=f"{path.stem}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as f:
+                # allow_nan=False: a non-finite float slipping past the
+                # encoder fails loudly here instead of writing invalid
+                # strict JSON.
+                json.dump(
+                    {"key": path.stem, "record": encode_json_safe(record)},
+                    f,
+                    allow_nan=False,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- driving -------------------------------------------------------
     def run(self, jobs: Iterable[PointJob]) -> list[dict]:

@@ -13,15 +13,19 @@ head-of-line packets.
 
 What is vectorized, and why it is safe
 --------------------------------------
+Ejection, transmission and injection override only the *scan* — which
+(switch, index) pairs act, in the reference's visit order — and hand
+each to the reference's own per-item body
+(:meth:`~repro.simulator.engine.Simulator._consume` / ``_send`` /
+``_generate``), so hooks, draws and mutations are shared code.
+
 * **Ejection** — the reference walks every active input of every switch
   to find heads destined locally.  Here one comparison ``hol_dst ==
   sid_col`` finds all of them at once; ``np.nonzero`` yields hits in
   row-major (ascending switch, ascending input) order — exactly the
   reference's ``active_sorted`` iteration order.  Heads of unvisited
   FIFOs cannot change during the phase (ejection only pops), so the
-  pre-phase snapshot equals the reference's read-at-visit values.  The
-  per-hit consume (pop, credit return, metrics) stays scalar reference
-  code.
+  pre-phase snapshot equals the reference's read-at-visit values.
 * **Allocation** (the Q+P arbiter) — four layers remove the
   reference's per-slot re-walk of every head-of-line packet:
 
@@ -32,8 +36,8 @@ What is vectorized, and why it is safe
      one pre-built penalty row, so ``mech.candidates`` runs once per
      situation per topology epoch instead of once per packet-hop.
   2. *Head cache* — per switch, the derived state of every head-of-line
-     packet (its category: routable / stalled / awaiting ejection, and
-     its memo entry) is kept between slots and re-derived only for the
+     packet (routable with its memo entry, stalled, or awaiting
+     ejection) is kept between slots and re-derived only for the
      inputs in ``Switch.dirty_heads`` (heads that actually changed).
      Each routable head owns one row of a dense penalty matrix
      ``pen_mat[input, output_vc]`` — its candidates' penalties at their
@@ -82,16 +86,12 @@ What is vectorized, and why it is safe
   pv-sorted candidate lists against one admission row per switch, no
   RNG, no score matrices.
 * **Transmission** — the ``out_occ`` column, summed per port, finds
-  every buffered (switch, port) pair in the reference's visit order;
-  the pop itself (round-robin VC scan, link delivery) is reference
-  code.
+  every buffered (switch, port) pair in the reference's visit order.
 * **Injection** — the capacity pre-check of all attempting servers is
   one gather ``in_occ[sids, inj_base[sids] + local]``; sound because
   attempts are distinct servers, each owning its private source queue,
   so no attempt can alter another's occupancy within the slot.  The
-  per-attempt body (destination draw, packet construction, mechanism
-  init) stays scalar in attempt order — those draws are the RNG
-  contract.
+  shared body runs in attempt order — its draws are the RNG contract.
 
 Anything without a kernel — the ``age``/``random`` arbiters, or a
 mechanism that does not override ``candidate_key`` — runs the arbiter's
@@ -134,11 +134,10 @@ class _MemoEntry(NamedTuple):
 class _SwCache:
     """Persistent allocation-request state of one switch.
 
-    ``cat`` maps each active input to its derived category (0 routable,
-    1 stalled, 2 awaiting ejection).  Routable heads own one row of
-    ``pen_mat`` (their memo entry's penalty-by-output-VC row) and one
-    ``ent`` slot carrying ``(packet, memo entry)``; stalled heads one
-    ``stall`` slot.
+    Routable heads own one row of ``pen_mat`` (their memo entry's
+    penalty-by-output-VC row) and one ``ent`` slot carrying ``(packet,
+    memo entry)``; stalled heads one ``stall`` slot; heads awaiting
+    ejection are in neither.
     Only inputs named by ``Switch.dirty_heads`` are re-derived — a
     derive is a dict update plus one ``pen_mat`` row write, so there is
     no per-slot rebuild step at all.  ``sbuf`` is the kernel's
@@ -158,11 +157,10 @@ class _SwCache:
     """
 
     __slots__ = (
-        "cat", "ent", "stall", "pen_mat", "sbuf", "plan", "stall_pids",
+        "ent", "stall", "pen_mat", "sbuf", "plan", "stall_pids",
     )
 
     def __init__(self, n_inputs: int, npv: int, mats: bool) -> None:
-        self.cat: dict[int, int] = {}
         self.ent: dict[int, tuple[Packet, _MemoEntry]] = {}
         self.stall: dict[int, Packet] = {}
         self.pen_mat = np.full((n_inputs, npv), math.inf) if mats else None
@@ -247,10 +245,6 @@ class ArraySimulator(Simulator):
             return 0
         ejected = 0
         sps = self._sps
-        slot = self.slot
-        metrics = self.metrics
-        release = state.packets.release
-        on_delivered = self.injection.on_delivered
         switches = self.switches
         sw = None
         cur = -1
@@ -265,13 +259,7 @@ class ArraySimulator(Simulator):
             if served & bit:
                 continue  # this server already consumed its packet
             served |= bit
-            sw.pop_input(idx)
-            self._return_input_credit(sw, idx)
-            pkt.eject_slot = slot
-            metrics.on_ejected(pkt, slot)
-            on_delivered(pkt)
-            release(pkt)
-            self.in_flight -= 1
+            self._consume(sw, idx, pkt)
             ejected += 1
         return ejected
 
@@ -319,32 +307,19 @@ class ArraySimulator(Simulator):
         return ent
 
     def _derive_head(self, sc: _SwCache, sw, sid: int, idx: int) -> None:
-        """Re-derive the cache entry of one (possibly changed) head.
-
-        Handles every transition: a new head, a head that changed
-        category, a vanished input (popped empty).  A derive is a dict
-        update plus at most one ``pen_mat`` row write, so membership
-        churn elsewhere in the switch never invalidates anything.
+        """Re-derive the cache entry of one (possibly changed) head from
+        scratch: forget what input ``idx`` held, then file its current
+        head — routable into ``ent`` (one ``pen_mat`` row write),
+        stalled into ``stall``, awaiting ejection or absent into
+        neither.  Membership churn elsewhere in the switch never
+        invalidates anything.
         """
-        cat_map = sc.cat
-        old = cat_map.get(idx, -1)
         sc.stall_pids = None  # any head change may touch the stalled set
+        was_routable = sc.ent.pop(idx, None) is not None
+        sc.stall.pop(idx, None)
         q = sw.in_q[idx]
-        if not q:
-            # Input drained (pop to empty): drop its entry, if any.
-            if old == 0:
-                if sc.pen_mat is not None:
-                    sc.pen_mat[idx] = math.inf
-                del sc.ent[idx]
-            elif old == 1:
-                del sc.stall[idx]
-            if old >= 0:
-                del cat_map[idx]
-            return
-        pkt = q[0]
-        if pkt.dst_switch == sid:
-            cat = 2
-        else:
+        if q and q[0].dst_switch != sid:
+            pkt = q[0]
             key = self.mechanism.candidate_key(pkt, sid)
             ent = self._cand_memo.get(key)
             if ent is None:
@@ -352,24 +327,13 @@ class ArraySimulator(Simulator):
             # The reference's per-packet ``pkt.cand_*`` cache is left
             # untouched: the kernels read the memo entry instead.
             if ent.cands:
+                sc.ent[idx] = (pkt, ent)
                 if sc.pen_mat is not None:
                     sc.pen_mat[idx] = ent.pen_row
-                sc.ent[idx] = (pkt, ent)
-                if old == 1:
-                    del sc.stall[idx]
-                cat_map[idx] = 0
                 return
-            cat = 1
-        # cat is 1 (stalled) or 2 (awaiting ejection).
-        if old == 0:
-            if sc.pen_mat is not None:
-                sc.pen_mat[idx] = math.inf
-            del sc.ent[idx]
-        if cat == 1:
             sc.stall[idx] = pkt
-        elif old == 1:
-            del sc.stall[idx]
-        cat_map[idx] = cat
+        if was_routable and sc.pen_mat is not None:
+            sc.pen_mat[idx] = math.inf
 
     def _synced_switches(self) -> Iterator[tuple[Switch, _SwCache, bool]]:
         """The request-building core both kernels consume: every switch
@@ -695,26 +659,9 @@ class ArraySimulator(Simulator):
         if rows.size == 0:
             return 0
         moved = 0
-        deliver = self.link.deliver
-        link_tx = state.link_tx
-        link_escape_tx = state.link_escape_tx
-        escape_vc = self._escape_vc
         switches = self.switches
-        sw = None
-        cur = -1
         for s, port in zip(rows.tolist(), ports.tolist()):
-            if s != cur:
-                cur = s
-                sw = switches[s]
-            res = sw.transmit(port)
-            if res is None:
-                continue  # consumed credits only, nothing buffered
-            vc, pkt = res
-            link_tx[s, port] += 1
-            if vc == escape_vc:
-                link_escape_tx[s, port] += 1
-            deliver(self, s, port, vc, pkt)
-            moved += 1
+            moved += self._send(switches[s], port)
         return moved
 
     # ------------------------------------------------------------------
@@ -733,29 +680,14 @@ class ArraySimulator(Simulator):
         idxs = state.inj_base[sids] + (attempts - sids * sps)
         full = state.in_occ[sids, idxs] >= cap
         injected = 0
-        traffic = self.traffic
-        trng = self.traffic_rng
-        mech = self.mechanism
-        metrics = self.metrics
-        injection = self.injection
-        register = state.packets.register
+        on_blocked = self.injection.on_blocked
         switches = self.switches
-        slot = self.slot
         for srv, sid, idx, blocked in zip(
             attempts.tolist(), sids.tolist(), idxs.tolist(), full.tolist()
         ):
             if blocked:
-                injection.on_blocked(srv)
+                on_blocked(srv)
                 continue
-            dst = int(traffic.destination(srv, trng))
-            pkt = Packet(self.next_pid, srv, dst, sid, dst // sps, slot)
-            self.next_pid += 1
-            mech.init_packet(pkt)
-            register(pkt)
-            switches[sid].push_input(idx, pkt)
-            self._wake(sid)
-            injection.on_success(srv)
-            metrics.on_generated(srv, slot)
-            self.in_flight += 1
+            self._generate(srv, switches[sid], idx)
             injected += 1
         return injected

@@ -337,8 +337,6 @@ class Simulator:
         """
         ejected = 0
         sps = self._sps
-        release = self.state.packets.release
-        on_delivered = self.injection.on_delivered
         for sw in self._step_agenda:
             if not sw.active_sorted:
                 continue
@@ -353,15 +351,20 @@ class Simulator:
                 if served & bit:
                     continue  # this server already consumed its packet
                 served |= bit
-                sw.pop_input(idx)
-                self._return_input_credit(sw, idx)
-                pkt.eject_slot = self.slot
-                self.metrics.on_ejected(pkt, self.slot)
-                on_delivered(pkt)
-                release(pkt)
-                self.in_flight -= 1
+                self._consume(sw, idx, pkt)
                 ejected += 1
         return ejected
+
+    def _consume(self, sw: Switch, idx: int, pkt: Packet) -> None:
+        """The ejection body, shared by every backend's scan: ``pkt``,
+        the head of ``sw``'s input ``idx``, reaches its server."""
+        sw.pop_input(idx)
+        self._return_input_credit(sw, idx)
+        pkt.eject_slot = self.slot
+        self.metrics.on_ejected(pkt, self.slot)
+        self.injection.on_delivered(pkt)
+        self.state.packets.release()
+        self.in_flight -= 1
 
     def _return_input_credit(self, sw: Switch, idx: int) -> None:
         """Return the upstream credit of a freed network-input slot."""
@@ -400,23 +403,28 @@ class Simulator:
         input FIFO (immediately for :class:`UnitSlotLink`, after
         ``link_latency_slots`` for :class:`PipelinedLink`)."""
         moved = 0
-        deliver = self.link.deliver
         for sw in self._step_agenda:
-            sid = sw.sid
             port_load = sw.port_load
             for port in range(sw.n_ports):
                 if port_load[port] == 0:
                     continue  # no occupancy and no consumed credits
-                res = sw.transmit(port)
-                if res is None:
-                    continue
-                vc, pkt = res
-                self.link_packets[sid][port] += 1
-                if vc == self._escape_vc:
-                    self.link_escape_packets[sid][port] += 1
-                deliver(self, sid, port, vc, pkt)
-                moved += 1
+                moved += self._send(sw, port)
         return moved
+
+    def _send(self, sw: Switch, port: int) -> int:
+        """The transmission body, shared by every backend's scan: pop
+        ``port``'s next packet onto its link.  Returns how many packets
+        moved (0 when the port held consumed credits only)."""
+        res = sw.transmit(port)
+        if res is None:
+            return 0
+        vc, pkt = res
+        sid = sw.sid
+        self.link_packets[sid][port] += 1
+        if vc == self._escape_vc:
+            self.link_escape_packets[sid][port] += 1
+        self.link.deliver(self, sid, port, vc, pkt)
+        return 1
 
     def _inject(self) -> int:
         """Phase 4: generation attempts into source queues.
@@ -428,9 +436,6 @@ class Simulator:
         injected = 0
         cap = self.cfg.source_queue_packets
         sps = self._sps
-        traffic = self.traffic
-        trng = self.traffic_rng
-        register = self.state.packets.register
         for srv in self.injection.attempts(self.slot, self.inject_rng):
             srv = int(srv)
             sid = srv // sps
@@ -439,20 +444,26 @@ class Simulator:
             if len(sw.in_q[idx]) >= cap:
                 self.injection.on_blocked(srv)
                 continue
-            dst = int(traffic.destination(srv, trng))
-            pkt = Packet(
-                self.next_pid, srv, dst, sid, dst // sps, self.slot
-            )
-            self.next_pid += 1
-            self.mechanism.init_packet(pkt)
-            register(pkt)
-            sw.push_input(idx, pkt)
-            self._wake(sid)
-            self.injection.on_success(srv)
-            self.metrics.on_generated(srv, self.slot)
-            self.in_flight += 1
+            self._generate(srv, sw, idx)
             injected += 1
         return injected
+
+    def _generate(self, srv: int, sw: Switch, idx: int) -> None:
+        """The injection body, shared by every backend's scan: server
+        ``srv`` enqueues a fresh packet into its source queue, input
+        ``idx`` of ``sw`` (which the scan found to have room)."""
+        dst = int(self.traffic.destination(srv, self.traffic_rng))
+        pkt = Packet(
+            self.next_pid, srv, dst, sw.sid, dst // self._sps, self.slot
+        )
+        self.next_pid += 1
+        self.mechanism.init_packet(pkt)
+        self.state.packets.register()
+        sw.push_input(idx, pkt)
+        self._wake(sw.sid)
+        self.injection.on_success(srv)
+        self.metrics.on_generated(srv, self.slot)
+        self.in_flight += 1
 
     # ------------------------------------------------------------------
     # Online reconfiguration (scheduled link failures / repairs)
@@ -482,7 +493,7 @@ class Simulator:
                     pkt = sw.unqueue_output(pv)
                     self.metrics.on_dropped(pkt, self.slot)
                     self.injection.on_dropped(pkt)
-                    release(pkt)
+                    release()
                     self.in_flight -= 1
         self.link.purge_link(self, link)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from .packet import Packet
-from .state import POS_WIRE
 
 
 class LinkModel(ABC):
@@ -108,10 +107,6 @@ class PipelinedLink(LinkModel):
             (src, dst, port, vc, pkt)
         )
         self._in_flight += 1
-        state = sim.state
-        state.wire[src, port] += 1
-        if pkt.row >= 0:
-            state.packets.pos[pkt.row] = state.pos_code(POS_WIRE, src, port)
 
     def advance(self, sim) -> None:
         bucket = self._buckets.pop(sim.slot, None)
@@ -119,10 +114,8 @@ class PipelinedLink(LinkModel):
             return
         rev_port = sim.rev_port
         switches = sim.switches
-        wire = sim.state.wire
         for src, dst, port, vc, pkt in bucket:
             self._in_flight -= 1
-            wire[src, port] -= 1
             tsw = switches[dst]
             tsw.push_input(tsw.pv(rev_port[src][port], vc), pkt)
             # Wake before this slot's eject: landings are eligible now.
@@ -141,7 +134,6 @@ class PipelinedLink(LinkModel):
         ends = {(a, b), (b, a)}
         dropped = 0
         release = sim.state.packets.release
-        wire = sim.state.wire
         for slot, bucket in self._buckets.items():
             kept = []
             for entry in bucket:
@@ -150,11 +142,10 @@ class PipelinedLink(LinkModel):
                     kept.append(entry)
                     continue
                 self._in_flight -= 1
-                wire[src, port] -= 1
                 sim.switches[src].return_credit(port, vc)
                 sim.metrics.on_dropped(pkt, sim.slot)
                 sim.injection.on_dropped(pkt)
-                release(pkt)
+                release()
                 sim.in_flight -= 1
                 dropped += 1
             if len(kept) != len(bucket):

@@ -51,6 +51,10 @@ class SimResult:
     in_flight_end: int
     avg_hops: float
     escape_hop_fraction: float
+    #: Always 0 today: ``pkt.forced_hops`` is initialised and summed but
+    #: nothing increments it.  The value is hashed into the golden and
+    #: ``perfbench/expected`` fingerprints, so the fix belongs to the PR
+    #: that next regenerates them.
     forced_hop_count: int
     stalled_packets: int
     deadlocked: bool

@@ -6,13 +6,6 @@ per-packet state on the slots reserved here (``hops``, ``deroutes``,
 ``mid``/``phase`` for Valiant, ``closer`` for Polarized, ``in_escape`` &
 friends for SurePath).  ``__slots__`` keeps the millions of packets a
 saturation sweep creates cheap.
-
-A packet injected by an engine is also a *row* of the simulator's
-:class:`~repro.simulator.state.PacketStore` (``pkt.row``): its identity
-fields are written once into the store's columns at registration (kept
-here too for the scalar hot paths), and its position column is
-maintained by the switch/link methods that move it.  ``row == -1``
-marks a standalone packet (component tests) with no store behind it.
 """
 
 from __future__ import annotations
@@ -23,7 +16,6 @@ class Packet:
 
     __slots__ = (
         "pid",
-        "row",
         "src_server",
         "dst_server",
         "src_switch",
@@ -56,7 +48,6 @@ class Packet:
         birth_slot: int,
     ):
         self.pid = pid
-        self.row = -1
         self.src_server = src_server
         self.dst_server = dst_server
         self.src_switch = src_switch

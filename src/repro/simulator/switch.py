@@ -26,7 +26,7 @@ state is *owned by the store*: ``credits`` / ``load`` / ``port_load`` /
 ``rr`` are numpy row views into the simulator-wide 2D arrays (same
 indexing, same semantics — mutating the view mutates the store), while
 the FIFOs stay ``deque`` objects here with their derived columns
-(``in_occ`` / ``out_occ`` / ``hol_dst`` / packet positions) maintained
+(``in_occ`` / ``out_occ`` / ``hol_dst``) maintained
 by the queue methods :meth:`push_input`, :meth:`pop_input`,
 :meth:`grant`, :meth:`transmit` and :meth:`unqueue_output`.  Engine code
 moves packets through these methods only, so the array backend's
@@ -43,7 +43,7 @@ from typing import Deque
 
 from .config import SimConfig
 from .packet import Packet
-from .state import POS_INPUT, POS_OUTPUT, SimState
+from .state import SimState
 
 
 class Switch:
@@ -56,7 +56,6 @@ class Switch:
         "n_vcs",
         "n_servers",
         "cfg",
-        "state",
         "row",
         "in_q",
         "active_inputs",
@@ -71,8 +70,6 @@ class Switch:
         "_in_occ",
         "_out_occ",
         "_hol_dst",
-        "_pos_in",
-        "_pos_out",
     )
 
     def __init__(
@@ -97,7 +94,6 @@ class Switch:
             # single-switch store, indistinguishable through the view.
             state = SimState.for_switch(n_ports, n_vcs, n_servers, cfg)
             row = 0
-        self.state = state
         r = self.row = sid if row is None else row
         #: Input FIFOs: network inputs then injection queues.
         self.in_q: list[Deque[Packet]] = [deque() for _ in range(self.n_inputs)]
@@ -125,12 +121,10 @@ class Switch:
         self.port_load = state.port_load[r, :n_ports]
         #: Round-robin pointer per port for link transmission.
         self.rr = state.rr[r, :n_ports]
-        # Derived-column row views + position-code bases (hot-path use).
+        # Derived-column row views (hot-path use).
         self._in_occ = state.in_occ[r]
         self._out_occ = state.out_occ[r]
         self._hol_dst = state.hol_dst[r]
-        self._pos_in = state.pos_code(POS_INPUT, r, 0)
-        self._pos_out = state.pos_code(POS_OUTPUT, r, 0)
 
     # ------------------------------------------------------------------
     # Index helpers
@@ -181,13 +175,9 @@ class Switch:
         q.append(pkt)
         self.activate(idx)
         self._in_occ[idx] += 1
-        if pkt.row >= 0:
-            self.state.packets.pos[pkt.row] = self._pos_in + idx
 
     def pop_input(self, idx: int) -> Packet:
-        """Pop the head of input FIFO ``idx`` (ejection or grant); the
-        caller decides the packet's next position (output FIFO via
-        :meth:`grant`, or release on ejection)."""
+        """Pop the head of input FIFO ``idx`` (ejection or grant)."""
         q = self.in_q[idx]
         pkt = q.popleft()
         self.dirty_heads.add(idx)
@@ -215,16 +205,13 @@ class Switch:
         self.load[pv] += 2  # +1 occupancy, +1 consumed credit
         self.port_load[pv // self.n_vcs] += 2
         self._out_occ[pv] += 1
-        if pkt.row >= 0:
-            self.state.packets.pos[pkt.row] = self._pos_out + pv
 
     def transmit(self, port: int) -> tuple[int, Packet] | None:
         """Pop one packet from the port's output VCs, round-robin.
 
         Returns ``(vc, packet)`` or ``None`` when the port is idle.  The
         consumed-credit half of the load stays until the downstream FIFO
-        slot is freed.  The popped packet's position is written by the
-        link model's ``deliver`` (wire or downstream input).
+        slot is freed.
         """
         base = port * self.n_vcs
         start = int(self.rr[port])

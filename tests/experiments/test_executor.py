@@ -1,5 +1,8 @@
 """Executor subsystem tests: jobs, serial/parallel equivalence, caching."""
 
+import json
+import warnings
+
 import pytest
 
 from repro.experiments import executor as executor_mod
@@ -197,11 +200,53 @@ class TestResultCache:
     def test_corrupt_cache_entry_is_recomputed(self, net2d, tmp_path):
         ex = SerialExecutor(cache_dir=tmp_path)
         jobs = load_sweep_jobs(net2d, ["Minimal"], ["uniform"], [0.2], **SWEEP_KW)
-        first = ex.run(jobs)
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{not json")
-        again = ex.run(jobs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cold sweep only misses
+            first = ex.run(jobs)
+        (path,) = tmp_path.glob("*.json")
+        path.write_text("{not json")
+        with pytest.warns(RuntimeWarning, match=path.name):
+            again = ex.run(jobs)
         assert again == first
+        assert json.loads(path.read_text())["key"] == path.stem
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # repaired: a plain hit again
+            assert ex.run(jobs) == first
+
+    def test_two_writers_of_one_entry_both_succeed(self, net2d, tmp_path, monkeypatch):
+        """Two sweeps sharing a cache dir finish the same point: the
+        second starts writing after the first has written and before
+        the first publishes.  Each needs its own temporary file."""
+        ex = SerialExecutor(cache_dir=tmp_path)
+        (job,) = load_sweep_jobs(net2d, ["Minimal"], ["uniform"], [0.2], **SWEEP_KW)
+        record = run_job(job)
+        real_replace = executor_mod.os.replace
+        nested = []
+
+        def interleaved_replace(src, dst):
+            if not nested:
+                nested.append(True)
+                ex._cache_store(job, record)  # the other sweep, whole
+            real_replace(src, dst)
+
+        monkeypatch.setattr(executor_mod.os, "replace", interleaved_replace)
+        ex._cache_store(job, record)
+        assert nested
+        assert [p.name for p in tmp_path.iterdir()] == [f"{job_key(job)}.json"]
+        assert ex._cache_load(job) == record
+
+        def reject(name):
+            raise AssertionError(f"non-strict JSON constant {name}")
+
+        json.loads((tmp_path / f"{job_key(job)}.json").read_text(),
+                   parse_constant=reject)
+
+    def test_failed_dump_leaves_no_temporary(self, net2d, tmp_path):
+        ex = SerialExecutor(cache_dir=tmp_path)
+        (job,) = load_sweep_jobs(net2d, ["Minimal"], ["uniform"], [0.2], **SWEEP_KW)
+        with pytest.raises(TypeError):
+            ex._cache_store(job, {"unserialisable": object()})
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_must_not_be_a_file(self, tmp_path):
         path = tmp_path / "occupied"

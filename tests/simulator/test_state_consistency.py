@@ -2,20 +2,22 @@
 
 The struct-of-arrays refactor left the FIFO ground truth in the
 ``Switch`` views while the numeric/derived state (credits, loads,
-occupancies, head-of-line destinations, packet positions, wire counts)
-lives in the :class:`~repro.simulator.state.SimState` store.  Every
+occupancies, head-of-line destinations, the packet census) lives in the
+:class:`~repro.simulator.state.SimState` store.  Every
 mutation path is supposed to keep the two in lockstep through the view
 methods — including the awkward ones that only run on topology changes:
 the fault purge (buffered packets destroyed, output FIFOs unqueued),
 the credit reconcile on repair, and the packet refresh that re-homes
-header state.
+header state — with unit links and with pipelined ones, whose wires add
+an in-flight term to the credit invariant and a second purge path.
 
 These tests drive full fail-and-repair cycles on the two families with
 the most distinct purge behaviour (torus: coordinate routes; fat-tree:
 up/down escape routing) and call :meth:`SimState.verify` — the
 O(everything) audit of every derived array against the queues — at the
-slots bracketing each topology event, under both the reference slot
-backend and the vectorized array backend.
+slots bracketing each topology event, under all three backends, and
+check packet conservation (census = ``in_flight`` = buffered + on the
+wire) after every step.
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ def _topology(family: str):
     return make_topology("fattree", k=4, servers_per_switch=2)
 
 
-def _fail_and_repair_sim(family, backend, mechanism, offered, n_faults, seed):
+def _fail_and_repair_sim(family, backend, mechanism, offered, n_faults, seed,
+                         link_latency_slots=1):
     topo = _topology(family)
     links = random_connected_fault_sequence(topo, n_faults, rng=seed)
     net = Network(topo)
     mech = make_mechanism(mechanism, net, rng=seed + 1)
     return make_simulator(
-        PAPER_CONFIG.with_(backend=backend), net, mech,
+        PAPER_CONFIG.with_(
+            backend=backend, link_latency_slots=link_latency_slots
+        ), net, mech,
         make_traffic("uniform", net, seed), offered=offered, seed=seed,
         fault_schedule=FaultSchedule.down_then_up(DOWN, UP, links),
     )
@@ -58,13 +63,51 @@ def _fail_and_repair_sim(family, backend, mechanism, offered, n_faults, seed):
 CASES = st.fixed_dictionaries(
     {
         "family": st.sampled_from(["torus", "fattree"]),
-        "backend": st.sampled_from(["slot", "array"]),
+        "backend": st.sampled_from(["slot", "event", "array"]),
+        "link_latency_slots": st.sampled_from([1, 3]),
         "mechanism": st.sampled_from(["Minimal", "PolSP"]),
         "offered": st.sampled_from([0.3, 0.6]),
         "n_faults": st.integers(1, 3),
         "seed": st.integers(0, 60),
     }
 )
+
+
+def _drive_and_audit(sim) -> tuple[int, int]:
+    """Step ``sim`` through the whole fail-and-repair cycle, checking
+    packet conservation after every step and running the full audit at
+    the slots bracketing the failure (purge + stranded credits), the
+    repair (credit reconcile + packet refresh) and the steady stretches
+    before/between/after.  Returns the packets the failure destroyed as
+    ``(buffered on the dying ports, on their wires)``."""
+    audit_after = {10, DOWN, DOWN + 1, UP, UP + 1, END - 1}
+    n_vcs = sim.mechanism.n_vcs
+    doomed = (0, 0)
+    for slot in range(END):
+        if slot == DOWN:
+            pairs = [
+                pair
+                for ev in sim.fault_schedule.events if ev.slot == DOWN
+                for pair in (ev.link, ev.link[::-1])
+            ]
+            doomed = (
+                sum(
+                    len(sim.switches[s].out_q[sim.network.port_of(s, t) * n_vcs + vc])
+                    for s, t in pairs for vc in range(n_vcs)
+                ),
+                sum(sim.link.in_flight_between(s, t) for s, t in pairs),
+            )
+        sim.step()
+        assert (
+            sim.state.packets.live
+            == sim.in_flight
+            == sim.buffered_packets() + sim.wire_packets()
+        ), f"packet conservation broke at slot {slot}"
+        if slot == DOWN:
+            assert sim.metrics.dropped_total == sum(doomed)
+        if slot in audit_after:
+            sim.state.verify(sim)
+    return doomed
 
 
 class TestFailRepairConsistency:
@@ -78,15 +121,22 @@ class TestFailRepairConsistency:
         sim = _fail_and_repair_sim(
             case["family"], case["backend"], case["mechanism"],
             case["offered"], case["n_faults"], case["seed"],
+            case["link_latency_slots"],
         )
-        # Audit at the slots bracketing the failure (purge + stranded
-        # credits), the repair (credit reconcile + packet refresh) and
-        # the steady stretches before/between/after.
-        audit_after = {10, DOWN, DOWN + 1, UP, UP + 1, END - 1}
-        for slot in range(END):
-            sim.step()
-            if slot in audit_after:
-                sim.state.verify(sim)
+        _drive_and_audit(sim)
+
+    @pytest.mark.parametrize("link_latency_slots", [1, 3])
+    @pytest.mark.parametrize("backend", ["slot", "event", "array"])
+    def test_purge_paths_are_audited(self, backend, link_latency_slots):
+        """One fixed dense case per backend and link model, so the
+        buffered purge and — on pipelined links — the wire purge are
+        known to have destroyed packets under the audit."""
+        sim = _fail_and_repair_sim(
+            "fattree", backend, "PolSP", 0.6, 3, 0, link_latency_slots
+        )
+        buffered, on_wire = _drive_and_audit(sim)
+        assert buffered > 0
+        assert (on_wire > 0) == (link_latency_slots > 1)
 
     @settings(
         max_examples=6,
@@ -101,6 +151,7 @@ class TestFailRepairConsistency:
             b: _fail_and_repair_sim(
                 case["family"], b, case["mechanism"],
                 case["offered"], case["n_faults"], case["seed"],
+                case["link_latency_slots"],
             )
             for b in ("slot", "array")
         }
