@@ -102,13 +102,18 @@ class RoutingMechanism(ABC):
         ``candidates(a, c) == candidates(b, c)`` — i.e. the key captures
         *every* per-packet field the candidate computation reads, and
         performs any lazy per-packet update :meth:`candidates` would.
-        The array backend shares one candidate list (and its pre-built
-        kernel columns) across all packets in the same route situation,
-        instead of recomputing per packet-hop.
+        Every engine backend keeps one ``key -> candidate list`` table
+        per simulator (:meth:`repro.simulator.engine.Simulator.lookup_candidates`)
+        and hands the *same list object* to every packet in the same
+        route situation instead of calling :meth:`candidates` per
+        packet-hop — so an under-specified key misroutes on every
+        backend, and a returned list must never be mutated afterwards.
 
         Overriding is per mechanism, not per packet: every mechanism in
-        this package does, and one that does not is allocated by the
-        arbiter's scalar reference path on every backend.
+        this package does (:func:`declares_candidate_key`), and one that
+        does not has :meth:`candidates` called once per packet per
+        switch and is allocated by the arbiter's scalar reference path
+        on every backend.
         """
         raise NotImplementedError(f"{self.name} declares no candidate key")
 
@@ -119,6 +124,15 @@ class RoutingMechanism(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_vcs={self.n_vcs})"
+
+
+def declares_candidate_key(mechanism: object) -> bool:
+    """Whether ``mechanism`` overrides
+    :meth:`RoutingMechanism.candidate_key` — false for the base default
+    and for duck-typed mechanisms without the attribute, which the
+    simulator then never tables."""
+    key = getattr(type(mechanism), "candidate_key", None)
+    return key is not None and key is not RoutingMechanism.candidate_key
 
 
 def ladder_vc(hops: int, n_vcs: int, vcs_per_step: int = 1) -> list[int]:

@@ -103,6 +103,12 @@ class SurePathRouting(RoutingMechanism):
         #: Routing VCs (CRout) and the escape VC (CEsc).
         self.routing_vcs: tuple[int, ...] = tuple(range(n_vcs - 1))
         self.escape_vc: int = n_vcs - 1
+        #: ``(port, penalty) ->`` that hop's rule-1 candidates, one per
+        #: routing VC.  Interned (built on first use, valid across
+        #: topology changes) so candidate lists, which the simulator
+        #: keeps, share their triples instead of each owning
+        #: ``n_vcs - 1`` fresh ones per port.
+        self._rule1_rows: dict[tuple[int, int], tuple[Candidate, ...]] = {}
 
     # ------------------------------------------------------------------
     # RoutingMechanism interface
@@ -118,9 +124,14 @@ class SurePathRouting(RoutingMechanism):
         out: list[Candidate] = []
         if not pkt.in_escape:
             # Rule 1: base-routing hops on every routing VC.
+            rows = self._rule1_rows
             for port, _nbr, pen in self.routes.ports(pkt, current):
-                for vc in self.routing_vcs:
-                    out.append((port, vc, pen))
+                row = rows.get((port, pen))
+                if row is None:
+                    row = rows[port, pen] = tuple(
+                        (port, vc, pen) for vc in self.routing_vcs
+                    )
+                out += row
         # Rule 2: escape hops are always on offer (and are the only offer
         # once the packet is in CEsc, or when rule 1 yields nothing).
         # Packets outside the escape start it in the climb phase.

@@ -37,6 +37,12 @@ of the switches worth visiting this slot (every switch on the default
 slot backend, the busy agenda on the event backend) — never
 ``sim.switches`` directly, so one arbiter implementation serves every
 backend.
+
+No arbiter asks the routing mechanism for candidates: a request scan
+reads the list pinned on the packet (``pkt.cand_list``, valid while
+``pkt.cand_switch`` is the current switch) and, once per packet-hop,
+refills it from the simulator's candidate table through
+:func:`_route_head`.
 """
 
 from __future__ import annotations
@@ -45,6 +51,27 @@ from abc import ABC, abstractmethod
 
 from ..registry import Registry
 from .packet import Packet
+
+
+def _route_head(sim, pkt: Packet, sid: int) -> list:
+    """The miss path of the per-packet candidate cache, shared by every
+    request scan: ``pkt`` is a head of line at ``sid`` that has not been
+    routed there yet (``pkt.cand_switch != sid`` — once per hop, never
+    per re-scored head).
+
+    Looks the candidates up in the simulator's table
+    (:meth:`~repro.simulator.engine.Simulator.lookup_candidates`) and
+    pins them on the packet until it moves.  An empty list is reported
+    as a stall and *not* pinned, so a stalled head comes back here — and
+    is counted — every slot it stays stalled.
+    """
+    cands = sim.lookup_candidates(pkt, sid)
+    if cands:
+        pkt.cand_switch = sid
+        pkt.cand_list = cands
+    else:
+        sim.metrics.on_stalled((pkt.pid,), sim.slot)
+    return cands
 
 
 class Arbiter(ABC):
@@ -73,7 +100,6 @@ class Arbiter(ABC):
         ``[(port, vc, penalty), ...]``; packets with no candidates at all
         are counted as stalled, exactly like the default path does.
         """
-        mech = sim.mechanism
         sid = sw.sid
         n_vcs = sw.n_vcs
         # List snapshot (see QPArbiter.allocate): exact until the first
@@ -91,12 +117,9 @@ class Arbiter(ABC):
             if pkt.cand_switch == sid:
                 cands = pkt.cand_list
             else:
-                cands = mech.candidates(pkt, sid)
-                pkt.cand_switch = sid
-                pkt.cand_list = cands
-            if not cands:
-                sim.metrics.on_stalled((pkt.pid,), sim.slot)
-                continue
+                cands = _route_head(sim, pkt, sid)
+                if not cands:
+                    continue  # stalled (reported by _route_head)
             feasible = [
                 (port, vc, pen)
                 for port, vc, pen in cands
@@ -152,7 +175,7 @@ class QPArbiter(Arbiter):
 
     ``allocate`` is the pre-refactor engine loop: flow control and the
     ``Q`` term are inlined on the switch's raw credit/occupancy arrays,
-    candidates are memoised on the packet, and the RNG is consulted in
+    candidates are pinned on the packet per hop, and the RNG is consulted in
     the exact historical order (request tie-breaks, then grant-order
     tie-breaks) so default-composition records stay byte-identical.
     """
@@ -161,15 +184,12 @@ class QPArbiter(Arbiter):
 
     def allocate(self, sim) -> int:
         granted = 0
-        mech = sim.mechanism
         phits = sim._phits
         fc = sim.flow_control
         min_cred = fc.min_credits
         out_cap = fc.output_capacity
         rng = sim.rng
-        metrics = sim.metrics
         n_vcs = sim._n_vcs
-        slot = sim.slot
         for sw in sim.alloc_switches():
             if not sw.active_inputs:
                 continue
@@ -193,12 +213,9 @@ class QPArbiter(Arbiter):
                 if pkt.cand_switch == sid:
                     cands = pkt.cand_list
                 else:
-                    cands = mech.candidates(pkt, sid)
-                    pkt.cand_switch = sid
-                    pkt.cand_list = cands
-                if not cands:
-                    metrics.on_stalled((pkt.pid,), slot)
-                    continue
+                    cands = _route_head(sim, pkt, sid)
+                    if not cands:
+                        continue  # stalled (reported by _route_head)
                 best_score = None
                 best: list[tuple[int, int]] = []
                 for port, vc, pen in cands:

@@ -29,14 +29,17 @@ each to the reference's own per-item body
 * **Allocation** (the Q+P arbiter) — four layers remove the
   reference's per-slot re-walk of every head-of-line packet:
 
-  1. *Candidate memo* — every shipped mechanism overrides
-     :meth:`~repro.routing.base.RoutingMechanism.candidate_key`,
-     declaring its candidate lists pure functions of a small route
-     situation; every packet in the same situation shares one list and
-     one pre-built penalty row, so ``mech.candidates`` runs once per
-     situation per topology epoch instead of once per packet-hop.
+  1. *Kernel columns over the candidate table* — every shipped
+     mechanism overrides
+     :meth:`~repro.routing.base.RoutingMechanism.candidate_key`, so
+     candidate lists come out of the simulator-wide table every backend
+     shares (:meth:`~repro.simulator.engine.Simulator.lookup_candidates`;
+     this module never calls ``mech.candidates``).  What this backend
+     adds per key is the list in the form its kernel reads — one dense
+     penalty row, or one pv-sorted walk — built once per route
+     situation and dropped together with the table.
   2. *Head cache* — per switch, the derived state of every head-of-line
-     packet (routable with its memo entry, stalled, or awaiting
+     packet (routable with its kernel columns, stalled, or awaiting
      ejection) is kept between slots and re-derived only for the
      inputs in ``Switch.dirty_heads`` (heads that actually changed).
      Each routable head owns one row of a dense penalty matrix
@@ -81,10 +84,10 @@ each to the reference's own per-item body
   :meth:`ArraySimulator.enable_grant_profile` times the
   predraw/select/commit/fallback sub-phases (surfaced by
   ``perfbench/bench.py --trace``).
-  The round-robin arbiter shares the memo and the head cache and
-  swaps in its own selection kernel — pointer walks over the memo's
-  pv-sorted candidate lists against one admission row per switch, no
-  RNG, no score matrices.
+  The round-robin arbiter shares the table and the head cache and
+  swaps in its own selection kernel — pointer walks over pv-sorted
+  candidate columns against one admission row per switch, no RNG, no
+  score matrices.
 * **Transmission** — the ``out_occ`` column, summed per port, finds
   every buffered (switch, port) pair in the reference's visit order.
 * **Injection** — the capacity pre-check of all attempting servers is
@@ -110,40 +113,35 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..routing.base import RoutingMechanism
 from .arbiters import QPArbiter, RoundRobinArbiter
 from .engine import Simulator
 from .packet import Packet
 from .switch import Switch
 
 
-class _MemoEntry(NamedTuple):
-    """What every packet in one route situation shares (see
-    :meth:`ArraySimulator._memo_entry`)."""
+class _QPCols(NamedTuple):
+    """What the Q+P kernel reads of one tabled candidate list (see
+    :meth:`ArraySimulator._build_cols`)."""
 
-    #: The mechanism's candidate list, as returned.
-    cands: list
-    #: Q+P kernel: penalty by output-VC index, ``inf`` off the list.
-    pen_row: np.ndarray | None
-    #: Q+P kernel: output-VC index -> position in ``cands``.
-    pos_map: dict[int, int] | None
-    #: Round-robin kernel: ``(pv, port, vc)`` in ascending flat-pv order.
-    rr: tuple | None
+    #: Penalty by output-VC index, ``inf`` off the list.
+    pen_row: np.ndarray
+    #: Output-VC index -> position in the candidate list.
+    pos_map: dict[int, int]
 
 
 class _SwCache:
     """Persistent allocation-request state of one switch.
 
-    Routable heads own one row of ``pen_mat`` (their memo entry's
+    Routable heads own one row of ``pen_mat`` (their route situation's
     penalty-by-output-VC row) and one ``ent`` slot carrying ``(packet,
-    memo entry)``; stalled heads one ``stall`` slot; heads awaiting
+    kernel columns)``; stalled heads one ``stall`` slot; heads awaiting
     ejection are in neither.
     Only inputs named by ``Switch.dirty_heads`` are re-derived — a
     derive is a dict update plus one ``pen_mat`` row write, so there is
     no per-slot rebuild step at all.  ``sbuf`` is the kernel's
     preallocated score scratch (same shape as ``pen_mat``); the
-    round-robin kernel scores through the memo's sorted candidate
-    lists instead, so it skips both matrices (``mats=False``).
+    round-robin kernel walks its pv-sorted candidate columns instead,
+    so it skips both matrices (``mats=False``).
 
     ``plan`` is the cached outcome of the whole request half: the
     switch's live heads in reference visit order, each with its winning
@@ -161,7 +159,7 @@ class _SwCache:
     )
 
     def __init__(self, n_inputs: int, npv: int, mats: bool) -> None:
-        self.ent: dict[int, tuple[Packet, _MemoEntry]] = {}
+        self.ent: dict[int, tuple[Packet, _QPCols | tuple]] = {}
         self.stall: dict[int, Packet] = {}
         self.pen_mat = np.full((n_inputs, npv), math.inf) if mats else None
         self.sbuf = np.empty((n_inputs, npv)) if mats else None
@@ -186,21 +184,16 @@ class ArraySimulator(Simulator):
         # finishes (nothing touches them there, but hooks must be safe).
         #: sid -> :class:`_SwCache`: the per-switch head cache.
         self._qp_cache: dict[int, _SwCache] = {}
-        #: candidate_key -> :class:`_MemoEntry`: one shared candidate
-        #: list + pre-built kernel columns per route situation (see
-        #: :meth:`RoutingMechanism.candidate_key`).  Cleared on
-        #: topology events — the lists would be recomputed differently.
-        self._cand_memo: dict[tuple, _MemoEntry] = {}
+        #: candidate_key -> the active kernel's pre-built columns of the
+        #: candidate list the simulator's table holds under that key
+        #: (see :meth:`_build_cols`); dropped together with the table.
+        self._kernel_cols: dict[tuple, _QPCols | tuple] = {}
         super().__init__(*args, **kwargs)
-        # The kernels read candidates through the memo, so they serve
-        # only mechanisms that declare its index; anything else runs
-        # the arbiter's own scalar ``allocate``.
-        keyed = (
-            type(self.mechanism).candidate_key
-            is not RoutingMechanism.candidate_key
-        )
-        self._use_qp_kernel = keyed and type(self.arbiter) is QPArbiter
-        self._use_rr_kernel = keyed and type(self.arbiter) is RoundRobinArbiter
+        # The kernels share columns per candidate key, so they serve
+        # only mechanisms that declare one; anything else runs the
+        # arbiter's own scalar ``allocate``.
+        self._use_qp_kernel = self._keyed and type(self.arbiter) is QPArbiter
+        self._use_rr_kernel = self._keyed and type(self.arbiter) is RoundRobinArbiter
         state = self.state
         #: Per-switch snapshot of the combined admission/Q row each
         #: cached plan was built from.  ``NaN`` rows never compare equal,
@@ -228,12 +221,12 @@ class ArraySimulator(Simulator):
         }
         return self.grant_profile
 
-    def _refresh_inflight_packets(self) -> None:
-        # Candidate memos (and every per-switch head cache built on
-        # them) are invalidated wholesale on topology events.
-        self._cand_memo.clear()
+    def _drop_candidate_table(self) -> None:
+        # The kernel columns and every per-switch head cache built on
+        # them go with the table they were derived from.
+        super()._drop_candidate_table()
+        self._kernel_cols.clear()
         self._qp_cache.clear()
-        super()._refresh_inflight_packets()
 
     # ------------------------------------------------------------------
     # Phase 1: ejection
@@ -266,24 +259,27 @@ class ArraySimulator(Simulator):
     # ------------------------------------------------------------------
     # Phase 2: allocation (one request-building core, two kernels)
     # ------------------------------------------------------------------
-    def _memo_entry(self, pkt, sid: int, key: tuple, npv: int) -> _MemoEntry:
-        """Build (and memoise) the entry for one route situation.
+    def _build_cols(self, pkt, sid: int, key: tuple, npv: int) -> _QPCols | tuple:
+        """Build (and keep under ``key``) the active kernel's columns of
+        one route situation's candidate list, read from the simulator's
+        table.
 
         The Q+P kernel gets the dense penalty row the matrix kernel
         adds against — each candidate's penalty at its output-VC index,
         ``inf`` elsewhere — plus the map from output-VC index back to
         candidate-list position, through which tied columns recover the
         reference's list-order tie indices.  The round-robin kernel gets
-        the candidates sorted by flat ``(port, vc)`` index: the order
+        ``(pv, port, vc)`` sorted by flat ``(port, vc)`` index: the order
         the reference's per-head ``sorted(feasible)`` walk visits,
         shared across every head in the situation instead of re-sorted
-        per head per slot.
+        per head per slot.  An empty list (a stalled situation) gets
+        ``()``.
 
         Both forms hold one value per output VC, so a list naming the
         same ``(port, vc)`` twice — which the ``candidates`` contract
         forbids — is rejected here, once per key.
         """
-        cands = self.mechanism.candidates(pkt, sid)
+        cands = self.lookup_candidates(pkt, sid)
         n_vcs = self._n_vcs
         pvs = [port * n_vcs + vc for port, vc, _pen in cands]
         pos_map = {pv: i for i, pv in enumerate(pvs)}
@@ -292,19 +288,19 @@ class ArraySimulator(Simulator):
                 f"{self.mechanism.name} offered the same (port, vc) twice "
                 f"at switch {sid}: {cands}"
             )
+        cols: _QPCols | tuple
         if not cands:
-            ent = _MemoEntry(cands, None, None, None)
+            cols = ()
         elif self._use_rr_kernel:
-            rr = tuple(
+            cols = tuple(
                 sorted((pv, port, vc) for pv, (port, vc, _pen) in zip(pvs, cands))
             )
-            ent = _MemoEntry(cands, None, None, rr)
         else:
             pen_row = np.full(npv, math.inf)
             pen_row[pvs] = [pen for _port, _vc, pen in cands]
-            ent = _MemoEntry(cands, pen_row, pos_map, None)
-        self._cand_memo[key] = ent
-        return ent
+            cols = _QPCols(pen_row, pos_map)
+        self._kernel_cols[key] = cols
+        return cols
 
     def _derive_head(self, sc: _SwCache, sw, sid: int, idx: int) -> None:
         """Re-derive the cache entry of one (possibly changed) head from
@@ -321,15 +317,15 @@ class ArraySimulator(Simulator):
         if q and q[0].dst_switch != sid:
             pkt = q[0]
             key = self.mechanism.candidate_key(pkt, sid)
-            ent = self._cand_memo.get(key)
-            if ent is None:
-                ent = self._memo_entry(pkt, sid, key, sw.n_ports * self._n_vcs)
+            cols = self._kernel_cols.get(key)
+            if cols is None:
+                cols = self._build_cols(pkt, sid, key, sw.n_ports * self._n_vcs)
             # The reference's per-packet ``pkt.cand_*`` cache is left
-            # untouched: the kernels read the memo entry instead.
-            if ent.cands:
-                sc.ent[idx] = (pkt, ent)
+            # untouched: the kernels read the shared columns instead.
+            if cols:
+                sc.ent[idx] = (pkt, cols)
                 if sc.pen_mat is not None:
-                    sc.pen_mat[idx] = ent.pen_row
+                    sc.pen_mat[idx] = cols.pen_row
                 return
             sc.stall[idx] = pkt
         if was_routable and sc.pen_mat is not None:
@@ -486,9 +482,9 @@ class ArraySimulator(Simulator):
             requests: dict[int, list[tuple[float, float, int, int, Packet]]] = {}
             for idx, pkt, score, choices in plan:
                 if len(choices) == 1:
-                    port, vc, _pen = choices[0]
+                    port, vc = choices[0]
                 else:
-                    port, vc, _pen = choices[int(rng.integers(len(choices)))]
+                    port, vc = choices[int(rng.integers(len(choices)))]
                 requests.setdefault(port, []).append(
                     (score, rng.random(), idx, vc, pkt)
                 )
@@ -504,8 +500,8 @@ class ArraySimulator(Simulator):
     def _build_plan(self, sc: _SwCache, sw, combined) -> tuple | list:
         """Run the matrix request kernel for one switch and cache its
         outcome as a *plan*: ``(input idx, packet, winning score, tied
-        candidates)`` per live head, in the reference's ``active_inputs``
-        set-iteration order.
+        ``(port, vc)`` choices)`` per live head, in the reference's
+        ``active_inputs`` set-iteration order.
 
         Replaying a plan is pure scalar pre-draw work — one
         ``integers(len(choices))`` draw exactly when the reference would
@@ -519,6 +515,7 @@ class ArraySimulator(Simulator):
         """
         ent_map = sc.ent
         inf = math.inf
+        n_vcs = self._n_vcs
         rank_src = sw.active_inputs
         sbuf = sc.sbuf
         # ---- matrix kernel: admission, score, row-minimise -----------
@@ -540,7 +537,7 @@ class ArraySimulator(Simulator):
         # switch: the tied columns of row ``j`` are the contiguous slice
         # ``tie_cols[tie_start[j] : +tc[j]]`` (in ascending output-VC
         # order), mapped back to candidate-list positions per head
-        # through the memo's ``pos_map``.
+        # through its columns' ``pos_map``.
         ties_mat = sbuf[live] == lmins[:, None]
         tcounts = np.count_nonzero(ties_mat, axis=1)
         tie_cols = np.nonzero(ties_mat)[1].tolist()
@@ -564,19 +561,18 @@ class ArraySimulator(Simulator):
         plan = []
         for j in order:
             idx = live_l[j]
-            pkt, ent = ent_map[idx]
-            cands = ent.cands
-            pos_map = ent.pos_map
+            pkt, cols = ent_map[idx]
             t = tc_l[j]
             base = tie_start[j]
             if t == 1:
-                choices = (cands[pos_map[tie_cols[base]]],)
+                choices = (divmod(tie_cols[base], n_vcs),)
             else:
                 # The reference tie-breaks over the tied candidates in
-                # list order: sorted list positions reproduce it exactly.
-                poss = [pos_map[c] for c in tie_cols[base : base + t]]
-                poss.sort()
-                choices = tuple(cands[ci] for ci in poss)
+                # list order: sorting the tied output VCs by list
+                # position reproduces it exactly.
+                pos_map = cols.pos_map
+                tied = sorted(tie_cols[base : base + t], key=pos_map.__getitem__)
+                choices = tuple(divmod(pv, n_vcs) for pv in tied)
             plan.append((idx, pkt, mins_l[j], choices))
         sc.plan = plan
         return plan
@@ -590,8 +586,8 @@ class ArraySimulator(Simulator):
         byte-identity needs only the same request *set*, the same
         pointer updates and the same stall counts — all of which depend
         on the live admission row at visit time (computed here exactly
-        like the reference's snapshot) and the memo's pre-sorted
-        candidate order.  Pointer state lives on the arbiter instance,
+        like the reference's snapshot) and the pre-sorted candidate
+        columns.  Pointer state lives on the arbiter instance,
         shared with the scalar path.
         """
         granted = 0
@@ -618,14 +614,14 @@ class ArraySimulator(Simulator):
                 credits_all[r, :npv], out_occ_all[r, :npv], full_row
             ).tolist()
             requests: dict[int, list[tuple[int, int, Packet]]] = {}
-            for idx, (pkt, ent) in ent_map.items():
+            for idx, (pkt, cols) in ent_map.items():
                 ptr = cand_ptr.get((sid, idx), 0)
                 first = chosen = None
-                # Ascending flat-(port, vc) walk over the memo's
-                # pre-sorted candidates: the first admissible entry is
+                # Ascending flat-(port, vc) walk over the pre-sorted
+                # candidate columns: the first admissible entry is
                 # the reference's ``keyed[0]``, the first admissible at
                 # or past the pointer is its ``next(...)`` choice.
-                for pv, port, vc in ent.rr:
+                for pv, port, vc in cols:
                     if not ok[pv]:
                         continue
                     if first is None:

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..routing.base import RoutingMechanism
+from ..routing.base import Candidate, RoutingMechanism, declares_candidate_key
 from ..topology.base import Network
 from ..traffic.base import TrafficPattern
 from .arbiters import Arbiter, make_arbiter
@@ -77,6 +77,12 @@ from .schedule import LINK_DOWN, FaultSchedule
 from .state import SimState
 from .switch import Switch
 from .workload import SET_OFFERED, WorkloadSchedule
+
+
+#: Entries the candidate table holds before it is dropped wholesale
+#: (see :meth:`Simulator.lookup_candidates`): a bound by construction
+#: for big networks under all-to-all traffic, where keys rarely repeat.
+CANDIDATE_TABLE_BOUND = 1 << 16
 
 
 class DeadlockError(RuntimeError):
@@ -114,8 +120,9 @@ class Simulator:
         mid-run link failures/repairs.  Events at slot ``s`` apply at the
         start of that slot's :meth:`step`: the network mutates in place,
         packets buffered on (or in flight over) a failed link are dropped
-        (and counted), per-packet candidate memos are invalidated and the
-        mechanism reconfigures via ``on_topology_change``.
+        (and counted), the candidate table and the lists packets took
+        from it are dropped and the mechanism reconfigures via
+        ``on_topology_change``.
     workload_schedule:
         Optional :class:`~repro.simulator.workload.WorkloadSchedule` of
         mid-run traffic-pattern switches and offered-load retargets.
@@ -261,6 +268,12 @@ class Simulator:
             for s in range(network.n_switches)
         ]
         self._escape_vc = getattr(mechanism, "escape_vc", None)
+        #: ``candidate_key -> candidate list``: the paper's routing
+        #: table, filled on demand by :meth:`lookup_candidates` and
+        #: dropped on every topology event.  Stays empty for a mechanism
+        #: that declares no key.
+        self._cand_memo: dict[tuple, list[Candidate]] = {}
+        self._keyed = declares_candidate_key(mechanism)
         self.fault_schedule = fault_schedule
         if fault_schedule is not None:
             fault_schedule.validate(network.topology, network.faults)
@@ -384,6 +397,38 @@ class Simulator:
         # (see SimState.grant_feedback).
         self.state.grant_feedback[upstream] = True
         self.switches[upstream].return_credit(self.rev_port[sw.sid][port], vc)
+
+    def lookup_candidates(self, pkt: Packet, sid: int) -> list[Candidate]:
+        """``pkt``'s candidate hops at switch ``sid``, looked up in the
+        simulator-wide routing table.
+
+        Candidates are a pure function of
+        :meth:`~repro.routing.base.RoutingMechanism.candidate_key`
+        between topology events, so the mechanism computes each route
+        situation once and every later packet in it shares the same list
+        object (callers must not mutate it).  A mechanism that declares
+        no key is asked every time.  No RNG is drawn on either path.
+
+        The mechanism is called through the instance at call time:
+        ``perfbench/tracing.py`` shadows its ``candidates`` per instance.
+        """
+        mech = self.mechanism
+        key = mech.candidate_key(pkt, sid) if self._keyed else None
+        memo = self._cand_memo
+        cands = memo.get(key)
+        if cands is None:
+            cands = mech.candidates(pkt, sid)
+            if key is not None:
+                if len(memo) >= CANDIDATE_TABLE_BOUND:
+                    self._drop_candidate_table()
+                memo[key] = cands
+        return cands
+
+    def _drop_candidate_table(self) -> None:
+        """Forget every tabled candidate list (topology event, or the
+        table reached :data:`CANDIDATE_TABLE_BOUND`).  Lists already
+        handed to packets stay valid until ``pkt.cand_switch`` is reset."""
+        self._cand_memo.clear()
 
     def _allocate(self) -> int:
         """Phase 2: delegated to the pluggable arbiter.
@@ -528,15 +573,18 @@ class Simulator:
                 sw.credits[pv] = cap - in_down - in_wire - out_here
 
     def _refresh_inflight_packets(self) -> None:
-        """Invalidate candidate memos and repair per-packet routing state.
+        """Drop the candidate table and repair per-packet routing state.
 
-        Memoised candidate lists may reference dead ports (or miss repaired
-        ones), and mechanism state like SurePath's escape phase is relative
-        to the old tables — every buffered packet is refreshed at the switch
-        where its next allocation happens.  Packets a pipelined link holds
-        on the wire are refreshed against their destination switch (dying
-        links were already purged, so every wire survives the event).
+        Tabled candidate lists (and the references packets hold to them)
+        may name dead ports or miss repaired ones, and mechanism state
+        like SurePath's escape phase is relative to the old tables — so
+        the table is dropped and every buffered packet is refreshed at
+        the switch where its next allocation happens.  Packets a
+        pipelined link holds on the wire are refreshed against their
+        destination switch (dying links were already purged, so every
+        wire survives the event).
         """
+        self._drop_candidate_table()
         mech = self.mechanism
         n_vcs = self._n_vcs
         for sw in self.switches:

@@ -64,9 +64,11 @@ class Packet:
         self.escape_phase = 0
         self.escape_hops = 0
         self.forced_hops = 0
-        # Routing candidates computed at switch ``cand_switch`` — valid
+        # Routing candidates looked up at switch ``cand_switch`` — valid
         # until the packet hops (candidates depend only on per-packet
         # routing state, which changes in on_hop, never between slots).
+        # The list is the simulator's candidate-table entry, shared with
+        # every packet in the same route situation: read-only.
         self.cand_switch = -1
         self.cand_list: list | None = None
 

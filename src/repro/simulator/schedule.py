@@ -7,8 +7,8 @@ mutate the simulated network mid-flight (the CCL-simulator idiom of
 event-driven state changes layered over the slot loop).  The engine
 consumes the schedule inside :meth:`~repro.simulator.engine.Simulator.step`;
 on an event it marks the port dead (or live again), drops the packets
-buffered on the failed link, invalidates per-packet candidate memos and
-asks the routing mechanism to reconfigure via
+buffered on the failed link, drops the candidate table (and the lists
+packets took from it) and asks the routing mechanism to reconfigure via
 :meth:`~repro.routing.base.RoutingMechanism.on_topology_change`.
 
 Schedules are plain, hashable, picklable data so they ride inside

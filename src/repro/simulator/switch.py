@@ -33,6 +33,13 @@ moves packets through these methods only, so the array backend's
 vectorized phase kernels can trust the columns without rescanning any
 queue.  A standalone ``Switch(...)`` (component tests) owns a private
 single-switch store.
+
+FIFOs are allocated when first used: a never-used ``in_q`` / ``out_q``
+slot holds the shared immutable :data:`NO_FIFO`, which reads as an empty
+FIFO (``len``, truthiness, iteration), and :meth:`push_input` /
+:meth:`grant` swap a real ``deque`` in on the first packet.  Most
+(port, VC) pairs of a big, sparsely loaded network never see one —
+a 28x28 torus with 56 VCs has 351 k slots, ~265 MB as eager deques.
 """
 
 from __future__ import annotations
@@ -44,6 +51,14 @@ from typing import Deque
 from .config import SimConfig
 from .packet import Packet
 from .state import SimState
+
+
+#: What a FIFO slot holds until its first packet arrives (see the
+#: module docstring).  Never mutated; compared by identity.
+NO_FIFO: tuple[()] = ()
+
+#: One input or output FIFO slot.
+Fifo = Deque[Packet] | tuple[()]
 
 
 class Switch:
@@ -96,7 +111,7 @@ class Switch:
             row = 0
         r = self.row = sid if row is None else row
         #: Input FIFOs: network inputs then injection queues.
-        self.in_q: list[Deque[Packet]] = [deque() for _ in range(self.n_inputs)]
+        self.in_q: list[Fifo] = [NO_FIFO] * self.n_inputs
         #: Indices of non-empty input FIFOs (maintained via
         #: :meth:`activate`/:meth:`deactivate`).  The set backs O(1)
         #: membership and the allocation phase's historical iteration
@@ -112,7 +127,7 @@ class Switch:
         #: ``n_inputs``; the consumer clears it.
         self.dirty_heads: set[int] = set()
         #: Output FIFOs per (port, vc).
-        self.out_q: list[Deque[Packet]] = [deque() for _ in range(npv)]
+        self.out_q: list[Fifo] = [NO_FIFO] * npv
         #: Free downstream input slots per output VC (store row view).
         self.credits = state.credits[r, :npv]
         #: Q-rule load per output VC: output occupancy + consumed credits.
@@ -170,6 +185,8 @@ class Switch:
         arrival) and activate the input."""
         q = self.in_q[idx]
         if not q:
+            if q is NO_FIFO:
+                q = self.in_q[idx] = deque()
             self._hol_dst[idx] = pkt.dst_switch
             self.dirty_heads.add(idx)  # new head (push to a backlog isn't one)
         q.append(pkt)
@@ -200,7 +217,10 @@ class Switch:
     def grant(self, pv: int, pkt: Packet) -> None:
         """Commit a packet to output VC ``pv``: occupy the FIFO slot and
         reserve (consume) the downstream credit."""
-        self.out_q[pv].append(pkt)
+        q = self.out_q[pv]
+        if q is NO_FIFO:
+            q = self.out_q[pv] = deque()
+        q.append(pkt)
         self.credits[pv] -= 1
         self.load[pv] += 2  # +1 occupancy, +1 consumed credit
         self.port_load[pv // self.n_vcs] += 2

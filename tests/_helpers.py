@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from repro.routing.catalog import MECHANISMS, make_mechanism
+from repro.routing.base import RoutingMechanism
+from repro.routing.escape_only import EscapeOnlyRouting
+from repro.routing.minimal import MinimalRouting
+from repro.routing.tables import TableMinimalRouting
 from repro.simulator.packet import Packet
 from repro.topology.base import Network
+from repro.updown.escape import EscapeSubnetwork
 
 
 def make_packet(
@@ -50,3 +56,27 @@ def walk_route(mechanism, network: Network, src: int, dst: int, rng, max_hops=64
         current = nxt
         visited.append(current)
     return visited
+
+
+#: Every mechanism under ``routing/``: the six of Table 4 by catalogue
+#: name, plus the ablation / table-validation ones the catalogue omits.
+ALL_MECHANISMS = MECHANISMS + ("EscapeOnly", "UpDownOnly", "Minimal(table)")
+
+
+def build_mechanism(name: str, net: Network):
+    """Build any name in :data:`ALL_MECHANISMS` on ``net``."""
+    if name == "EscapeOnly":
+        return EscapeOnlyRouting(net, n_vcs=2)
+    if name == "UpDownOnly":
+        escape = EscapeSubnetwork(net, 0, shortcuts=False)
+        return EscapeOnlyRouting(net, n_vcs=2, shortcuts=False, escape=escape)
+    if name == "Minimal(table)":
+        return TableMinimalRouting(net, 4)
+    return make_mechanism(name, net, rng=1)
+
+
+class UnkeyedMinimal(MinimalRouting):
+    """A third-party-style mechanism: routes fine, declares no key."""
+
+    name = "UnkeyedMinimal"
+    candidate_key = RoutingMechanism.candidate_key

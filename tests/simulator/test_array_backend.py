@@ -22,10 +22,8 @@ import numpy as np
 import pytest
 
 from repro.routing.base import RoutingMechanism
-from repro.routing.catalog import MECHANISMS, make_mechanism
-from repro.routing.escape_only import EscapeOnlyRouting
+from repro.routing.catalog import make_mechanism
 from repro.routing.minimal import MinimalRouting
-from repro.routing.tables import TableMinimalRouting
 from repro.simulator.backends import make_simulator
 from repro.simulator.config import PAPER_CONFIG
 from repro.simulator.packet import Packet
@@ -34,7 +32,8 @@ from repro.topology.base import Network
 from repro.topology.faults import random_connected_fault_sequence
 from repro.topology.hyperx import HyperX
 from repro.traffic import make_traffic
-from repro.updown.escape import EscapeSubnetwork
+
+from _helpers import ALL_MECHANISMS, UnkeyedMinimal, build_mechanism
 
 
 def _net(n_faults=0, seed=3):
@@ -72,22 +71,6 @@ def _walk(mech, net, pkt, max_hops=3):
         current = nbr
 
 
-#: Every mechanism under ``routing/``: the six of Table 4 by catalogue
-#: name, plus the ablation / table-validation ones the catalogue omits.
-def _build(name, net):
-    if name == "EscapeOnly":
-        return EscapeOnlyRouting(net, n_vcs=2)
-    if name == "UpDownOnly":
-        escape = EscapeSubnetwork(net, 0, shortcuts=False)
-        return EscapeOnlyRouting(net, n_vcs=2, shortcuts=False, escape=escape)
-    if name == "Minimal(table)":
-        return TableMinimalRouting(net, 4)
-    return make_mechanism(name, net, rng=1)
-
-
-ALL_MECHANISMS = MECHANISMS + ("EscapeOnly", "UpDownOnly", "Minimal(table)")
-
-
 class TestCandidateKeyContract:
     """Equal ``candidate_key`` => equal ``candidates`` — the soundness
     condition of the array backend's shared route memo."""
@@ -96,7 +79,7 @@ class TestCandidateKeyContract:
     @pytest.mark.parametrize("n_faults", [0, 3])
     def test_key_determines_candidates(self, name, n_faults):
         net = _net(n_faults)
-        mech = _build(name, net)
+        mech = build_mechanism(name, net)
         assert type(mech).candidate_key is not RoutingMechanism.candidate_key
         sps = net.topology.servers_per_switch
         seen: dict[tuple, list] = {}
@@ -201,8 +184,15 @@ class TestMemoEntries:
     def _memo(self, sim, slots=40):
         for _ in range(slots):
             sim.step()
-        entries = [e for e in sim._cand_memo.values() if e.cands]
-        assert entries, "no candidate memo entries built"
+        # The kernel columns are built from — and keyed like — the
+        # simulator-wide candidate table; pair each list with its columns.
+        assert set(sim._kernel_cols) <= set(sim._cand_memo)
+        entries = [
+            (sim._cand_memo[key], cols)
+            for key, cols in sim._kernel_cols.items() if cols
+        ]
+        assert entries, "no kernel columns built"
+        assert all(cands for cands, _cols in entries)
         return sim, entries
 
     def test_entry_columns_mirror_candidate_list(self):
@@ -211,11 +201,12 @@ class TestMemoEntries:
             sim, built = self._memo(_array_sim(_net(), mechanism=name))
             entries += built
         n_vcs = sim._n_vcs
-        for ent in entries:
-            assert ent.rr is None  # rr-sorted lists are built under RR only
-            pvs = [port * n_vcs + vc for port, vc, _pen in ent.cands]
+        for cands, ent in entries:
+            # rr-sorted triples are built under RR only
+            assert ent._fields == ("pen_row", "pos_map")
+            pvs = [port * n_vcs + vc for port, vc, _pen in cands]
             assert len(set(pvs)) == len(pvs)
-            for i, (_port, _vc, pen) in enumerate(ent.cands):
+            for i, (_port, _vc, pen) in enumerate(cands):
                 assert ent.pen_row[pvs[i]] == pen
                 assert ent.pos_map[pvs[i]] == i
             assert len(ent.pos_map) == len(pvs)
@@ -225,13 +216,14 @@ class TestMemoEntries:
             assert np.all(np.isinf(ent.pen_row[mask]))
 
     def test_empty_candidate_entry_shape(self):
-        # Saturated VC ladders memoise an empty list with no columns.
+        # Saturated VC ladders table an empty list with no columns.
         sim = _array_sim(_net(3), mechanism="OmniWAR", offered=0.8)
         for _ in range(80):
             sim.step()
-        empties = [e for e in sim._cand_memo.values() if not e.cands]
-        for ent in empties:
-            assert ent == ([], None, None, None)
+        empties = [k for k, cands in sim._cand_memo.items() if not cands]
+        assert empties, "no ladder ever saturated: nothing was checked"
+        for key in empties:
+            assert sim._cand_memo[key] == [] and sim._kernel_cols[key] == ()
 
     def test_roundrobin_entries_presorted_by_flat_pv(self):
         net = _net()
@@ -243,11 +235,10 @@ class TestMemoEntries:
         assert sim._use_rr_kernel
         sim, entries = self._memo(sim)
         n_vcs = sim._n_vcs
-        for cands, pen_row, pos_map, rr in entries:
+        for cands, rr in entries:
             # Score columns are dead weight under round-robin; the entry
-            # carries the stable pv-sorted candidate walk instead.
-            assert pen_row is None and pos_map is None
-            assert rr is not None and len(rr) == len(cands)
+            # is the stable pv-sorted candidate walk instead.
+            assert type(rr) is tuple and len(rr) == len(cands)
             assert [pv for pv, _p, _v in rr] == sorted(
                 port * n_vcs + vc for port, vc, _pen in cands
             )
@@ -303,17 +294,10 @@ class TestHeadCacheInvariants:
         sim = _array_sim(_net(), offered=0.4)
         for _ in range(30):
             sim.step()
-        assert sim._cand_memo and sim._qp_cache
+        assert sim._cand_memo and sim._kernel_cols and sim._qp_cache
         sim._refresh_inflight_packets()
-        assert not sim._cand_memo
+        assert not sim._cand_memo and not sim._kernel_cols
         assert not sim._qp_cache
-
-
-class _UnkeyedMinimal(MinimalRouting):
-    """A third-party-style mechanism: routes fine, declares no key."""
-
-    name = "UnkeyedMinimal"
-    candidate_key = RoutingMechanism.candidate_key
 
 
 class _TwiceMinimal(MinimalRouting):
@@ -350,10 +334,10 @@ class TestKeyContractEdges:
     @pytest.mark.parametrize("arbiter", ["qp", "roundrobin"])
     def test_unkeyed_mechanism_runs_the_reference_arbiter(self, arbiter, scheduled):
         _slot, want_result, want_probe = self._run(
-            "slot", arbiter, _UnkeyedMinimal, scheduled
+            "slot", arbiter, UnkeyedMinimal, scheduled
         )
         sim, result, probe = self._run(
-            "array", arbiter, _UnkeyedMinimal, scheduled
+            "array", arbiter, UnkeyedMinimal, scheduled
         )
         assert result == want_result and probe == want_probe
         # No kernel ran: neither the plan cache nor the memo was touched.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.routing.catalog import make_mechanism
+from repro.simulator.backends import make_simulator
 from repro.simulator.config import PAPER_CONFIG
 from repro.simulator.engine import DeadlockError, Simulator
 from repro.simulator.injection import BatchInjection
@@ -53,12 +54,25 @@ class TestEarlyStopMeasurement:
         def destination(self, src, rng):
             return (src + self.sps) % self.n_servers
 
-    def _stalling_sim(self, net2d, threshold=10):
-        cfg = PAPER_CONFIG.with_(deadlock_threshold_slots=threshold)
-        return Simulator(
-            net2d, _NoRouteMechanism(), self._RemoteTraffic(net2d),
-            offered=1.0, seed=0, config=cfg,
+    def _stalling_sim(self, net2d, threshold=10, backend="slot"):
+        cfg = PAPER_CONFIG.with_(
+            deadlock_threshold_slots=threshold, backend=backend
         )
+        return make_simulator(
+            cfg, net2d, _NoRouteMechanism(), self._RemoteTraffic(net2d),
+            offered=1.0, seed=0,
+        )
+
+    def test_duck_typed_mechanism_runs_on_every_backend(self, net2d):
+        """A mechanism outside the ``RoutingMechanism`` hierarchy has no
+        ``candidate_key`` at all: no backend may require one, none
+        tables its (empty) lists, and all stall identically."""
+        seen = {}
+        for backend in ("slot", "event", "array"):
+            sim = self._stalling_sim(net2d, backend=backend)
+            seen[backend] = repr(sim.run(warmup=0, measure=500))
+            assert sim.deadlocked and not sim._cand_memo
+        assert seen["event"] == seen["slot"] == seen["array"]
 
     def test_measure_slots_reflect_early_stop(self, net2d):
         sim = self._stalling_sim(net2d)

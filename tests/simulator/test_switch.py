@@ -1,8 +1,15 @@
 """Switch buffer/credit bookkeeping tests."""
 
+from collections import deque
+
+from repro.routing.catalog import make_mechanism
 from repro.simulator.config import SimConfig
+from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet
-from repro.simulator.switch import Switch
+from repro.simulator.switch import NO_FIFO, Switch
+from repro.topology.base import Network
+from repro.topology.hyperx import HyperX
+from repro.traffic import make_traffic
 
 
 def make_switch(n_ports=3, n_vcs=2, n_servers=2, **cfg) -> Switch:
@@ -120,6 +127,49 @@ class TestTransmitRoundRobin:
 
     def test_occupancy_counts_inputs_and_outputs(self):
         sw = make_switch()
-        sw.in_q[0].append(make_pkt(0))
+        sw.push_input(0, make_pkt(0))
         sw.grant(sw.pv(1, 0), make_pkt(1))
         assert sw.occupancy_packets() == 2
+
+
+class TestLazyFifos:
+    """FIFOs are allocated on first use; until then every slot holds
+    the shared empty sentinel, which must read as an empty FIFO."""
+
+    def test_no_deque_until_a_packet_arrives(self):
+        sw = make_switch()
+        assert all(q is NO_FIFO for q in sw.in_q + sw.out_q)
+        assert sw.occupancy_packets() == 0
+        assert sw.transmit(0) is None
+        sw.push_input(0, make_pkt(0))
+        sw.grant(sw.pv(1, 0), make_pkt(1))
+        assert [i for i, q in enumerate(sw.in_q) if q is not NO_FIFO] == [0]
+        assert [pv for pv, q in enumerate(sw.out_q) if q is not NO_FIFO] == [
+            sw.pv(1, 0)
+        ]
+        assert sw.occupancy_packets() == 2
+        # A drained FIFO stays a (now empty) deque: the sentinel is never
+        # swapped back in, so the hot paths check identity once per slot.
+        sw.pop_input(0)
+        assert isinstance(sw.in_q[0], deque) and not sw.in_q[0]
+        assert NO_FIFO == ()  # nothing ever appended to the shared one
+
+    def test_audit_and_purge_accept_never_used_ports(self):
+        net = Network(HyperX((3, 3), 2))
+        sim = Simulator(
+            net, make_mechanism("PolSP", net, rng=1),
+            make_traffic("uniform", net, 0), offered=0.3, seed=0,
+        )
+        assert not any(
+            isinstance(q, deque) for sw in sim.switches for q in sw.in_q + sw.out_q
+        )
+        sim.state.verify(sim)
+        link = net.live_links()[0]
+        net.apply_fault(link)
+        sim._purge_dead_link(link)  # both dead ports hold the sentinel
+        sim.mechanism.on_topology_change()
+        sim._refresh_inflight_packets()
+        assert sim.buffered_packets() == 0 and sim.metrics.dropped_total == 0
+        net.restore_link(link)
+        sim._reconcile_restored_link(link)
+        sim.state.verify(sim)
