@@ -229,23 +229,21 @@ class Simulator:
         #: The struct-of-arrays store of all mutable numeric state; the
         #: switches below are views into its rows (see
         #: :mod:`repro.simulator.state`).
-        self.state = SimState(
-            [network.topology.degree(s) for s in range(network.n_switches)],
-            n_vcs, sps, config,
-        )
+        topo = network.topology
+        degrees = [topo.degree(s) for s in range(network.n_switches)]
+        self.state = SimState(degrees, n_vcs, sps, config)
         self.switches: list[Switch] = [
-            Switch(s, network.topology.degree(s), n_vcs, sps, config,
-                   state=self.state)
-            for s in range(network.n_switches)
+            Switch(s, deg, n_vcs, sps, config, state=self.state)
+            for s, deg in enumerate(degrees)
         ]
         # rev_port[s][p]: the port index on the neighbour reached through
         # port p of s that leads back to s.  Computed from the healthy
         # topology (port numbering is stable across failures) so that a
         # scheduled repair of an initially-failed link finds valid reverse
         # ports; dead ports simply never carry packets meanwhile.
-        topo = network.topology
+        port_map = topo.port_map
         self.rev_port: list[list[int]] = [
-            [topo.port_of(t, s) for t in topo.neighbours(s)]
+            [port_map[t, s] for t in topo.neighbours(s)]
             for s in range(network.n_switches)
         ]
 
@@ -260,13 +258,18 @@ class Simulator:
         #: irregular topologies (``[sid][port]`` indexing unchanged, and
         #: writes land in ``state.link_tx`` — they are views, not copies).
         self.link_packets = [
-            self.state.link_tx[s, : topo.degree(s)]
-            for s in range(network.n_switches)
+            self.state.link_tx[s, :deg] for s, deg in enumerate(degrees)
         ]
         self.link_escape_packets = [
-            self.state.link_escape_tx[s, : topo.degree(s)]
-            for s in range(network.n_switches)
+            self.state.link_escape_tx[s, :deg] for s, deg in enumerate(degrees)
         ]
+        # The per-hop scalar path into the same counters (and the
+        # credit-feedback mask): the store's flat memoryview handles,
+        # indexed ``[sid * max_ports + port]`` / ``[sid]``.
+        self._link_tx = self.state.flat["link_tx"]
+        self._link_escape_tx = self.state.flat["link_escape_tx"]
+        self._grant_feedback = self.state.flat["grant_feedback"]
+        self._max_ports = self.state.max_ports
         self._escape_vc = getattr(mechanism, "escape_vc", None)
         #: ``candidate_key -> candidate list``: the paper's routing
         #: table, filled on demand by :meth:`lookup_candidates` and
@@ -395,7 +398,7 @@ class Simulator:
         # allocation phase reads this bitmask to find switches whose
         # scoring inputs changed under an already-built request plan
         # (see SimState.grant_feedback).
-        self.state.grant_feedback[upstream] = True
+        self._grant_feedback[upstream] = True
         self.switches[upstream].return_credit(self.rev_port[sw.sid][port], vc)
 
     def lookup_candidates(self, pkt: Packet, sid: int) -> list[Candidate]:
@@ -465,9 +468,10 @@ class Simulator:
             return 0
         vc, pkt = res
         sid = sw.sid
-        self.link_packets[sid][port] += 1
+        at = sid * self._max_ports + port
+        self._link_tx[at] += 1
         if vc == self._escape_vc:
-            self.link_escape_packets[sid][port] += 1
+            self._link_escape_tx[at] += 1
         self.link.deliver(self, sid, port, vc, pkt)
         return 1
 
@@ -481,8 +485,7 @@ class Simulator:
         injected = 0
         cap = self.cfg.source_queue_packets
         sps = self._sps
-        for srv in self.injection.attempts(self.slot, self.inject_rng):
-            srv = int(srv)
+        for srv in self.injection.attempts(self.slot, self.inject_rng).tolist():
             sid = srv // sps
             sw = self.switches[sid]
             idx = sw.injection_input(srv - sid * sps)
@@ -528,19 +531,23 @@ class Simulator:
         from there.
         """
         a, b = link
-        release = self.state.packets.release
         for s, t in ((a, b), (b, a)):
             sw = self.switches[s]
             p = self.network.port_of(s, t)
             for vc in range(self._n_vcs):
                 pv = p * self._n_vcs + vc
                 while sw.out_q[pv]:
-                    pkt = sw.unqueue_output(pv)
-                    self.metrics.on_dropped(pkt, self.slot)
-                    self.injection.on_dropped(pkt)
-                    release()
-                    self.in_flight -= 1
+                    self._drop(sw.unqueue_output(pv))
         self.link.purge_link(self, link)
+
+    def _drop(self, pkt: Packet) -> None:
+        """The drop body, shared by every purge: ``pkt`` died with its
+        link, after its holder (output FIFO or wire) released it and
+        returned the credit it had reserved."""
+        self.metrics.on_dropped(pkt, self.slot)
+        self.injection.on_dropped(pkt)
+        self.state.packets.release()
+        self.in_flight -= 1
 
     def _reconcile_restored_link(self, link: tuple[int, int]) -> None:
         """Reset credit/load accounting of a repaired link from ground truth.

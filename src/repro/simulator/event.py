@@ -87,7 +87,7 @@ class EventSimulator(Simulator):
         # Adopt any pre-existing work (tests or tools that hand-place
         # packets before the first step).
         for sw in self.switches:
-            if sw.active_inputs or sw.port_load.any():
+            if sw.active_inputs or any(sw.port_load):
                 self._wake(sw.sid)
 
     # ------------------------------------------------------------------
@@ -105,14 +105,14 @@ class EventSimulator(Simulator):
         self._step_agenda = [switches[s] for s in self._busy_sorted]
 
     def _end_step(self) -> None:
-        # The store's 2D port_load row view makes the retirement probe a
-        # single vectorized ``.any()`` per busy switch.
+        # The retirement probe: ``any`` over the port_load handle's
+        # plain ints stops at the first loaded port.
         switches = self.switches
         retire = [
             s
             for s in self._busy_sorted
             if not switches[s].active_inputs
-            and not switches[s].port_load.any()
+            and not any(switches[s].port_load)
         ]
         if retire:
             self._busy_set.difference_update(retire)

@@ -133,7 +133,6 @@ class PipelinedLink(LinkModel):
         a, b = link
         ends = {(a, b), (b, a)}
         dropped = 0
-        release = sim.state.packets.release
         for slot, bucket in self._buckets.items():
             kept = []
             for entry in bucket:
@@ -143,10 +142,7 @@ class PipelinedLink(LinkModel):
                     continue
                 self._in_flight -= 1
                 sim.switches[src].return_credit(port, vc)
-                sim.metrics.on_dropped(pkt, sim.slot)
-                sim.injection.on_dropped(pkt)
-                release()
-                sim.in_flight -= 1
+                sim._drop(pkt)
                 dropped += 1
             if len(kept) != len(bucket):
                 self._buckets[slot] = kept

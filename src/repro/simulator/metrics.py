@@ -109,7 +109,7 @@ class MetricsCollector:
         self.n_servers = n_servers
         self.cycles_per_slot = cycles_per_slot
         #: Per-server packets generated (enqueued) during measurement.
-        self.generated_measured = np.zeros(n_servers, dtype=np.int64)
+        self.generated_measured = [0] * n_servers
         self.generated_total = 0
         self.delivered_total = 0
         #: Ejections during the measurement window (any birth time).

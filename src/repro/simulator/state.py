@@ -47,8 +47,17 @@ arbiter, routing mechanism, flow control and metrics hook programs
 against — a thin view:
 
 * A switch's ``credits`` / ``load`` / ``port_load`` / ``rr`` attributes
-  *are* row views into these arrays (single-resident: mutating the view
-  mutates the store, there is nothing to diverge).
+  *are* its rows of these arrays (single-resident: writing through the
+  switch writes the store, there is nothing to diverge) — held as typed
+  ``memoryview`` handles, not numpy row views.  Every access through
+  them is one element at a time, and a numpy scalar costs 2–3x a
+  ``memoryview`` element per read or read-modify-write; the handle
+  yields and takes plain ``int``.  The kernels keep reading the
+  matrices whole, as ndarrays.  :attr:`SimState.flat` holds one
+  1-D ``memoryview`` per matrix and a switch's handle is a slice of
+  it, so no per-row ndarray exists anywhere.  The matrices are never
+  rebound after construction (a handle would go on pointing at the old
+  memory).
 * The FIFOs themselves stay ``deque`` objects (the packets need an
   ordered container), and the derived columns — ``in_occ``, ``out_occ``,
   ``hol_dst`` — are maintained by the switch's queue methods
@@ -64,7 +73,7 @@ cycles on multiple topology families.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -87,6 +96,14 @@ class PacketCensus:
 
     def release(self) -> None:
         self.live -= 1
+
+
+#: The arrays per-packet code reads and writes one element at a time,
+#: each with a flat handle in :attr:`SimState.flat`.
+FLAT_NAMES = (
+    "credits", "load", "port_load", "rr", "out_occ", "in_occ", "hol_dst",
+    "link_tx", "link_escape_tx", "grant_feedback",
+)
 
 
 class SimState:
@@ -116,11 +133,11 @@ class SimState:
         self.n_vcs = n_vcs
         self.max_ports = max(degrees, default=0)
         npv_max = self.max_ports * n_vcs
-        max_inputs = npv_max + servers_per_switch
+        max_inputs = self.max_inputs = npv_max + servers_per_switch
 
-        self.credits = np.zeros((S, npv_max), np.int32)
-        for s, deg in enumerate(degrees):
-            self.credits[s, : deg * n_vcs] = cfg.input_buffer_packets
+        # Full buffers on every real output VC, zero on the padding.
+        live = np.arange(npv_max) < np.asarray(degrees, np.int64).reshape(-1, 1) * n_vcs
+        self.credits = np.multiply(live, cfg.input_buffer_packets, dtype=np.int32)
         self.load = np.zeros((S, npv_max), np.int32)
         self.port_load = np.zeros((S, self.max_ports), np.int32)
         self.rr = np.zeros((S, self.max_ports), np.int32)
@@ -147,7 +164,23 @@ class SimState:
         #: Column of own switch ids — the vectorized ejection scan
         #: compares ``hol_dst`` against it row-wise.
         self.sid_col = np.arange(S, dtype=np.int32).reshape(-1, 1)
+        #: Array name -> one flat (row-major) typed ``memoryview`` over
+        #: that array's own memory: the scalar access path of the
+        #: per-packet code (see "Views vs arrays").  Row ``r`` of a
+        #: ``[S, W]`` matrix is ``flat[name][r * W : (r + 1) * W]``.
+        self.flat: dict[str, memoryview] = {
+            name: memoryview(getattr(self, name).reshape(-1))
+            for name in FLAT_NAMES
+        }
         self.packets = PacketCensus()
+
+    def __reduce__(self) -> NoReturn:
+        # A copied store is a second memory its switches' handles do not
+        # point at (and ``flat`` cannot be pickled at all).
+        raise TypeError(
+            "cannot copy or pickle a SimState: the switches' handles alias "
+            "its arrays; rebuild with make_simulator"
+        )
 
     # ------------------------------------------------------------------
     @classmethod

@@ -23,8 +23,10 @@ penalty ``P``.
 
 Since the :class:`~repro.simulator.state.SimState` refactor the numeric
 state is *owned by the store*: ``credits`` / ``load`` / ``port_load`` /
-``rr`` are numpy row views into the simulator-wide 2D arrays (same
-indexing, same semantics — mutating the view mutates the store), while
+``rr`` are typed ``memoryview`` handles onto this switch's rows of the
+simulator-wide 2D arrays (same indexing, same semantics — writing
+through the handle writes the store; elements read back as plain
+``int``, at a half to a third of a numpy scalar's cost), while
 the FIFOs stay ``deque`` objects here with their derived columns
 (``in_occ`` / ``out_occ`` / ``hol_dst``) maintained
 by the queue methods :meth:`push_input`, :meth:`pop_input`,
@@ -128,18 +130,24 @@ class Switch:
         self.dirty_heads: set[int] = set()
         #: Output FIFOs per (port, vc).
         self.out_q: list[Fifo] = [NO_FIFO] * npv
-        #: Free downstream input slots per output VC (store row view).
-        self.credits = state.credits[r, :npv]
-        #: Q-rule load per output VC: output occupancy + consumed credits.
-        self.load = state.load[r, :npv]
-        #: Sum of ``load`` over the VCs of each port.
-        self.port_load = state.port_load[r, :n_ports]
+        # Store-row handles: slices of the store's flat memoryviews.
+        flat = state.flat
+        pv0 = r * state.max_ports * n_vcs
+        port0 = r * state.max_ports
+        in0 = r * state.max_inputs
+        #: Free downstream input slots per output VC (store-row handle).
+        self.credits = flat["credits"][pv0 : pv0 + npv]
+        #: Q-rule load per output VC: output occupancy + consumed credits
+        #: (store-row handle).
+        self.load = flat["load"][pv0 : pv0 + npv]
+        #: Sum of ``load`` over the VCs of each port (store-row handle).
+        self.port_load = flat["port_load"][port0 : port0 + n_ports]
         #: Round-robin pointer per port for link transmission.
-        self.rr = state.rr[r, :n_ports]
-        # Derived-column row views (hot-path use).
-        self._in_occ = state.in_occ[r]
-        self._out_occ = state.out_occ[r]
-        self._hol_dst = state.hol_dst[r]
+        self.rr = flat["rr"][port0 : port0 + n_ports]
+        # Derived-column handles (hot-path use).
+        self._in_occ = flat["in_occ"][in0 : in0 + self.n_inputs]
+        self._out_occ = flat["out_occ"][pv0 : pv0 + npv]
+        self._hol_dst = flat["hol_dst"][in0 : in0 + self.n_inputs]
 
     # ------------------------------------------------------------------
     # Index helpers
@@ -234,7 +242,7 @@ class Switch:
         slot is freed.
         """
         base = port * self.n_vcs
-        start = int(self.rr[port])
+        start = self.rr[port]
         for off in range(self.n_vcs):
             vc = (start + off) % self.n_vcs
             q = self.out_q[base + vc]
@@ -266,6 +274,15 @@ class Switch:
         self.port_load[port] -= 1
 
     # ------------------------------------------------------------------
+    def __reduce__(self):
+        # Neither copyable nor picklable, on purpose: a copy's handles
+        # could only be private buffers, i.e. a switch that no longer
+        # writes the store its simulator's kernels read.
+        raise TypeError(
+            "cannot copy or pickle a Switch: its handles alias the "
+            "simulator's SimState; rebuild with make_simulator"
+        )
+
     def occupancy_packets(self) -> int:
         """Packets buffered in this switch (inputs + outputs), counted
         from the FIFO ground truth (the store columns mirror it)."""

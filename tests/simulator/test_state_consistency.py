@@ -199,3 +199,166 @@ class TestViewAliasing:
         sw.credits[0] -= 1
         assert sim.state.credits[0, 0] == before - 1
         sw.credits[0] += 1
+
+
+#: Switch handle attribute -> (store array, row kind).
+HANDLES = {
+    "credits": ("credits", "pv"),
+    "load": ("load", "pv"),
+    "_out_occ": ("out_occ", "pv"),
+    "port_load": ("port_load", "port"),
+    "rr": ("rr", "port"),
+    "_in_occ": ("in_occ", "input"),
+    "_hol_dst": ("hol_dst", "input"),
+}
+
+
+def _row_len(sw, kind):
+    return {
+        "pv": sw.n_ports * sw.n_vcs, "port": sw.n_ports, "input": sw.n_inputs,
+    }[kind]
+
+
+class TestHandles:
+    """Each ``Switch`` handle *is* its store row: a typed ``memoryview``
+    over the matrix's own memory that yields plain ``int``.  A numpy
+    row view sneaking back in fails here, not in a benchmark."""
+
+    @pytest.mark.parametrize("link_latency_slots", [1, 2])
+    @pytest.mark.parametrize("backend", ["slot", "event", "array"])
+    def test_handles_equal_store_rows_after_faulted_run(
+        self, backend, link_latency_slots
+    ):
+        sim = _fail_and_repair_sim(
+            "fattree", backend, "PolSP", 0.6, 3, 0, link_latency_slots
+        )
+        for _ in range(END):
+            sim.step()
+        assert sim.metrics.dropped_total > 0
+        state = sim.state
+        for sw in sim.switches:
+            for attr, (array, kind) in HANDLES.items():
+                handle = getattr(sw, attr)
+                n = _row_len(sw, kind)
+                assert type(handle) is memoryview, attr
+                assert handle.format == "i" and handle.shape == (n,), attr
+                assert all(type(v) is int for v in handle), attr
+                assert np.array_equal(
+                    np.asarray(handle), getattr(state, array)[sw.row, :n]
+                ), attr
+        assert state.credits.sum() > 0 and state.rr.any()
+
+    @pytest.mark.parametrize("backend", ["slot", "event", "array"])
+    def test_handle_and_matrix_are_one_memory(self, backend):
+        sim = _fail_and_repair_sim("torus", backend, "Minimal", 0.3, 1, 0)
+        state = sim.state
+        for sw in (sim.switches[0], sim.switches[-1]):
+            for attr, (array, kind) in HANDLES.items():
+                handle = getattr(sw, attr)
+                matrix = getattr(state, array)
+                at = _row_len(sw, kind) - 1
+                handle[at] = 41  # through the handle, read the matrix
+                assert matrix[sw.row, at] == 41, attr
+                matrix[sw.row, at] += 1  # into the matrix, read the handle
+                assert handle[at] == 42 and type(handle[at]) is int, attr
+                handle[at] -= 42
+                assert matrix[sw.row, at] == 0, attr
+
+    def test_flat_views_cover_their_arrays(self):
+        sim = _fail_and_repair_sim("fattree", "slot", "Minimal", 0.3, 1, 0)
+        state = sim.state
+        for name, flat in state.flat.items():
+            arr = getattr(state, name)
+            assert type(flat) is memoryview and flat.ndim == 1
+            assert len(flat) == arr.size and flat.itemsize == arr.itemsize
+            assert np.shares_memory(flat, arr), name
+            assert np.array_equal(np.asarray(flat), arr.reshape(-1)), name
+
+    @pytest.mark.parametrize("backend", ["slot", "event", "array"])
+    def test_engine_counters_write_the_store(self, backend):
+        """The per-hop ``link_tx`` / ``grant_feedback`` writes go through
+        flat handles; the analysis API (``sim.link_packets[s]``) stays
+        an ndarray view of the same matrix."""
+        sim = _fail_and_repair_sim("fattree", backend, "PolSP", 0.6, 3, 0)
+        state = sim.state
+        sent = np.zeros_like(state.link_tx)
+        escaped = np.zeros_like(state.link_tx)
+        deliver = sim.link.deliver
+
+        def counting(sim_, src, port, vc, pkt):
+            sent[src, port] += 1
+            escaped[src, port] += vc == sim.mechanism.escape_vc
+            deliver(sim_, src, port, vc, pkt)
+
+        sim.link.deliver = counting
+        for _ in range(UP):
+            sim.step()
+        assert sent.sum() > escaped.sum() > 0
+        assert np.array_equal(state.link_tx, sent)
+        assert np.array_equal(state.link_escape_tx, escaped)
+        for s, sw in enumerate(sim.switches):
+            for view, matrix in (
+                (sim.link_packets[s], state.link_tx),
+                (sim.link_escape_packets[s], state.link_escape_tx),
+            ):
+                assert isinstance(view, np.ndarray)
+                assert np.shares_memory(view, matrix)
+                assert np.array_equal(view, matrix[s, : sw.n_ports])
+        # One credit return: the flag and the credit land in the matrices.
+        state.grant_feedback[:] = False
+        sw, idx = next(
+            (sw, i) for sw in sim.switches for i in sw.active_sorted
+            if not sw.is_injection_input(i)
+        )
+        port, vc = divmod(idx, sw.n_vcs)
+        upstream = sim.network.port_neighbour[sw.sid][port]
+        up_pv = sim.rev_port[sw.sid][port] * sw.n_vcs + vc
+        before = int(state.credits[upstream, up_pv])
+        sim._return_input_credit(sw, idx)
+        assert state.grant_feedback.nonzero()[0].tolist() == [upstream]
+        assert state.credits[upstream, up_pv] == before + 1
+
+    def test_per_server_tally_is_a_list_of_ints(self):
+        sim = _fail_and_repair_sim("torus", "slot", "Minimal", 0.6, 1, 0)
+        sim.run(warmup=30, measure=60)
+        tally = sim.metrics.generated_measured
+        assert type(tally) is list and len(tally) == sim.network.n_servers
+        assert all(type(v) is int for v in tally) and sum(tally) > 0
+
+    @pytest.mark.parametrize("link_latency_slots", [1, 2])
+    @pytest.mark.parametrize("backend", ["slot", "event", "array"])
+    def test_reconcile_writes_land_in_the_matrix(self, backend, link_latency_slots):
+        """The repair reconciliation assigns ``credits`` / ``load`` /
+        ``port_load`` through the handles: right after each call the
+        *matrices* hold the ground-truth values, and the full audit
+        passes on every backend."""
+        sim = _fail_and_repair_sim(
+            "fattree", backend, "PolSP", 0.6, 3, 0, link_latency_slots
+        )
+        state = sim.state
+        cap = sim.cfg.input_buffer_packets
+        V = sim.mechanism.n_vcs
+        reconcile = sim._reconcile_restored_link
+        repaired = []
+
+        def spy(link):
+            a, b = link
+            for s, t in ((a, b), (b, a)):
+                p = sim.network.port_of(s, t)
+                state.credits[s, p * V:(p + 1) * V] = -7  # stale on purpose
+            reconcile(link)
+            for s, t in ((a, b), (b, a)):
+                p = sim.network.port_of(s, t)
+                rev = sim.network.port_of(t, s)
+                for vc in range(V):
+                    waiting = len(sim.switches[t].in_q[rev * V + vc])
+                    assert state.credits[s, p * V + vc] == cap - waiting
+                    assert state.load[s, p * V + vc] == waiting
+                assert state.port_load[s, p] == state.load[s, p * V:(p + 1) * V].sum()
+            repaired.append(link)
+
+        sim._reconcile_restored_link = spy
+        for _ in range(UP + 1):
+            sim.step()
+        assert len(repaired) == 3
+        state.verify(sim)

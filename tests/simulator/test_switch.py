@@ -1,11 +1,16 @@
 """Switch buffer/credit bookkeeping tests."""
 
+import copy
+import pickle
 from collections import deque
+
+import pytest
 
 from repro.routing.catalog import make_mechanism
 from repro.simulator.config import SimConfig
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet
+from repro.simulator.state import SimState
 from repro.simulator.switch import NO_FIFO, Switch
 from repro.topology.base import Network
 from repro.topology.hyperx import HyperX
@@ -173,3 +178,50 @@ class TestLazyFifos:
         net.restore_link(link)
         sim._reconcile_restored_link(link)
         sim.state.verify(sim)
+
+
+class TestStoreHandles:
+    """A standalone ``Switch(...)`` reads and writes its single-switch
+    store through the same memoryview handles a simulator's switch does."""
+
+    def test_handles_are_memoryviews_of_python_ints(self):
+        sw = make_switch()
+        sw.grant(sw.pv(1, 0), make_pkt())
+        sw.transmit(1)
+        for handle, n in (
+            (sw.credits, 6), (sw.load, 6), (sw.port_load, 3), (sw.rr, 3),
+        ):
+            assert type(handle) is memoryview and len(handle) == n
+            assert all(type(v) is int for v in handle)
+        assert sw.rr.tolist() == [0, 1, 0]
+        assert type(sw.q_value(1, 0)) is int
+
+    def test_explicit_store_row_is_aliased(self):
+        cfg = SimConfig()
+        state = SimState([3, 2], 2, 2, cfg)
+        sw = Switch(5, 2, 2, 2, cfg, state=state, row=1)
+        assert len(sw.credits) == 4 and len(sw.port_load) == 2
+        sw.grant(sw.pv(1, 1), make_pkt())
+        assert state.credits[1].tolist() == [8, 8, 8, 7, 0, 0]
+        assert state.load[1].tolist() == [0, 0, 0, 2, 0, 0]
+        assert state.port_load[1].tolist() == [0, 2, 0]
+        assert state.out_occ[1, 3] == 1 and (state.credits[0] == 8).all()
+        state.credits[1, 3] = 5  # a kernel-side write shows in the handle
+        assert sw.credits[3] == 5
+        sw.push_input(sw.injection_input(1), make_pkt(1))
+        assert state.in_occ[1].tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
+        assert state.hol_dst[1, 5] == 1
+        assert not state.in_occ[0].any() and (state.hol_dst[0] == -1).all()
+
+    def test_copy_and_pickle_fail_loudly(self):
+        sw = make_switch()
+        for clone in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError, match="alias the simulator's SimState"):
+                clone(sw)
+        net = Network(HyperX((2, 2), 1))
+        sim = Simulator(
+            net, make_mechanism("Minimal", net), make_traffic("uniform", net, 0)
+        )
+        for part in (sim, sim.state, sim.switches):
+            with pytest.raises(TypeError, match="rebuild with make_simulator"):
+                copy.deepcopy(part)
