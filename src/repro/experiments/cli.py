@@ -12,7 +12,7 @@ Examples::
     surepath-sim fig-workloads --scale tiny --injections bernoulli onoff
     surepath-sim fig-topologies --scale tiny --topologies torus fattree random
     surepath-sim fig-collectives --scale tiny --collectives allreduce_ring
-    surepath-sim fig4 --scale small --backend event
+    surepath-sim fig4 --scale small --backend array
     surepath-sim point --mechanism PolSP --traffic rpn --offered 0.8 --dims 3
 
 Every figure/table of the paper has a subcommand; ``--scale paper`` runs
@@ -22,9 +22,8 @@ fig-ablation-arbiter, fig-workloads, fig-topologies and
 fig-collectives) accept ``--jobs N`` to simulate points on a process
 pool, ``--cache-dir DIR`` to reuse
 previously simulated points across runs, and ``--backend NAME`` to pick
-the engine backend: ``slot`` (the reference loop), ``event`` (skips
-idle switches — identical records, faster at low load and through long
-warmups) or ``array`` (vectorized phase kernels — identical records,
+the engine backend: ``slot`` (the reference loop, which skips idle
+switches) or ``array`` (vectorized phase kernels — identical records,
 faster on dense loads; see the README's "Backends" section).  ``fig-transient`` goes beyond
 the paper's static snapshots: links fail (and optionally come back)
 *mid-run* and the per-interval recovery series is reported.
@@ -106,10 +105,9 @@ ARGUMENTS: dict[str, dict[str, Any]] = {
                       help="content-addressed result cache; repeated runs "
                            "reuse already-simulated points"),
     "backend": dict(default="slot", choices=sorted(ENGINE_BACKENDS),
-                    help="engine backend: 'slot' visits every switch each "
-                         "slot (reference), 'event' skips idle switches, "
-                         "'array' vectorizes the phase scans — identical "
-                         "records (default: slot)"),
+                    help="engine backend: 'slot' is the reference loop "
+                         "(it skips idle switches), 'array' vectorizes the "
+                         "phase scans — identical records (default: slot)"),
     # per command
     "sequences": dict(type=_positive_int, default=4),
     "step": dict(type=_positive_int, default=64),

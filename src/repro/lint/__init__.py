@@ -3,7 +3,7 @@
 The simulator's load-bearing contracts — RNG draw-order byte-identity
 across the engine backends, cache-key completeness for every
 :class:`~repro.simulator.config.SimConfig` field, metrics-hook parity
-between the slot reference and the event/array backends, and
+between the slot reference and the array backend, and
 registry-mediated construction of pluggable components — are proven
 after the fact by the differential and golden test suites.  A violation
 there surfaces as a mysterious fingerprint mismatch three layers away

@@ -1,6 +1,6 @@
 """RNG discipline checker.
 
-The three engine backends are proven byte-identical by differential
+The two engine backends are proven byte-identical by differential
 fingerprints, and that proof rests entirely on every backend making the
 *same draws from the same generators in the same order*.  Four rules
 keep the discipline visible at lint time instead of failing three

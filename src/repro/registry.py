@@ -132,14 +132,17 @@ class Registry(Mapping[str, Any]):
             return alias
         raise self._unknown(name)
 
-    def require(self, name: str) -> str:
+    def require(self, name: str, *, aliases: bool = False) -> str:
         """Like :meth:`canonical` but *strict*: only an exact canonical
-        name passes.  Config fields use this — they travel verbatim into
-        cache keys, where ``"QP"`` and ``"qp"`` must not name two entries
-        for one physical configuration."""
-        if name not in self._entries:
-            raise self._unknown(name)
-        return name
+        name passes — or, with ``aliases=True``, an exact alias, returned
+        as its canonical name.  Config fields use this — they travel
+        verbatim into cache keys, where ``"QP"`` and ``"qp"`` must not
+        name two entries for one physical configuration."""
+        if name in self._entries:
+            return name
+        if aliases and name in self._alias_of:
+            return self._alias_of[name]
+        raise self._unknown(name)
 
     def display_name(self, name: str) -> str:
         """Human-readable label of a registered name (or alias)."""

@@ -9,9 +9,10 @@ microarchitecture (Q+P, virtual cut-through, 1-slot links).
 
 The *engine backend* — how the loop schedules switch visits each slot —
 is a fourth pluggable axis (:mod:`~repro.simulator.backends`):
-``SimConfig(backend=...)`` selects ``"slot"`` (reference) or ``"event"``
-(idle-switch-skipping agenda), and :func:`make_simulator` is the public
-construction façade that resolves it.
+``SimConfig(backend=...)`` selects ``"slot"`` (the reference engine,
+which visits only the switches on its busy agenda) or ``"array"`` (the
+same engine with vectorized phase scans), and :func:`make_simulator` is
+the public construction façade that resolves it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .arbiters import (
     RoundRobinArbiter,
     make_arbiter,
 )
-from .backends import ENGINE_BACKENDS, EngineBackend, make_simulator
+from .backends import ENGINE_BACKENDS, make_simulator
 from .collective import (
     COLLECTIVES,
     CollectiveEntry,
@@ -38,7 +39,6 @@ from .collective import (
 )
 from .config import PAPER_CONFIG, SimConfig, table2_rows
 from .engine import DeadlockError, Simulator
-from .event import EventSimulator
 from .flowcontrol import (
     FLOW_CONTROLS,
     FlowControl,
@@ -74,8 +74,6 @@ __all__ = [
     "CollectivePolicy",
     "DeadlockError",
     "ENGINE_BACKENDS",
-    "EngineBackend",
-    "EventSimulator",
     "FLOW_CONTROLS",
     "FaultEvent",
     "FaultSchedule",

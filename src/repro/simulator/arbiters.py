@@ -32,11 +32,10 @@ unique ``name``, and register it in :data:`ARBITERS`; it is then
 reachable from ``SimConfig(arbiter=...)``, every sweep, the cache key
 and the CLI.
 
-Arbiters iterate ``sim.alloc_switches()`` — the engine backend's view
-of the switches worth visiting this slot (every switch on the default
-slot backend, the busy agenda on the event backend) — never
-``sim.switches`` directly, so one arbiter implementation serves every
-backend.
+Arbiters iterate ``sim.alloc_switches()`` — this step's snapshot of the
+engine's busy agenda, the switches worth visiting this slot in
+ascending id — never ``sim.switches`` directly, so one arbiter
+implementation serves every backend.
 
 No arbiter asks the routing mechanism for candidates: a request scan
 reads the list pinned on the packet (``pkt.cand_list``, valid while

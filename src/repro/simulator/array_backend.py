@@ -99,9 +99,11 @@ each to the reference's own per-item body
 Anything without a kernel — the ``age``/``random`` arbiters, or a
 mechanism that does not override ``candidate_key`` — runs the arbiter's
 own (backend-agnostic) scalar ``allocate``; every other phase stays
-vectorized.  Select with ``SimConfig(backend="array")`` — the config
-field is part of the executor cache key, so array records never alias
-slot/event cache entries.
+vectorized.  The engine's busy agenda is inherited unchanged: the
+request scan visits ``alloc_switches()``, and the whole-array scans
+find work only where the agenda holds it.  Select with
+``SimConfig(backend="array")`` — the config field is part of the
+executor cache key, so array records never alias slot cache entries.
 """
 
 from __future__ import annotations

@@ -1,114 +1,54 @@
-"""Engine backends: pluggable orchestration of the simulation loop.
+"""Engine backends: one engine, plus one kernel backend.
 
 The simulator's *physics* — switches, credits, arbiters, flow control,
 link models, injection, metrics, fault/workload schedules — is one fixed
-contract; *how the loop visits that state each slot* is a pluggable axis
+contract; *how the loop scans that state each slot* is a pluggable axis
 like arbiters and topologies.  A backend is selected by the validated
 ``SimConfig.backend`` field, flows through every sweep job into the
 content-addressed cache key, and is constructed via
-:func:`make_simulator`.
-
-The :class:`EngineBackend` protocol documents the contract; the three
-shipped implementations are
+:func:`make_simulator`.  The two shipped backends are
 
 * ``"slot"`` — :class:`~repro.simulator.engine.Simulator`: the paper's
-  slot-synchronous loop, visiting every switch in every phase of every
-  slot.  The default, and the reference the golden fingerprints pin.
-* ``"event"`` — :class:`~repro.simulator.event.EventSimulator`: a
-  pending-event agenda keyed by slot; only switches with work (buffered
-  packets or outstanding credits) are visited, so low-load and
-  warmup-dominated runs skip idle switches entirely.  Record-identical
-  to ``"slot"`` by construction (see the module docstring of
-  :mod:`repro.simulator.event` for the argument, and
-  ``tests/experiments/test_backend_equivalence.py`` for the proof by
-  differential fingerprint).
+  slot loop over a busy agenda (see :mod:`repro.simulator.engine`); the
+  default, and the reference the golden fingerprints pin.  ``"event"``
+  is an alias :class:`~repro.simulator.config.SimConfig` stores as
+  ``"slot"``.
 * ``"array"`` — :class:`~repro.simulator.array_backend.ArraySimulator`:
-  whole-array numpy kernels over the
-  :class:`~repro.simulator.state.SimState` columns for the phase scans
-  (ejection matches, busy ports, injection admission, and the Q+P
-  scoring), plus a grant-plan cache that replays each switch's grant
-  decision as a pre-drawn RNG pass — every draw still made in the
-  reference order, with a per-switch ``grant_feedback`` bitmask
-  falling back to a scalar rebuild when same-phase credit feedback
-  invalidates a plan.  Record-identical to ``"slot"`` (same
-  differential suite), fastest on dense allocation-bound points.
+  the same engine and agenda, with whole-array numpy kernels for the
+  phase scans and a grant-plan cache.  Record-identical to ``"slot"``
+  (``tests/experiments/test_backend_equivalence.py``), fastest on dense
+  allocation-bound points.
 
-Adding a backend: subclass :class:`~repro.simulator.engine.Simulator`
-(or implement :class:`EngineBackend` from scratch), override the hooks
-you need (``_wake`` / ``_snapshot_active`` / ``alloc_switches`` /
-``_end_step`` for agenda-style backends), register it here —
-``ENGINE_BACKENDS.register("mine", MySimulator)`` — and it becomes
-selectable via ``SimConfig(backend="mine")``, with cache keys, sweeps
-and the CLI ``--backend`` flag picking it up unchanged.  See the
-README's "Backends" section for a worked recipe.
+Adding a backend: subclass :class:`~repro.simulator.engine.Simulator`,
+set ``backend_name``, override the phase scans (``_eject`` /
+``_allocate`` / ``_transmit`` / ``_inject``) and hand each acting item
+to the shared bodies (``_consume`` / ``_send`` / ``_generate``), then
+register it here — ``ENGINE_BACKENDS.register("mine", MySimulator)`` —
+and it becomes selectable via ``SimConfig(backend="mine")``, with cache
+keys, sweeps and the CLI ``--backend`` flag picking it up unchanged.
+See the README's "Backends" section for a worked recipe.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any
 
 from ..registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..topology.base import Network
     from .config import SimConfig
-    from .metrics import SimResult
-
-
-@runtime_checkable
-class EngineBackend(Protocol):
-    """The driving contract every engine backend satisfies.
-
-    Construction takes ``(network, mechanism, traffic, *, injection,
-    offered, config, seed, series_interval, strict_deadlock,
-    fault_schedule, workload_schedule, arbiter, flow_control,
-    link_model)`` — the :class:`~repro.simulator.engine.Simulator`
-    signature; :func:`make_simulator` is the façade that resolves the
-    class from ``config.backend`` and forwards these.
-
-    Stepping contract: :meth:`step` advances exactly one slot — workload
-    events, fault events, link advance, eject, allocate, transmit,
-    inject, watchdog, in that order — and the per-slot observable state
-    (``slot``, ``in_flight``, ``deadlocked``, ``metrics``) must be
-    byte-identical to the ``"slot"`` reference for identical inputs:
-    backends may *schedule* work differently, never *reorder* RNG draws
-    or state changes within a slot.
-    """
-
-    #: Registry key of this backend (class attribute).
-    backend_name: str
-
-    #: Current slot, packets in flight, watchdog verdict.
-    slot: int
-    in_flight: int
-    deadlocked: bool
-
-    def step(self) -> None:
-        """Advance one slot (all phases + schedules + watchdog)."""
-        ...
-
-    def run(self, warmup: int = 300, measure: int = 700) -> "SimResult":
-        """Steady-state run: warmup, then measure; early-stops on
-        deadlock with the measured-slot normalisation."""
-        ...
-
-    def run_until_drained(self, max_slots: int = 1_000_000) -> "SimResult":
-        """Batch run until the injection process is exhausted and every
-        packet is consumed (completion-time experiments)."""
-        ...
+    from .engine import Simulator
 
 
 #: Engine backends by ``SimConfig.backend`` name.  Lazily registered so
-#: that the engine/event modules (which import this one) resolve on
-#: first use instead of at import time.
+#: that the backend modules (which import this one) resolve on first
+#: use instead of at import time.
 ENGINE_BACKENDS = Registry("engine backend")
 ENGINE_BACKENDS.register_lazy(
     "slot", "repro.simulator.engine", "Simulator",
-    display="Slot-synchronous",
-)
-ENGINE_BACKENDS.register_lazy(
-    "event", "repro.simulator.event", "EventSimulator",
-    display="Event-driven (busy agenda)",
+    aliases=("event",),
+    display="Slot loop (busy agenda)",
 )
 ENGINE_BACKENDS.register_lazy(
     "array", "repro.simulator.array_backend", "ArraySimulator",
@@ -122,21 +62,16 @@ def make_simulator(
     mechanism: Any = None,
     traffic: Any = None,
     **kwargs: Any,
-) -> EngineBackend:
+) -> Simulator:
     """Build the simulator ``config.backend`` names (the public façade).
 
     Parameters mirror :class:`~repro.simulator.engine.Simulator`:
     ``network``, ``mechanism`` and ``traffic`` are required; every
-    engine keyword (``offered``, ``seed``, ``injection``,
-    ``series_interval``, ``strict_deadlock``, ``fault_schedule``,
-    ``workload_schedule``, ``arbiter``, ``flow_control``,
-    ``link_model``) passes through unchanged.  ``config`` defaults to
-    the paper's Table 2 (and therefore the ``"slot"`` backend).
-
-    Callers should prefer this over constructing
-    :class:`~repro.simulator.engine.Simulator` directly: the façade
-    resolves the backend class, so a config naming ``backend="event"``
-    yields an event-driven engine without the caller knowing the class.
+    engine keyword passes through unchanged.  ``config`` defaults to
+    the paper's Table 2 (and therefore the ``"slot"`` backend).  Prefer
+    this over constructing a backend class directly: a config naming
+    ``backend="array"`` yields the vectorized engine without the caller
+    knowing the class.
     """
     from .config import PAPER_CONFIG
 
@@ -147,6 +82,7 @@ def make_simulator(
             "make_simulator requires network, mechanism and traffic"
         )
     backend_cls = ENGINE_BACKENDS[config.backend]
-    return backend_cls(
+    sim: Simulator = backend_cls(
         network, mechanism, traffic, config=config, **kwargs
     )
+    return sim

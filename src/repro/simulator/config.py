@@ -71,12 +71,11 @@ class SimConfig:
     backend:
         Engine backend, by registry name (see
         :data:`repro.simulator.backends.ENGINE_BACKENDS`): ``"slot"``
-        (default) visits every switch every slot; ``"event"`` keeps a
-        busy agenda and skips idle switches entirely — record-identical,
-        faster at low load; ``"array"`` vectorizes the phase scans over
-        the struct-of-arrays state store — record-identical, faster on
-        dense allocation-bound points.  Flows into every sweep job's
-        cache key like any other simulator parameter.
+        (default, the reference engine) or ``"array"`` (the same engine
+        with the phase scans vectorized — record-identical, faster on
+        dense allocation-bound points).  The alias ``"event"`` is stored
+        as ``"slot"``.  Flows into every sweep job's cache key like any
+        other simulator parameter.
     collective:
         Closed-loop collective workload, by registry name (see
         :data:`repro.simulator.collective.COLLECTIVES`), or ``"none"``
@@ -136,7 +135,10 @@ class SimConfig:
         ARBITERS.require(self.arbiter)
         FLOW_CONTROLS.require(self.flow_control)
         INJECTIONS.require(self.injection)
-        ENGINE_BACKENDS.require(self.backend)
+        # An exact alias ("event") is stored as the engine it names, so
+        # one engine has one cache address.
+        backend = ENGINE_BACKENDS.require(self.backend, aliases=True)
+        object.__setattr__(self, "backend", backend)
         if self.collective != "none":
             from .collective import COLLECTIVES
 

@@ -46,20 +46,43 @@ all** (e.g. an exhausted ladder after fault-lengthened routes) are counted
 as *stalled packets*; they keep occupying buffers, as they would in
 hardware.
 
-This class is also the ``"slot"`` *engine backend* — the reference
-implementation of the :class:`~repro.simulator.backends.EngineBackend`
-contract, visiting every switch in every phase of every slot.  The
-phase loops iterate the backend's switch view (``_step_agenda`` /
-:meth:`alloc_switches`, the full switch list here) and report
-activations through the :meth:`_wake` hook (a no-op here), so agenda
-backends like :class:`~repro.simulator.event.EventSimulator` override
-*scheduling* without touching any physics.  Construct through
-:func:`~repro.simulator.backends.make_simulator` to resolve the backend
-from ``config.backend``.
+The busy agenda
+---------------
+The phase loops visit only the *busy agenda*: the switches that can
+act, in ascending id.  That is record-identical to visiting every
+switch, because a visit to an idle switch changes no state and draws no
+RNG (ejection and every arbiter skip switches without active inputs,
+transmission skips ports with ``port_load == 0``); the golden
+fingerprints, recorded by a full scan, pin it.  The invariant: **a
+switch with a non-empty input FIFO or a non-zero ``port_load`` is on
+the agenda** (``port_load`` includes consumed downstream credits, so a
+switch stays until its last reservation is released).  Membership
+changes at three points:
+
+* **Wake** — :meth:`Simulator._wake` on every input activation
+  (injection, unit-link delivery, pipelined-link landing).  Grants need
+  none: they happen at a visited switch, and ``port_load`` keeps it.
+* **Snapshot** — each step freezes the list after pipelined landings
+  and before the phases, so a switch woken mid-step joins the next
+  step, when its packet first becomes eligible.  The list is rebuilt
+  only when membership changed.
+* **Retirement** — at the end of a step a switch with no active input
+  and an all-zero ``port_load`` leaves.
+
+Fault and workload events need no scheduling: purges only remove work,
+and a repair's reconciliation only raises the load of switches that
+still hold (stale) reservations.
+
+This class is the ``"slot"`` *engine backend*; the ``"array"`` backend
+(:class:`~repro.simulator.array_backend.ArraySimulator`) subclasses it,
+inherits the agenda and replaces only the phase scans.  Construct
+through :func:`~repro.simulator.backends.make_simulator` to resolve the
+backend from ``config.backend``.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 
 import numpy as np
 
@@ -308,36 +331,34 @@ class Simulator:
         self._sps = sps
         self._n_vcs = n_vcs
         self._phits = config.packet_phits
-        #: The backend's per-step switch view: the phase loops (and the
-        #: arbiters, via :meth:`alloc_switches`) iterate this instead of
-        #: ``self.switches``.  The slot backend visits everything, so it
-        #: aliases the full switch list; agenda backends replace it per
-        #: step in :meth:`_snapshot_active`.
-        self._step_agenda: list[Switch] = self.switches
+        #: The busy agenda (module docstring) as a set and an ascending
+        #: list, and this step's frozen visit list of its switches.
+        self._busy_set: set[int] = set()
+        self._busy_sorted: list[int] = []
+        self._agenda: list[Switch] = []
+        self._agenda_stale = False
 
     # ------------------------------------------------------------------
-    # Backend hooks (no-ops on the slot-synchronous reference backend)
+    # The busy agenda
     # ------------------------------------------------------------------
     def _wake(self, sid: int) -> None:
         """Switch ``sid`` just received a packet (injection or link
-        arrival): agenda backends schedule it; the slot backend visits
-        every switch anyway."""
-
-    def _snapshot_active(self) -> None:
-        """Freeze this step's switch view (start of step, after link
-        arrivals land).  Agenda backends snapshot their busy list here so
-        mid-step wakes affect the *next* slot — exactly when a newly
-        delivered packet first becomes eligible."""
-
-    def _end_step(self) -> None:
-        """End-of-step bookkeeping: agenda backends retire switches with
-        no buffered packets and no outstanding credits."""
+        arrival): put it on the busy agenda."""
+        if sid not in self._busy_set:
+            self._busy_set.add(sid)
+            insort(self._busy_sorted, sid)
+            self._agenda_stale = True
 
     def alloc_switches(self) -> list[Switch]:
-        """The switches the allocation phase should visit this slot —
-        the backend's step agenda.  Arbiters iterate this, never
-        ``sim.switches``, so they serve every backend unchanged."""
-        return self._step_agenda
+        """This step's visit list, in ascending switch id.  The phase
+        loops, the arbiters and the array kernels iterate this, never
+        ``sim.switches``."""
+        return self._agenda
+
+    def busy_switches(self) -> tuple[int, ...]:
+        """The busy agenda's current switch ids, ascending — the live
+        view, including switches woken since this step's snapshot."""
+        return tuple(self._busy_sorted)
 
     # ------------------------------------------------------------------
     # Phases
@@ -353,7 +374,7 @@ class Simulator:
         """
         ejected = 0
         sps = self._sps
-        for sw in self._step_agenda:
+        for sw in self._agenda:
             if not sw.active_sorted:
                 continue
             sid = sw.sid
@@ -451,7 +472,7 @@ class Simulator:
         input FIFO (immediately for :class:`UnitSlotLink`, after
         ``link_latency_slots`` for :class:`PipelinedLink`)."""
         moved = 0
-        for sw in self._step_agenda:
+        for sw in self._agenda:
             port_load = sw.port_load
             for port in range(sw.n_ports):
                 if port_load[port] == 0:
@@ -675,7 +696,8 @@ class Simulator:
         governs this slot's injection), then fault events, then the link
         model lands in-flight packets due this slot — so a packet
         arriving on a link that dies the same slot is dropped, not
-        delivered.
+        delivered.  Then the busy agenda is frozen into this step's visit
+        list, the four phases run over it, and idle switches retire.
         """
         if self._workload_pos < len(self._workload_events):
             self._apply_workload_events()
@@ -683,7 +705,12 @@ class Simulator:
             self._apply_scheduled_events()
         if self._link_pipelined:
             self.link.advance(self)
-        self._snapshot_active()
+        # Snapshot after the landings (eligible now), before the phases:
+        # a switch woken mid-step joins the next step's list.
+        if self._agenda_stale:
+            switches = self.switches
+            self._agenda = [switches[s] for s in self._busy_sorted]
+            self._agenda_stale = False
         ejected = self._eject()
         granted = self._allocate()
         self._transmit()
@@ -709,7 +736,18 @@ class Simulator:
                     )
         else:
             self.idle_slots = 0
-        self._end_step()
+        # Retirement.  A switch woken this step holds an input packet,
+        # so scanning the snapshot is enough.
+        retire = [
+            sw.sid
+            for sw in self._agenda
+            if not sw.active_inputs and not any(sw.port_load)
+        ]
+        if retire:
+            busy = self._busy_set
+            busy.difference_update(retire)
+            self._busy_sorted = [s for s in self._busy_sorted if s in busy]
+            self._agenda_stale = True
         self.slot += 1
 
     def _check_schedule_fits(self, end_slot: int) -> None:

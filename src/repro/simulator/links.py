@@ -77,7 +77,7 @@ class UnitSlotLink(LinkModel):
         t = sim.network.port_neighbour[src][port]
         tsw = sim.switches[t]
         tsw.push_input(tsw.pv(sim.rev_port[src][port], vc), pkt)
-        sim._wake(t)  # agenda backends schedule the receiver (no-op on slot)
+        sim._wake(t)  # the receiver joins the busy agenda
 
 
 class PipelinedLink(LinkModel):

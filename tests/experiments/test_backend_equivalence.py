@@ -1,6 +1,5 @@
-"""Differential suite: the ``"event"`` and ``"array"`` backends must
-be *byte-identical* to the ``"slot"`` reference — not statistically
-close.
+"""Differential suite: the ``"array"`` backend must be *byte-identical*
+to the ``"slot"`` reference — not statistically close.
 
 Every case runs the same job list once per backend through the serial
 executor — the slot reference plus each alternate backend — and
@@ -13,7 +12,8 @@ variants whose RNG/wake behaviour differs (pipelined links, on-off
 injection, split RNG streams), each over multiple seeds.
 
 The cache-key tests pin that ``backend`` reaches ``job_key``: no two
-backends' results can ever alias one cache entry.
+backends' results can ever alias one cache entry, and the ``"event"``
+alias of ``"slot"`` shares the reference's entry rather than adding one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ EVENT = PAPER_CONFIG.with_(backend="event")
 ARRAY = PAPER_CONFIG.with_(backend="array")
 
 #: The non-reference backends, each diffed against ``"slot"``.
-ALT_BACKENDS = ("event", "array")
+ALT_BACKENDS = ("array",)
 
 
 def _alt_config(backend):
@@ -80,9 +80,9 @@ def _run_both(make_jobs, alt):
     return _normalize(slot), _normalize(other)
 
 
-def _assert_identical(slot, event):
-    assert len(slot) == len(event)
-    for s, e in zip(slot, event):
+def _assert_identical(slot, other):
+    assert len(slot) == len(other)
+    for s, e in zip(slot, other):
         # The config (and with it the backend name) is not part of the
         # record payload, so a straight equality is the full fingerprint.
         assert s == e, (
@@ -305,14 +305,17 @@ class TestBackendInCacheKey:
         )[0]
 
     def test_backend_changes_job_key(self):
+        assert EVENT == SLOT
         keys = {
             job_key(self._job(cfg)) for cfg in (SLOT, EVENT, ARRAY)
         }
-        assert len(keys) == 3
+        assert len(keys) == 2
+        assert job_key(self._job(ARRAY)) != job_key(self._job(SLOT))
 
     def test_same_backend_same_key(self):
-        assert job_key(self._job(EVENT)) == job_key(
-            self._job(PAPER_CONFIG.with_(backend="event"))
+        assert job_key(self._job(EVENT)) == job_key(self._job(SLOT))
+        assert job_key(self._job(ARRAY)) == job_key(
+            self._job(PAPER_CONFIG.with_(backend="array"))
         )
 
     def test_backends_cache_separately(self, tmp_path):
@@ -321,6 +324,7 @@ class TestBackendInCacheKey:
         for cfg in (SLOT, EVENT, ARRAY):
             records.append(SerialExecutor(cache_dir=cache).run([self._job(cfg)]))
             counts.append(len(list(cache.rglob("*.json"))))
-        assert counts == [1, 2, 3]
+        # The alias reads the reference's cache file; array writes its own.
+        assert counts == [1, 1, 2]
         assert _normalize(records[0]) == _normalize(records[1])
         assert _normalize(records[0]) == _normalize(records[2])

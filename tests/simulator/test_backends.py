@@ -13,10 +13,9 @@ import pytest
 from repro.registry import Registry
 from repro.routing.catalog import make_mechanism
 from repro.simulator.array_backend import ArraySimulator
-from repro.simulator.backends import ENGINE_BACKENDS, EngineBackend, make_simulator
+from repro.simulator.backends import ENGINE_BACKENDS, make_simulator
 from repro.simulator.config import PAPER_CONFIG, SimConfig
 from repro.simulator.engine import Simulator
-from repro.simulator.event import EventSimulator
 from repro.traffic import make_traffic
 
 
@@ -29,13 +28,17 @@ def make_sim(net, config=PAPER_CONFIG, mechanism="PolSP", traffic="uniform",
 
 class TestBackendRegistry:
     def test_registered_backends(self):
-        assert set(ENGINE_BACKENDS) == {"slot", "event", "array"}
-        assert ENGINE_BACKENDS.names == ("slot", "event", "array")
+        assert set(ENGINE_BACKENDS) == {"slot", "array"}
+        assert ENGINE_BACKENDS.names == ("slot", "array")
 
     def test_lazy_entries_resolve_to_classes(self):
         assert ENGINE_BACKENDS["slot"] is Simulator
-        assert ENGINE_BACKENDS["event"] is EventSimulator
         assert ENGINE_BACKENDS["array"] is ArraySimulator
+
+    def test_event_is_an_alias_of_slot(self):
+        assert "event" in ENGINE_BACKENDS
+        assert ENGINE_BACKENDS.canonical("event") == "slot"
+        assert ENGINE_BACKENDS["event"] is Simulator
 
     def test_backend_name_attributes_match_keys(self):
         for name in ENGINE_BACKENDS:
@@ -43,7 +46,7 @@ class TestBackendRegistry:
 
     def test_display_names(self):
         assert "slot" in ENGINE_BACKENDS.display_name("slot").lower()
-        assert "event" in ENGINE_BACKENDS.display_name("event").lower()
+        assert "agenda" in ENGINE_BACKENDS.display_name("event").lower()
         assert "vector" in ENGINE_BACKENDS.display_name("array").lower()
 
     def test_unknown_backend_error_shape(self):
@@ -70,6 +73,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown engine backend"):
             SimConfig(backend="Slot")
 
+    def test_event_alias_is_stored_as_slot(self):
+        # One engine, one cache address: the alias never reaches a key.
+        assert SimConfig(backend="event") == SimConfig()
+        assert SimConfig(backend="event").backend == "slot"
+        assert PAPER_CONFIG.with_(backend="event") == PAPER_CONFIG
+
+    @pytest.mark.parametrize("name", ["EVENT", "Event", " event", "SLOT"])
+    def test_alias_resolution_is_exact(self, name):
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            SimConfig(backend=name)
+
 
 class TestMakeSimulator:
     def test_slot_config_builds_reference_engine(self, net2d):
@@ -77,10 +91,10 @@ class TestMakeSimulator:
         assert type(sim) is Simulator
         assert sim.backend_name == "slot"
 
-    def test_event_config_builds_event_engine(self, net2d):
+    def test_event_config_builds_reference_engine(self, net2d):
         sim = make_sim(net2d, config=PAPER_CONFIG.with_(backend="event"))
-        assert type(sim) is EventSimulator
-        assert sim.backend_name == "event"
+        assert type(sim) is Simulator
+        assert sim.backend_name == "slot"
 
     def test_array_config_builds_array_engine(self, net2d):
         sim = make_sim(net2d, config=PAPER_CONFIG.with_(backend="array"))
@@ -98,10 +112,10 @@ class TestMakeSimulator:
         with pytest.raises(TypeError):
             make_simulator(PAPER_CONFIG, net2d, None, None)
 
-    def test_instances_satisfy_protocol(self, net2d):
-        for backend in ("slot", "event", "array"):
+    def test_every_backend_is_a_simulator(self, net2d):
+        for backend in ENGINE_BACKENDS:
             sim = make_sim(net2d, config=PAPER_CONFIG.with_(backend=backend))
-            assert isinstance(sim, EngineBackend)
+            assert isinstance(sim, Simulator)
 
 
 class TestDeprecationShim:
@@ -113,8 +127,8 @@ class TestDeprecationShim:
                 make_traffic("uniform", net, 0))
 
     @pytest.mark.parametrize("cls, backend", [
-        (Simulator, "event"), (Simulator, "array"),
-        (EventSimulator, "slot"), (ArraySimulator, "event"),
+        (Simulator, "array"), (ArraySimulator, "slot"),
+        (ArraySimulator, "event"),
     ])
     def test_foreign_config_raises(self, net2d, cls, backend):
         net, mech, traffic = self._collaborators(net2d)
@@ -134,21 +148,31 @@ class TestDeprecationShim:
         net, mech, traffic = self._collaborators(net2d)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sim = EventSimulator(net, mech, traffic, offered=0.2,
-                                 config=PAPER_CONFIG.with_(backend="event"))
-        assert type(sim) is EventSimulator
+            sim = ArraySimulator(net, mech, traffic, offered=0.2,
+                                 config=PAPER_CONFIG.with_(backend="array"))
+        assert type(sim) is ArraySimulator
+
+    def test_alias_config_builds_the_reference_class(self, net2d):
+        net, mech, traffic = self._collaborators(net2d)
+        sim = Simulator(net, mech, traffic, offered=0.2,
+                        config=PAPER_CONFIG.with_(backend="event"))
+        assert type(sim) is Simulator
 
 
 class TestBusyAgenda:
-    def _event_sim(self, net, **kw):
-        return make_sim(net, config=PAPER_CONFIG.with_(backend="event"), **kw)
+    """The busy agenda is how the default engine schedules."""
 
     def test_agenda_starts_empty(self, net2d):
-        sim = self._event_sim(net2d)
+        sim = make_sim(net2d)
         assert sim.busy_switches() == ()
+        assert sim.alloc_switches() == []
+
+    def test_array_backend_inherits_the_agenda(self):
+        for name in ("_wake", "alloc_switches", "busy_switches", "step"):
+            assert name not in vars(ArraySimulator), name
 
     def test_agenda_invariant_holds_while_running(self, net2d):
-        sim = self._event_sim(net2d, offered=0.1)
+        sim = make_sim(net2d, offered=0.1)
         for _ in range(40):
             sim.step()
             busy = set(sim.busy_switches())
@@ -160,7 +184,7 @@ class TestBusyAgenda:
                     )
 
     def test_agenda_drains_when_traffic_stops(self, net2d):
-        sim = self._event_sim(net2d, offered=0.2)
+        sim = make_sim(net2d, offered=0.2)
         for _ in range(30):
             sim.step()
         sim.offered = 0.0
@@ -173,7 +197,7 @@ class TestBusyAgenda:
         assert sim.in_flight == 0
 
     def test_agenda_is_sparse_at_low_load(self, net2d):
-        sim = self._event_sim(net2d, offered=0.02, mechanism="Minimal")
+        sim = make_sim(net2d, offered=0.02, mechanism="Minimal")
         sizes = []
         for _ in range(60):
             sim.step()

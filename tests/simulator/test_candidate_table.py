@@ -39,7 +39,7 @@ from repro.traffic import make_traffic
 
 from _helpers import ALL_MECHANISMS, UnkeyedMinimal, build_mechanism
 
-BACKENDS = ("slot", "event", "array")
+BACKENDS = ("slot", "array")
 DOWN, UP, END = 40, 90, 150
 
 
@@ -222,7 +222,7 @@ class TestUnkeyedMechanism:
             seen[backend] = _outcome(sim)
             assert not sim._cand_memo
             assert calls[0] >= int(sim.state.link_tx.sum())  # asked every hop
-        assert seen["event"] == seen["slot"] == seen["array"]
+        assert seen["slot"] == seen["array"]
         # ... and they are the keyed mechanism's records: the table is
         # invisible in the output.
         assert seen["slot"] == _outcome(_sim("slot", "Minimal"))

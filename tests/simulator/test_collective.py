@@ -275,7 +275,7 @@ class TestEndToEnd:
     def test_backends_byte_identical_finite_jct(self, collective):
         topo = make_topology("hyperx", side=4, servers_per_switch=2)
         base = None
-        for backend in ("slot", "event", "array"):
+        for backend in ("slot", "array"):
             res, inj = _run_collective(backend, topo, collective)
             assert res.jct_cycles is not None and not res.deadlocked
             assert inj.exhausted
@@ -290,10 +290,9 @@ class TestEndToEnd:
         topo = make_topology("torus", side=4, servers_per_switch=2)
         results = {
             b: asdict(_run_collective(b, topo, "allreduce_tree")[0])
-            for b in ("slot", "event", "array")
+            for b in ("slot", "array")
         }
         assert results["slot"]["jct_cycles"] is not None
-        assert results["event"] == results["slot"]
         assert results["array"] == results["slot"]
 
     def test_fault_mid_collective_retransmits_and_completes(self):
@@ -306,7 +305,7 @@ class TestEndToEnd:
             "slot", topo, "allreduce_ring", chunk_packets=4
         )
         base = None
-        for backend in ("slot", "event", "array"):
+        for backend in ("slot", "array"):
             schedule = FaultSchedule.down_then_up(4, 604, links)
             res, inj = _run_collective(
                 backend, topo, "allreduce_ring", chunk_packets=4,

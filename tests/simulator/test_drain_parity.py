@@ -6,7 +6,7 @@ The open-loop differential suite
 this one pins the *drain* loop — finite batches and collective DAGs run
 to completion — whose termination condition (``in_flight == 0 and
 injection.exhausted``) and completion-slot stamping must not drift
-between the slot reference and the event/array engines, including
+between the slot reference and the array engine, including
 through mid-drain link failures and pipelined links.
 """
 
@@ -28,7 +28,7 @@ from repro.topology.catalog import make_topology
 from repro.topology.faults import random_connected_fault_sequence
 from repro.traffic import make_traffic
 
-ALT_BACKENDS = ("event", "array")
+ALT_BACKENDS = ("array",)
 
 
 def _drain_batch(backend, topo, mechanism, traffic, *, seed=0,

@@ -68,11 +68,11 @@ class TestEarlyStopMeasurement:
         ``candidate_key`` at all: no backend may require one, none
         tables its (empty) lists, and all stall identically."""
         seen = {}
-        for backend in ("slot", "event", "array"):
+        for backend in ("slot", "array"):
             sim = self._stalling_sim(net2d, backend=backend)
             seen[backend] = repr(sim.run(warmup=0, measure=500))
             assert sim.deadlocked and not sim._cand_memo
-        assert seen["event"] == seen["slot"] == seen["array"]
+        assert seen["slot"] == seen["array"]
 
     def test_measure_slots_reflect_early_stop(self, net2d):
         sim = self._stalling_sim(net2d)
