@@ -7,6 +7,7 @@ from .base import (
     NO_PENALTY,
     POLARIZED_FLAT_PENALTY,
     Candidate,
+    CandidateList,
     RoutingMechanism,
     ladder_vc,
 )
@@ -33,6 +34,7 @@ from .valiant import ValiantRouting
 
 __all__ = [
     "Candidate",
+    "CandidateList",
     "DEROUTE_PENALTY",
     "EscapeOnlyRouting",
     "HYPERX_ONLY",

@@ -14,11 +14,17 @@ allocation round for each head-of-line packet:
 
 Penalties are expressed in phits, to be added to the queue-occupancy term
 ``Q`` (also in phits) of the paper's ``Q + P`` output-selection rule.
+
+A candidate list may come with its *row structure*
+(:class:`CandidateList`): the runs of candidates that share an output
+port and a penalty, which the simulator's request scans score once per
+run instead of once per VC when the port is idle.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -26,6 +32,59 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Candidate next hop: (output port, virtual channel, penalty in phits).
 Candidate = tuple[int, int, int]
+
+#: One run of a candidate list: ``(port, penalty, pvs)`` — consecutive
+#: candidates on ``port`` with ``penalty``, as their flat output-VC
+#: indices ``port * n_vcs + vc`` in list order.
+CandidateRow = tuple[int, int, tuple[int, ...]]
+
+
+class CandidateList(list[Candidate]):
+    """A candidate list together with its rows.
+
+    It *is* the ``(port, vc, penalty)`` triple list (every consumer that
+    reads triples is unchanged); ``rows`` are :data:`CandidateRow` runs
+    that concatenate, in order, to exactly those triples.  Rows are
+    interned by whoever builds them and shared between lists, so neither
+    the list nor its rows may be mutated once handed out.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, triples: Iterable[Candidate], rows: list[CandidateRow]):
+        super().__init__(triples)
+        self.rows = rows
+
+    @classmethod
+    def of_triples(
+        cls,
+        triples: list[Candidate],
+        n_vcs: int,
+        interned: dict[Candidate, CandidateRow],
+    ) -> "CandidateList":
+        """Wrap a plain triple list with one width-1 row per triple,
+        interned in ``interned`` (triple -> row, for one ``n_vcs``)."""
+        rows = []
+        for t in triples:
+            row = interned.get(t)
+            if row is None:
+                port, vc, pen = t
+                row = interned[t] = (port, pen, (port * n_vcs + vc,))
+            rows.append(row)
+        return cls(triples, rows)
+
+
+def candidate_row(
+    port: int, pen: int, vcs: tuple[int, ...], n_vcs: int
+) -> tuple[tuple[Candidate, ...], CandidateRow]:
+    """The triples of the hop ``(port, pen)`` on each of ``vcs``, and
+    their :data:`CandidateRow` — the pair a mechanism interns to build
+    :class:`CandidateList` results without per-call allocation."""
+    return (
+        tuple((port, vc, pen) for vc in vcs),
+        (port, pen, tuple(port * n_vcs + vc for vc in vcs)),
+    )
+
 
 #: Penalty of a minimal / best candidate (paper §3.1).
 NO_PENALTY = 0
@@ -59,7 +118,9 @@ class RoutingMechanism(ABC):
         simulator will record it as *stalled*, which is exactly the failure
         mode the paper attributes to non-fault-tolerant mechanisms.
 
-        The list holds at most one entry per ``(port, vc)``.
+        The list holds at most one entry per ``(port, vc)``.  It may be a
+        plain list or a :class:`CandidateList` carrying its rows; the
+        simulator wraps a plain one in width-1 rows.
         """
 
     @abstractmethod

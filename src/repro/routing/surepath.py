@@ -37,9 +37,18 @@ from typing import Protocol
 
 from ..topology.base import Network
 from ..updown.escape import PHASE_CLIMB, EscapeSubnetwork
-from .base import Candidate, RoutingMechanism
+from .base import (
+    Candidate,
+    CandidateList,
+    CandidateRow,
+    RoutingMechanism,
+    candidate_row,
+)
 from .omni import OmnidimensionalRoutes
 from .polarized import PolarizedRoutes
+
+#: ``(port, penalty) -> (triples, row)``, see :func:`candidate_row`.
+_InternedRows = dict[tuple[int, int], tuple[tuple[Candidate, ...], CandidateRow]]
 
 
 class RouteSet(Protocol):
@@ -103,12 +112,14 @@ class SurePathRouting(RoutingMechanism):
         #: Routing VCs (CRout) and the escape VC (CEsc).
         self.routing_vcs: tuple[int, ...] = tuple(range(n_vcs - 1))
         self.escape_vc: int = n_vcs - 1
-        #: ``(port, penalty) ->`` that hop's rule-1 candidates, one per
-        #: routing VC.  Interned (built on first use, valid across
-        #: topology changes) so candidate lists, which the simulator
-        #: keeps, share their triples instead of each owning
-        #: ``n_vcs - 1`` fresh ones per port.
-        self._rule1_rows: dict[tuple[int, int], tuple[Candidate, ...]] = {}
+        #: ``(port, penalty) ->`` that hop's rule-1 candidates (one per
+        #: routing VC) and their row, and the same for its rule-2
+        #: candidate on the escape VC.  Interned (built on first use,
+        #: valid across topology changes) so candidate lists, which the
+        #: simulator keeps, share their triples and rows instead of each
+        #: owning fresh ones per port.
+        self._rule1_rows: _InternedRows = {}
+        self._escape_rows: _InternedRows = {}
 
     # ------------------------------------------------------------------
     # RoutingMechanism interface
@@ -120,24 +131,33 @@ class SurePathRouting(RoutingMechanism):
         pkt.escape_hops = 0
         pkt.forced_hops = 0
 
-    def candidates(self, pkt, current: int) -> list[Candidate]:
-        out: list[Candidate] = []
+    def candidates(self, pkt, current: int) -> CandidateList:
+        rows: list[CandidateRow] = []
+        out = CandidateList((), rows)
         if not pkt.in_escape:
             # Rule 1: base-routing hops on every routing VC.
-            rows = self._rule1_rows
+            rule1 = self._rule1_rows
             for port, _nbr, pen in self.routes.ports(pkt, current):
-                row = rows.get((port, pen))
-                if row is None:
-                    row = rows[port, pen] = tuple(
-                        (port, vc, pen) for vc in self.routing_vcs
+                entry = rule1.get((port, pen))
+                if entry is None:
+                    entry = rule1[port, pen] = candidate_row(
+                        port, pen, self.routing_vcs, self.n_vcs
                     )
-                out += row
+                out += entry[0]
+                rows.append(entry[1])
         # Rule 2: escape hops are always on offer (and are the only offer
         # once the packet is in CEsc, or when rule 1 yields nothing).
         # Packets outside the escape start it in the climb phase.
         phase = pkt.escape_phase if pkt.in_escape else PHASE_CLIMB
+        rule2 = self._escape_rows
         for port, _nbr, pen in self.escape.candidates(current, pkt.dst_switch, phase):
-            out.append((port, self.escape_vc, pen))
+            entry = rule2.get((port, pen))
+            if entry is None:
+                entry = rule2[port, pen] = candidate_row(
+                    port, pen, (self.escape_vc,), self.n_vcs
+                )
+            out += entry[0]
+            rows.append(entry[1])
         return out
 
     def candidate_key(self, pkt, current: int) -> tuple:

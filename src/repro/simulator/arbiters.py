@@ -14,8 +14,9 @@ Implementations
 * :class:`QPArbiter` (``"qp"``, default) — the paper's rule, bit-for-bit:
   requests minimise ``(port_load + vc_load) * phits + penalty`` with
   uniform random tie-breaks; ports grant in ascending score order.  Its
-  ``allocate`` is the monolithic engine's hot loop moved here verbatim,
-  so the default composition stays record-identical *and* as fast.
+  ``allocate`` is the monolithic engine's hot loop, walking candidate
+  rows instead of triples (below), so the default composition stays
+  record-identical to the historical engine.
 * :class:`RoundRobinArbiter` (``"roundrobin"``) — rotating pointers: each
   input cycles through its feasible candidates, each output port grants
   inputs in cyclic order starting after the last winner.  No load
@@ -42,6 +43,20 @@ reads the list pinned on the packet (``pkt.cand_list``, valid while
 ``pkt.cand_switch`` is the current switch) and, once per packet-hop,
 refills it from the simulator's candidate table through
 :func:`_route_head`.
+
+Request scans walk the list's rows
+(:class:`~repro.routing.base.CandidateList`): runs of candidates on one
+output port with one penalty.  A row on a *live* port whose
+``port_load`` is 0 is admitted and scored in one step — every VC of that
+port scores ``penalty`` and passes admission.  The virtual-cut-through
+invariant :meth:`~repro.simulator.state.SimState.verify` audits on live
+links, per VC ``load = 2 * out + wire + down`` and
+``credits = capacity - down - wire - out``, makes a zero ``port_load``
+mean every VC is empty at full credit, and :meth:`FlowControl.attach
+<repro.simulator.flowcontrol.FlowControl.attach>` rejects any policy
+that would refuse such a VC.  Every other row is scanned VC by VC, so
+the admitted candidates, their scores, the tie list, the RNG draws and
+the request order are exactly the per-triple scan's.
 """
 
 from __future__ import annotations
@@ -96,14 +111,17 @@ class Arbiter(ABC):
         """``(input_idx, packet, feasible)`` for every head-of-line packet.
 
         ``feasible`` is the flow-control-filtered candidate list
-        ``[(port, vc, penalty), ...]``; packets with no candidates at all
+        ``[(port, vc, penalty), ...]``, in candidate-list order, read
+        row by row (module docstring); packets with no candidates at all
         are counted as stalled, exactly like the default path does.
         """
         sid = sw.sid
         n_vcs = sw.n_vcs
-        # List snapshot (see QPArbiter.allocate): exact until the first
+        # List snapshots (see QPArbiter.allocate): exact until the first
         # commit, and every commit happens after the request scan.
         credits = sw.credits.tolist()
+        port_load = sw.port_load.tolist()
+        live = sim.network.port_neighbour[sid]
         out_q = sw.out_q
         fc = sim.flow_control
         min_cred = fc.min_credits
@@ -119,12 +137,15 @@ class Arbiter(ABC):
                 cands = _route_head(sim, pkt, sid)
                 if not cands:
                     continue  # stalled (reported by _route_head)
-            feasible = [
-                (port, vc, pen)
-                for port, vc, pen in cands
-                if credits[port * n_vcs + vc] >= min_cred
-                and len(out_q[port * n_vcs + vc]) < out_cap
-            ]
+            feasible = []
+            for port, pen, pvs in cands.rows:
+                base = port * n_vcs
+                if port_load[port] == 0 and live[port] >= 0:
+                    feasible += [(port, pv - base, pen) for pv in pvs]
+                    continue
+                for pv in pvs:
+                    if credits[pv] >= min_cred and len(out_q[pv]) < out_cap:
+                        feasible.append((port, pv - base, pen))
             if feasible:
                 out.append((idx, pkt, feasible))
         return out
@@ -172,11 +193,13 @@ class Arbiter(ABC):
 class QPArbiter(Arbiter):
     """The paper's ``Q + P`` output selection (default, record-identical).
 
-    ``allocate`` is the pre-refactor engine loop: flow control and the
+    ``allocate`` is the engine's inlined loop: flow control and the
     ``Q`` term are inlined on the switch's raw credit/occupancy arrays,
-    candidates are pinned on the packet per hop, and the RNG is consulted in
-    the exact historical order (request tie-breaks, then grant-order
-    tie-breaks) so default-composition records stay byte-identical.
+    candidates are pinned on the packet per hop and scanned row by row
+    (an idle live port scores all its VCs at once, see the module
+    docstring), and the RNG is consulted in the exact historical order
+    (request tie-breaks, then grant-order tie-breaks) so
+    default-composition records stay byte-identical.
     """
 
     name = "qp"
@@ -189,12 +212,14 @@ class QPArbiter(Arbiter):
         out_cap = fc.output_capacity
         rng = sim.rng
         n_vcs = sim._n_vcs
+        port_neighbour = sim.network.port_neighbour
         for sw in sim.alloc_switches():
             if not sw.active_inputs:
                 continue
             sid = sw.sid
             in_q = sw.in_q
             out_q = sw.out_q
+            live = port_neighbour[sid]
             # Plain-list snapshots of the store rows: nothing mutates
             # this switch's credit/load state between here and its grant
             # phase (grants at earlier switches already happened), so
@@ -216,22 +241,33 @@ class QPArbiter(Arbiter):
                     if not cands:
                         continue  # stalled (reported by _route_head)
                 best_score = None
-                best: list[tuple[int, int]] = []
-                for port, vc, pen in cands:
-                    pv = port * n_vcs + vc
-                    if credits[pv] < min_cred or len(out_q[pv]) >= out_cap:
+                best: list[int] = []  # tied output VCs, in list order
+                for port, pen, pvs in cands.rows:
+                    q = port_load[port]
+                    if q == 0 and live[port] >= 0:
+                        # Idle live port: every VC admitted, scoring pen.
+                        if best_score is None or pen < best_score:
+                            best_score = pen
+                            best = list(pvs)
+                        elif pen == best_score:
+                            best += pvs
                         continue
-                    score = (port_load[port] + load[pv]) * phits + pen
-                    if best_score is None or score < best_score:
-                        best_score = score
-                        best = [(port, vc)]
-                    elif score == best_score:
-                        best.append((port, vc))
+                    for pv in pvs:
+                        if credits[pv] < min_cred or len(out_q[pv]) >= out_cap:
+                            continue
+                        score = (q + load[pv]) * phits + pen
+                        if best_score is None or score < best_score:
+                            best_score = score
+                            best = [pv]
+                        elif score == best_score:
+                            best.append(pv)
                 if not best:
                     continue  # flow-control blocked this slot
-                port, vc = best[0] if len(best) == 1 else best[
-                    int(rng.integers(len(best)))
-                ]
+                port, vc = divmod(
+                    best[0] if len(best) == 1
+                    else best[int(rng.integers(len(best)))],
+                    n_vcs,
+                )
                 requests.setdefault(port, []).append(
                     (best_score, rng.random(), idx, vc, pkt)
                 )

@@ -86,7 +86,13 @@ from bisect import insort
 
 import numpy as np
 
-from ..routing.base import Candidate, RoutingMechanism, declares_candidate_key
+from ..routing.base import (
+    Candidate,
+    CandidateList,
+    CandidateRow,
+    RoutingMechanism,
+    declares_candidate_key,
+)
 from ..topology.base import Network
 from ..traffic.base import TrafficPattern
 from .arbiters import Arbiter, make_arbiter
@@ -298,7 +304,10 @@ class Simulator:
         #: table, filled on demand by :meth:`lookup_candidates` and
         #: dropped on every topology event.  Stays empty for a mechanism
         #: that declares no key.
-        self._cand_memo: dict[tuple, list[Candidate]] = {}
+        self._cand_memo: dict[tuple, CandidateList] = {}
+        #: ``(port, vc, pen) ->`` its width-1 row, for wrapping the plain
+        #: lists of mechanisms that build no rows themselves.
+        self._triple_rows: dict[Candidate, CandidateRow] = {}
         self._keyed = declares_candidate_key(mechanism)
         self.fault_schedule = fault_schedule
         if fault_schedule is not None:
@@ -422,7 +431,7 @@ class Simulator:
         self._grant_feedback[upstream] = True
         self.switches[upstream].return_credit(self.rev_port[sw.sid][port], vc)
 
-    def lookup_candidates(self, pkt: Packet, sid: int) -> list[Candidate]:
+    def lookup_candidates(self, pkt: Packet, sid: int) -> CandidateList:
         """``pkt``'s candidate hops at switch ``sid``, looked up in the
         simulator-wide routing table.
 
@@ -433,6 +442,14 @@ class Simulator:
         object (callers must not mutate it).  A mechanism that declares
         no key is asked every time.  No RNG is drawn on either path.
 
+        Every list comes back as a
+        :class:`~repro.routing.base.CandidateList`, whose rows the
+        request scans walk: a mechanism's own rows as it built them, or,
+        for a plain list, one interned width-1 row per triple (wrapped
+        once per miss).  Grouping rows here instead would allocate per
+        miss, and on a big network under uniform traffic nearly every
+        lookup is one.
+
         The mechanism is called through the instance at call time:
         ``perfbench/tracing.py`` shadows its ``candidates`` per instance.
         """
@@ -442,6 +459,10 @@ class Simulator:
         cands = memo.get(key)
         if cands is None:
             cands = mech.candidates(pkt, sid)
+            if not isinstance(cands, CandidateList):
+                cands = CandidateList.of_triples(
+                    cands, self._n_vcs, self._triple_rows
+                )
             if key is not None:
                 if len(memo) >= CANDIDATE_TABLE_BOUND:
                     self._drop_candidate_table()
@@ -460,8 +481,8 @@ class Simulator:
         The arbiter owns output selection and grant order; flow-control
         admission comes from ``self.flow_control``'s thresholds.  The
         default :class:`~repro.simulator.arbiters.QPArbiter` is the
-        historical inlined Q+P loop, moved verbatim (record-identical,
-        same RNG draw order, same hot-path shortcuts).
+        historical inlined Q+P loop over candidate rows
+        (record-identical, same RNG draw order).
         """
         return self.arbiter.allocate(self)
 

@@ -50,8 +50,23 @@ class FlowControl(ABC):
         self.output_capacity = 1
 
     def attach(self, cfg: SimConfig) -> None:
-        """Bind to a simulator configuration (sizes the thresholds)."""
-        self.min_credits, self.output_capacity = self.configure(cfg)
+        """Bind to a simulator configuration (sizes the thresholds).
+
+        Raises ``ValueError`` for thresholds that an empty output VC at
+        full credit fails — more free slots than an input buffer holds,
+        or no output-FIFO room.  Such a policy could never grant (the
+        run would end as a watchdog "deadlock"), and the request scans
+        admit every VC of an idle port without checking them.
+        """
+        min_credits, output_capacity = self.configure(cfg)
+        if cfg.input_buffer_packets < min_credits or output_capacity < 1:
+            raise ValueError(
+                f"flow control {self.name!r} can never grant: it needs "
+                f"{min_credits} free downstream slots of "
+                f"input_buffer_packets={cfg.input_buffer_packets} and an "
+                f"output capacity >= 1 (got {output_capacity})"
+            )
+        self.min_credits, self.output_capacity = min_credits, output_capacity
 
     @abstractmethod
     def configure(self, cfg: SimConfig) -> tuple[int, int]:

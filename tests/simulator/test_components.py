@@ -16,6 +16,7 @@ from repro.simulator.config import PAPER_CONFIG, SimConfig, table2_rows
 from repro.simulator.engine import Simulator
 from repro.simulator.flowcontrol import (
     FLOW_CONTROLS,
+    FlowControl,
     StoreAndForward,
     VirtualCutThrough,
     make_flow_control,
@@ -158,6 +159,24 @@ class TestFlowControl:
         res = _sim(net2d, offered=0.4, config=cfg).run(warmup=50, measure=150)
         assert not res.deadlocked
         assert res.accepted > 0.3
+
+    @pytest.mark.parametrize("thresholds", [(9, 4), (1, 0)])
+    def test_policy_that_can_never_grant_is_refused(self, net2d, thresholds):
+        # More free slots than an 8-packet input buffer holds, or no
+        # output room: without the check such a point never grants and
+        # ends as a watchdog "deadlock".
+        class Unreachable(FlowControl):
+            name = "unreachable"
+
+            def configure(self, cfg):
+                return thresholds
+
+        mech = make_mechanism("PolSP", net2d, rng=1)
+        with pytest.raises(ValueError, match="'unreachable' can never grant"):
+            Simulator(
+                net2d, mech, make_traffic("uniform", net2d, 0),
+                flow_control=Unreachable(),
+            )
 
 
 # ----------------------------------------------------------------------

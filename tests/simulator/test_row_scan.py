@@ -1,0 +1,291 @@
+"""Candidate rows and the row scan of the request phase.
+
+``Simulator.lookup_candidates`` hands every request scan a
+``CandidateList``: the ``(port, vc, pen)`` triples plus their rows, runs
+on one port with one penalty.  The scans (``QPArbiter.allocate`` and
+the shared ``Arbiter._hol_requests``) admit and score a row on an idle
+live port in one step and walk every other row VC by VC.  That is only
+an optimisation if it chooses exactly what the per-triple scan would,
+so this module re-scores every visited head with a flat per-triple
+scan written here and pins:
+
+* every tabled list's rows flatten to the list (and every list a head
+  is scanned with, tabled or not);
+* the Q+P request of every head — best score, tie-list length, the
+  drawn tie and the request draw — equals the flat scan's, and a head
+  the flat scan blocks makes no request and no draw;
+* ``_hol_requests`` returns the flat scan's feasible list for every
+  head, under all four arbiters;
+
+over every mechanism in ``routing/`` (plus one that declares no key) on
+four topology families, healthy, through a fail-then-repair schedule
+and with a link dead from the start.  A last case names a dead port in
+a candidate list, which the shortcut must leave to the per-VC scan.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.routing.base import CandidateList
+from repro.routing.catalog import HYPERX_ONLY, mechanism_supported
+from repro.routing.minimal import MinimalRouting
+from repro.simulator.arbiters import ARBITERS, QPArbiter
+from repro.simulator.backends import make_simulator
+from repro.simulator.config import PAPER_CONFIG
+from repro.simulator.schedule import FaultSchedule
+from repro.topology.base import Network
+from repro.topology.catalog import make_topology
+from repro.topology.faults import random_connected_fault_sequence
+from repro.topology.hyperx import HyperX
+from repro.traffic import make_traffic
+
+from _helpers import ALL_MECHANISMS, UnkeyedMinimal, build_mechanism
+
+DOWN, UP, END = 10, 20, 30
+
+FAMILIES = {
+    "hyperx": lambda: HyperX((4, 4), 2),
+    "torus": lambda: make_topology("torus", side=4, servers_per_switch=2),
+    "mesh": lambda: make_topology("mesh", side=3, servers_per_switch=2),
+    "fattree": lambda: make_topology("fattree", k=4, servers_per_switch=2),
+}
+SCENARIOS = ("healthy", "fail_repair", "initially_failed")
+MECHANISMS = ALL_MECHANISMS + ("UnkeyedMinimal",)
+
+
+# ----------------------------------------------------------------------
+# The reference: the per-triple scan the row scan replaced
+# ----------------------------------------------------------------------
+def _flat_feasible(sim, sw, cands):
+    """The flow-control-admitted triples of ``cands``, in list order."""
+    fc = sim.flow_control
+    n_vcs = sw.n_vcs
+    return [
+        (port, vc, pen)
+        for port, vc, pen in cands
+        if sw.credits[port * n_vcs + vc] >= fc.min_credits
+        and len(sw.out_q[port * n_vcs + vc]) < fc.output_capacity
+    ]
+
+
+def _flat_best(sim, sw, feasible):
+    """``(best_score, best)``: the lowest ``Q + P`` over the admitted
+    triples and its tied ``(port, vc)`` candidates, in list order."""
+    best_score, best = None, []
+    for port, vc, pen in feasible:
+        pv = port * sw.n_vcs + vc
+        score = (sw.port_load[port] + sw.load[pv]) * sim.cfg.packet_phits + pen
+        if best_score is None or score < best_score:
+            best_score, best = score, [(port, vc)]
+        elif score == best_score:
+            best.append((port, vc))
+    return best_score, best
+
+
+def _assert_rows(cands, n_vcs):
+    """``cands`` carries rows, and they flatten to its triples."""
+    assert isinstance(cands, CandidateList)
+    flat = []
+    for port, pen, pvs in cands.rows:
+        for pv in pvs:
+            assert pv // n_vcs == port, f"row on port {port} holds pv {pv}"
+            flat.append((port, pv - port * n_vcs, pen))
+    assert flat == list(cands)
+
+
+class _RecordingRng:
+    """Forwards to the simulator's generator, recording the arbiter's
+    draws (same stream, same values)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def integers(self, n):
+        k = self._rng.integers(n)
+        self.calls.append(("integers", n, int(k)))
+        return k
+
+    def random(self):
+        r = self._rng.random()
+        self.calls.append(("random", None, r))
+        return r
+
+
+def _audit(sim):
+    """Re-score every head the arbiter visits, at its visit, against the
+    flat scan.  Returns the coverage tally: scanned heads, and rows seen
+    on idle live ports (the shortcut) and on loaded ports (per VC)."""
+    arb = sim.arbiter
+    visits = sim.alloc_switches
+    n_vcs = sim._n_vcs
+    tally = {"heads": 0, "idle_rows": 0, "loaded_rows": 0}
+    checked = {}  # id -> list: each list object's rows checked once
+    qp = type(arb) is QPArbiter
+    if qp:
+        rng = sim.rng = _RecordingRng(sim.rng)
+        grant = arb._grant_requests
+        seen = {}
+
+        def recording_grant(sim_, sw, requests):
+            seen["requests"] = requests
+            return grant(sim_, sw, requests)
+
+        arb._grant_requests = recording_grant
+
+    def heads(sw):
+        sid = sw.sid
+        for idx in sw.active_inputs:
+            pkt = sw.in_q[idx][0]
+            if pkt.dst_switch == sid:
+                continue
+            if pkt.cand_switch == sid:
+                cands = pkt.cand_list
+            else:
+                cands = sim.lookup_candidates(pkt, sid)
+            if checked.get(id(cands)) is not cands:
+                _assert_rows(cands, n_vcs)
+                checked[id(cands)] = cands
+            yield idx, pkt, cands
+
+    def audited():
+        for sw in visits():
+            live = sim.network.port_neighbour[sw.sid]
+            got = arb._hol_requests(sim, sw)
+            want, expected = [], []
+            for idx, pkt, cands in heads(sw):
+                tally["heads"] += 1
+                for port, _pen, _pvs in cands.rows:
+                    idle = sw.port_load[port] == 0 and live[port] >= 0
+                    tally["idle_rows" if idle else "loaded_rows"] += 1
+                feasible = _flat_feasible(sim, sw, cands)
+                if feasible:
+                    want.append((idx, pkt, feasible))
+                    expected.append((idx, *_flat_best(sim, sw, feasible)))
+            assert got == want, f"_hol_requests diverged at switch {sw.sid}"
+            if qp:
+                rng.calls.clear()
+                seen.clear()
+            yield sw
+            if qp:
+                _check_requests(sw, expected, rng.calls, seen.get("requests", {}))
+
+    sim.alloc_switches = audited
+    return tally
+
+
+def _check_requests(sw, expected, calls, requests):
+    """The switch's Q+P requests and draws are the flat scan's."""
+    got = {
+        idx: (score, tie, port, vc)
+        for port, reqs in requests.items()
+        for score, tie, idx, vc, _pkt in reqs
+    }
+    draws = iter(calls)
+    for idx, best_score, best in expected:
+        if len(best) > 1:
+            name, n, k = next(draws)
+            assert (name, n) == ("integers", len(best)), (
+                f"switch {sw.sid} input {idx}: tie list differs from {best}"
+            )
+            port, vc = best[k]
+        else:
+            port, vc = best[0]
+        name, _, tie = next(draws)
+        assert name == "random"
+        assert got.pop(idx) == (best_score, tie, port, vc), (
+            f"switch {sw.sid} input {idx}: request differs from the flat scan"
+        )
+    assert not got, f"switch {sw.sid}: requests the flat scan blocks: {got}"
+    assert next(draws, None) is None
+
+
+def _sim(family, mechanism, scenario, arbiter="qp"):
+    topo = FAMILIES[family]()
+    link = random_connected_fault_sequence(topo, 1, rng=3)
+    net = Network(topo, link if scenario == "initially_failed" else ())
+    mech = (
+        UnkeyedMinimal(net, 4) if mechanism == "UnkeyedMinimal"
+        else build_mechanism(mechanism, net)
+    )
+    schedule = (
+        FaultSchedule.down_then_up(DOWN, UP, link)
+        if scenario == "fail_repair" else None
+    )
+    return make_simulator(
+        PAPER_CONFIG.with_(arbiter=arbiter), net, mech,
+        make_traffic("uniform", net, 0),
+        offered=0.8, seed=0, fault_schedule=schedule,
+    )
+
+
+def _drive(sim):
+    tally = _audit(sim)
+    for _ in range(END):
+        sim.step()
+    for cands in sim._cand_memo.values():
+        _assert_rows(cands, sim._n_vcs)
+    return tally
+
+
+def _cases():
+    for family, build in FAMILIES.items():
+        topo = build()
+        for name in MECHANISMS:
+            if name in HYPERX_ONLY and not mechanism_supported(name, topo):
+                continue
+            for scenario in SCENARIOS:
+                yield family, name, scenario
+
+
+class TestRowScanEqualsFlatScan:
+    @pytest.mark.parametrize("family,name,scenario", list(_cases()))
+    def test_qp_requests(self, family, name, scenario):
+        tally = _drive(_sim(family, name, scenario))
+        # Both row paths ran: the shortcut and the per-VC scan.
+        assert tally["idle_rows"] > 0 and tally["loaded_rows"] > 0
+
+    @pytest.mark.parametrize("arbiter", sorted(set(ARBITERS) - {"qp"}))
+    @pytest.mark.parametrize("name", ["PolSP", "Minimal"])
+    def test_hol_requests_under_every_arbiter(self, arbiter, name):
+        tally = _drive(_sim("hyperx", name, "fail_repair", arbiter=arbiter))
+        assert tally["idle_rows"] > 0 and tally["loaded_rows"] > 0
+
+
+class _DeadPortMinimal(MinimalRouting):
+    """Minimal routing that also offers, at switch 0, every VC of its
+    dead port 0 at penalty 0 — an idle port the row shortcut would rank
+    first if it trusted an idle dead port."""
+
+    name = "DeadPortMinimal"
+
+    def candidates(self, pkt, current):
+        out = super().candidates(pkt, current)
+        if current == 0 and out:
+            out = [(0, vc, 0) for vc in range(self.n_vcs)] + out
+        return out
+
+
+class TestDeadPort:
+    def test_idle_dead_port_goes_to_the_per_vc_scan(self):
+        topo = HyperX((4, 4), 4)
+        net = Network(topo, [(0, 1)])
+        assert net.port_neighbour[0][0] < 0
+        mech = _DeadPortMinimal(net, 4)
+        sim = make_simulator(
+            PAPER_CONFIG, net, mech, make_traffic("uniform", net, 0),
+            offered=0.5, seed=0,
+        )
+        # No downstream buffer, no credit.  Dead ports lie outside the
+        # invariant ``SimState.verify`` audits, so only the per-VC scan
+        # may judge them: it refuses these VCs, the shortcut would not.
+        sw = sim.switches[0]
+        for vc in range(mech.n_vcs):
+            sw.credits[vc] = 0
+        tally = _audit(sim)
+        for _ in range(30):
+            sim.step()
+        assert sw.port_load[0] == 0
+        assert tally["heads"] > 0
+        assert int(sim.state.link_tx[0, 0]) == 0
