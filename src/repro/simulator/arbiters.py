@@ -36,7 +36,11 @@ and the CLI.
 Arbiters iterate ``sim.alloc_switches()`` — this step's snapshot of the
 engine's busy agenda, the switches worth visiting this slot in
 ascending id — never ``sim.switches`` directly, so one arbiter
-implementation serves every backend.
+implementation serves every backend.  The array backend adds one hook,
+the ``plans`` argument of :meth:`QPArbiter.allocate`: a cache that may
+answer for a switch whose last scan made no request and whose inputs
+have not changed since, so that the scan is skipped.  There is one
+request scan and one draw order on every backend.
 
 No arbiter asks the routing mechanism for candidates: a request scan
 reads the list pinned on the packet (``pkt.cand_list``, valid while
@@ -204,7 +208,21 @@ class QPArbiter(Arbiter):
 
     name = "qp"
 
-    def allocate(self, sim) -> int:
+    def allocate(self, sim, plans=None) -> int:
+        """Run the allocation phase; ``plans`` is an optional plan cache.
+
+        A switch's scan scores each head and, if the head can request,
+        draws for it (``integers`` over its ties when there are several,
+        then ``random``), in ``active_inputs`` order; a head that cannot
+        request draws nothing.  ``plans`` (the array backend passes
+        itself) sees every visit.  ``reuse(sw)`` is true when ``sw``'s
+        last scan made no request and nothing it read has changed: the
+        scan is skipped, after the cache replays its stall reports.
+        ``store(sw, idle)`` receives each fresh scan's outcome before the
+        grants (``idle``: no request).  Only request-free outcomes are
+        reusable: the first request of a scan is always granted, which
+        changes a head.  The slot reference passes no cache.
+        """
         granted = 0
         phits = sim._phits
         fc = sim.flow_control
@@ -216,6 +234,8 @@ class QPArbiter(Arbiter):
         for sw in sim.alloc_switches():
             if not sw.active_inputs:
                 continue
+            if plans is not None and plans.reuse(sw):
+                continue  # nothing it reads changed since a request-free scan
             sid = sw.sid
             in_q = sw.in_q
             out_q = sw.out_q
@@ -271,6 +291,8 @@ class QPArbiter(Arbiter):
                 requests.setdefault(port, []).append(
                     (best_score, rng.random(), idx, vc, pkt)
                 )
+            if plans is not None:
+                plans.store(sw, not requests)
             if not requests:
                 continue
             # ---- grants ---------------------------------------------------
@@ -281,13 +303,7 @@ class QPArbiter(Arbiter):
         """The grant half of :meth:`allocate`: sort each output port's
         ``(score, tie, idx, vc, pkt)`` requests and grant in ascending
         order, re-checking flow control live (an earlier grant may have
-        consumed the last slot) and the per-input win cap.
-
-        Shared with the array backend, whose vectorized request phase
-        builds the identical ``requests`` dict (same scores, same RNG
-        tie-breaks, same insertion order) and hands it over here so the
-        grant-side credit feedback stays the reference scalar code.
-        """
+        consumed the last slot) and the per-input win cap."""
         granted = 0
         sid = sw.sid
         n_vcs = sw.n_vcs
@@ -362,15 +378,7 @@ class RoundRobinArbiter(Arbiter):
 
     def _grant_requests(self, sim, sw, requests) -> int:
         """The grant half: ports in ascending index order, each granting
-        inputs in cyclic order starting just past its previous winner.
-
-        Shared with the array backend, whose vectorized request phase
-        builds an identical ``requests`` dict (same winners, same
-        pointer updates — round-robin selection makes no RNG draws and
-        the grant side sorts, so only the request *set* matters) and
-        hands it over here so grant order, the per-port rotation state
-        and the credit feedback stay the reference scalar code.
-        """
+        inputs in cyclic order starting just past its previous winner."""
         granted = 0
         sid = sw.sid
         input_wins: dict[int, int] = {}

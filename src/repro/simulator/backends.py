@@ -15,9 +15,10 @@ content-addressed cache key, and is constructed via
   ``"slot"``.
 * ``"array"`` — :class:`~repro.simulator.array_backend.ArraySimulator`:
   the same engine and agenda, with whole-array numpy kernels for the
-  phase scans and a grant-plan cache.  Record-identical to ``"slot"``
+  eject / transmit / inject scans and a plan cache around the Q+P
+  request scan.  Record-identical to ``"slot"``
   (``tests/experiments/test_backend_equivalence.py``), fastest on dense
-  allocation-bound points.
+  congested points.
 
 Adding a backend: subclass :class:`~repro.simulator.engine.Simulator`,
 set ``backend_name``, override the phase scans (``_eject`` /

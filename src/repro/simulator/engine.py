@@ -448,7 +448,9 @@ class Simulator:
         for a plain list, one interned width-1 row per triple (wrapped
         once per miss).  Grouping rows here instead would allocate per
         miss, and on a big network under uniform traffic nearly every
-        lookup is one.
+        lookup is one.  A plain list naming the same ``(port, vc)``
+        twice breaks the ``candidates`` contract and is rejected here;
+        the rows mechanisms build themselves are checked in the tests.
 
         The mechanism is called through the instance at call time:
         ``perfbench/tracing.py`` shadows its ``candidates`` per instance.
@@ -460,6 +462,11 @@ class Simulator:
         if cands is None:
             cands = mech.candidates(pkt, sid)
             if not isinstance(cands, CandidateList):
+                if len({(port, vc) for port, vc, _pen in cands}) < len(cands):
+                    raise ValueError(
+                        f"{mech.name} offered the same (port, vc) twice "
+                        f"at switch {sid}: {cands}"
+                    )
                 cands = CandidateList.of_triples(
                     cands, self._n_vcs, self._triple_rows
                 )

@@ -124,9 +124,8 @@ class Switch:
         #: Inputs whose head-of-line packet changed since the consumer
         #: last looked: every pop (the next packet — or nothing — becomes
         #: the head) and every push into an empty FIFO lands here.  The
-        #: array backend's request-phase cache re-derives exactly these
-        #: entries instead of rescanning every active input.  Bounded by
-        #: ``n_inputs``; the consumer clears it.
+        #: array backend's plan cache re-scans a switch whose set is not
+        #: empty and clears it.  Bounded by ``n_inputs``.
         self.dirty_heads: set[int] = set()
         #: Output FIFOs per (port, vc).
         self.out_q: list[Fifo] = [NO_FIFO] * npv

@@ -237,8 +237,8 @@ def test_dense_hotspot_fallback_identical(family, alt):
 @pytest.mark.parametrize("family", sorted(FALLBACK_CASES))
 def test_fallback_cases_exercise_both_grant_paths(family):
     # The cases above only prove identity; this pins that they actually
-    # drive the vectorized path (plan replays) AND the conflict
-    # detector's fallback (live rebuilds) — otherwise the matrix would
+    # drive the plan cache (plan replays) AND the conflict detector's
+    # fallback (rescans under credit feedback) — otherwise the matrix would
     # silently stop covering one of the two.
     from repro.routing.catalog import make_mechanism
     from repro.simulator.backends import make_simulator
@@ -258,10 +258,9 @@ def test_fallback_cases_exercise_both_grant_paths(family):
 
 @pytest.mark.parametrize("alt", ALT_BACKENDS)
 def test_roundrobin_arbiter_identical(alt):
-    # Round-robin rides its own array-backend kernel (memo-sorted
-    # candidate walks + shared pointer state); the diff proves the
-    # request sets, pointer rotations and stall counts all match the
-    # reference scalar path.
+    # Round-robin runs the reference arbiter on both backends (no plan
+    # cache), next to the array backend's vectorized eject / transmit /
+    # inject scans; the diff proves they compose into the same records.
     net = Network(HyperX((4, 4), 2))
 
     def jobs(config):

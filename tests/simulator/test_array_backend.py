@@ -1,19 +1,18 @@
-"""Unit tests for the array backend's request-phase machinery.
+"""Unit tests for the array backend's plan cache and its edges.
 
 The differential suite proves the ``"array"`` backend byte-identical to
-the slot reference end to end; this module tests the pieces that proof
-rests on, so a break is named at the component:
+the slot reference end to end, and ``test_plan_cache.py`` re-scores
+every plan it replays; this module tests the pieces around them, so a
+break is named at the component:
 
 * the ``candidate_key`` contract — equal keys must mean equal candidate
-  lists, or the shared memo would silently serve one packet another
+  lists, or the shared table would silently serve one packet another
   packet's routes — for every mechanism in ``routing/``, and its two
-  edges: a mechanism without a key runs the arbiter's scalar reference,
-  one that repeats a ``(port, vc)`` is rejected by name;
-* the memo entries — the dense penalty row and the output-VC -> list
-  position map the matrix kernel scores and tie-breaks through;
-* the per-switch head cache — category bookkeeping (routable / stalled
-  / awaiting ejection) must track the real queue heads, with
-  ``Switch.dirty_heads`` as the only invalidation channel.
+  edges: a mechanism without a key runs the arbiter with no plan cache,
+  one that repeats a ``(port, vc)`` is rejected by name on every
+  backend;
+* the plan cache's conflict detector, its staleness snapshot and its
+  profiler.
 """
 
 from __future__ import annotations
@@ -180,126 +179,6 @@ class TestCandidateKeyContract:
         assert not any(ent is stale.get(k) for k, ent in sim._cand_memo.items())
 
 
-class TestMemoEntries:
-    def _memo(self, sim, slots=40):
-        for _ in range(slots):
-            sim.step()
-        # The kernel columns are built from — and keyed like — the
-        # simulator-wide candidate table; pair each list with its columns.
-        assert set(sim._kernel_cols) <= set(sim._cand_memo)
-        entries = [
-            (sim._cand_memo[key], cols)
-            for key, cols in sim._kernel_cols.items() if cols
-        ]
-        assert entries, "no kernel columns built"
-        assert all(cands for cands, _cols in entries)
-        return sim, entries
-
-    def test_entry_columns_mirror_candidate_list(self):
-        entries = []
-        for name in ("PolSP", "Minimal", "Valiant"):
-            sim, built = self._memo(_array_sim(_net(), mechanism=name))
-            entries += built
-        n_vcs = sim._n_vcs
-        for cands, ent in entries:
-            # rr-sorted triples are built under RR only
-            assert ent._fields == ("pen_row", "pos_map")
-            pvs = [port * n_vcs + vc for port, vc, _pen in cands]
-            assert len(set(pvs)) == len(pvs)
-            for i, (_port, _vc, pen) in enumerate(cands):
-                assert ent.pen_row[pvs[i]] == pen
-                assert ent.pos_map[pvs[i]] == i
-            assert len(ent.pos_map) == len(pvs)
-            # Non-candidate output VCs must never win the row minimum.
-            mask = np.ones(ent.pen_row.size, dtype=bool)
-            mask[pvs] = False
-            assert np.all(np.isinf(ent.pen_row[mask]))
-
-    def test_empty_candidate_entry_shape(self):
-        # Saturated VC ladders table an empty list with no columns.
-        sim = _array_sim(_net(3), mechanism="OmniWAR", offered=0.8)
-        for _ in range(80):
-            sim.step()
-        empties = [k for k, cands in sim._cand_memo.items() if not cands]
-        assert empties, "no ladder ever saturated: nothing was checked"
-        for key in empties:
-            assert sim._cand_memo[key] == [] and sim._kernel_cols[key] == ()
-
-    def test_roundrobin_entries_presorted_by_flat_pv(self):
-        net = _net()
-        mech = make_mechanism("PolSP", net, rng=1)
-        sim = make_simulator(
-            PAPER_CONFIG.with_(backend="array", arbiter="roundrobin"), net,
-            mech, make_traffic("uniform", net, 0), offered=0.5, seed=0,
-        )
-        assert sim._use_rr_kernel
-        sim, entries = self._memo(sim)
-        n_vcs = sim._n_vcs
-        for cands, rr in entries:
-            # Score columns are dead weight under round-robin; the entry
-            # is the stable pv-sorted candidate walk instead.
-            assert type(rr) is tuple and len(rr) == len(cands)
-            assert [pv for pv, _p, _v in rr] == sorted(
-                port * n_vcs + vc for port, vc, _pen in cands
-            )
-            assert all(pv == port * n_vcs + vc for pv, port, vc in rr)
-            assert {(p, v) for _pv, p, v in rr} == {
-                (p, v) for p, v, _pen in cands
-            }
-
-
-class TestHeadCacheInvariants:
-    def test_categories_track_queue_heads(self):
-        net = _net(2)
-        sims = [_array_sim(net, mechanism=m, offered=0.6) for m in ("PolSP", "Valiant")]
-        # Saturated VC ladders are the only source of stalled heads.
-        sims.append(_array_sim(_net(3), mechanism="OmniWAR", offered=0.8))
-        stalled_seen = 0
-        for sim in sims * 60:
-            sim.step()
-            for sid, sc in sim._qp_cache.items():
-                sw = sim.switches[sid]
-                stalled_seen += len(sc.stall)
-                # A head's category is its membership: routable in
-                # ``ent``, stalled in ``stall``, never both.
-                assert not set(sc.ent) & set(sc.stall)
-                # Rows without a routable entry never enter the score
-                # minimisation: their penalty row must be all-inf.
-                for idx in range(sw.n_inputs):
-                    assert np.all(np.isinf(sc.pen_mat[idx])) == (
-                        idx not in sc.ent
-                    )
-                # Entries the queues haven't dirtied since allocation
-                # must still describe the real head of line.
-                clean = (set(sc.ent) | set(sc.stall)) - sw.dirty_heads
-                assert clean <= sw.active_inputs
-                for idx in sw.active_inputs - sw.dirty_heads:
-                    head = sw.in_q[idx][0]
-                    if head.dst_switch == sid:  # awaiting ejection
-                        assert idx not in sc.ent and idx not in sc.stall
-                    elif idx in sc.ent:
-                        assert sc.ent[idx][0] is head
-                    else:
-                        assert sc.stall[idx] is head
-                if sc.stall_pids is not None:
-                    assert sc.stall_pids == [
-                        p.pid for p in sc.stall.values()
-                    ]
-        assert stalled_seen, "no head ever stalled: the stall half went unchecked"
-
-    def test_topology_event_clears_route_memo(self):
-        # _refresh_inflight_packets is the hook step() fires after a
-        # scheduled fault/repair: routes may differ, so the memo and
-        # every head cache built on it must go.
-        sim = _array_sim(_net(), offered=0.4)
-        for _ in range(30):
-            sim.step()
-        assert sim._cand_memo and sim._kernel_cols and sim._qp_cache
-        sim._refresh_inflight_packets()
-        assert not sim._cand_memo and not sim._kernel_cols
-        assert not sim._qp_cache
-
-
 class _TwiceMinimal(MinimalRouting):
     """Breaks the ``candidates`` contract: every hop offered twice."""
 
@@ -340,18 +219,18 @@ class TestKeyContractEdges:
             "array", arbiter, UnkeyedMinimal, scheduled
         )
         assert result == want_result and probe == want_probe
-        # No kernel ran: neither the plan cache nor the memo was touched.
-        assert not sim._use_qp_kernel and not sim._use_rr_kernel
+        # No plan was cached, and the table stayed empty.
         assert sim.grant_stats == {
             "plan_hits": 0, "select_rebuilds": 0, "fallback_rebuilds": 0,
         }
-        assert not sim._cand_memo and not sim._qp_cache
+        assert not sim._cand_memo
 
+    @pytest.mark.parametrize("backend", ["slot", "array"])
     @pytest.mark.parametrize("arbiter", ["qp", "roundrobin"])
-    def test_repeated_port_vc_is_rejected_by_name(self, arbiter):
+    def test_repeated_port_vc_is_rejected_by_name(self, arbiter, backend):
         net = _net()
         sim = make_simulator(
-            PAPER_CONFIG.with_(backend="array", arbiter=arbiter), net,
+            PAPER_CONFIG.with_(backend=backend, arbiter=arbiter), net,
             _TwiceMinimal(net, 4), make_traffic("uniform", net, 0),
             offered=0.7, seed=0,
         )
@@ -361,7 +240,7 @@ class TestKeyContractEdges:
         msg = str(err.value)
         assert "TwiceMinimal" in msg and "same (port, vc) twice" in msg
         assert "at switch" in msg and "[(" in msg  # names switch + candidates
-        assert sim.slot <= 1  # the first derive, not some later slot
+        assert sim.slot <= 1  # the first lookup, not some later slot
 
 
 class TestGrantPlanCache:
@@ -425,12 +304,14 @@ class TestGrantPlanCache:
         assert cached == rebuilt
         assert rebuilt_sim.grant_stats["plan_hits"] == 0
 
-    def test_grant_profile_accumulates_subphases(self):
+    def test_grant_profile_times_the_scans(self):
+        # The draws and grants run in the shared arbiter loop, which
+        # keeps no timers: only the two kinds of scan are timed.
         sim = _array_sim(_net(), offered=0.7)
         assert sim.grant_profile is None  # off by default: no timer calls
         prof = sim.enable_grant_profile()
         for _ in range(60):
             sim.step()
         assert set(prof) == {"predraw", "select", "commit", "fallback"}
-        assert prof["select"] > 0.0 and prof["commit"] > 0.0
-        assert prof["predraw"] > 0.0
+        assert prof["select"] > 0.0 and prof["fallback"] > 0.0
+        assert prof["predraw"] == 0.0 and prof["commit"] == 0.0

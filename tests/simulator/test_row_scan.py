@@ -84,7 +84,8 @@ def _flat_best(sim, sw, feasible):
 
 
 def _assert_rows(cands, n_vcs):
-    """``cands`` carries rows, and they flatten to its triples."""
+    """``cands`` carries rows, they flatten to its triples, and no
+    ``(port, vc)`` appears twice (the engine checks only plain lists)."""
     assert isinstance(cands, CandidateList)
     flat = []
     for port, pen, pvs in cands.rows:
@@ -92,6 +93,7 @@ def _assert_rows(cands, n_vcs):
             assert pv // n_vcs == port, f"row on port {port} holds pv {pv}"
             flat.append((port, pv - port * n_vcs, pen))
     assert flat == list(cands)
+    assert len({(port, vc) for port, vc, _pen in flat}) == len(flat)
 
 
 class _RecordingRng:
