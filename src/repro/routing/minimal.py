@@ -13,19 +13,21 @@ packet runs out of legal VCs.
 from __future__ import annotations
 
 from ..topology.base import Network
+from ..topology.graph import FlatViews
 from .base import NO_PENALTY, Candidate, RoutingMechanism, ladder_vc
 
 
-class MinimalRouting(RoutingMechanism):
+class MinimalRouting(RoutingMechanism, FlatViews):
     """Adaptive shortest-path routing, ladder with 2 VCs per step."""
 
     name = "Minimal"
+    FLAT = {"_dist": "dist"}
 
     def __init__(self, network: Network, n_vcs: int, vcs_per_step: int = 2):
         super().__init__(n_vcs)
         self.network = network
         self.vcs_per_step = vcs_per_step
-        self.dist = network.distances  # BFS tables, recomputed per topology
+        self.on_topology_change()
 
     def init_packet(self, pkt) -> None:
         pkt.hops = 0
@@ -35,11 +37,12 @@ class MinimalRouting(RoutingMechanism):
         vcs = ladder_vc(pkt.hops, self.n_vcs, self.vcs_per_step)
         if not vcs:
             return []
-        drow = self.dist[:, dst]
-        here = drow[current]
+        d = self._dist
+        n = self._n
+        here = d[current * n + dst]
         out: list[Candidate] = []
         for port, nbr in self.network.live_ports[current]:
-            if drow[nbr] == here - 1:
+            if d[nbr * n + dst] == here - 1:
                 for vc in vcs:
                     out.append((port, vc, NO_PENALTY))
         return out
@@ -52,6 +55,7 @@ class MinimalRouting(RoutingMechanism):
 
     def on_topology_change(self) -> None:
         self.dist = self.network.distances  # recomputed lazily by Network
+        self._bind_flat()
 
     def max_route_length(self) -> int | None:
         return self.n_vcs // self.vcs_per_step

@@ -30,6 +30,7 @@ with escape-based deadlock avoidance instead.
 from __future__ import annotations
 
 from ..topology.base import Network
+from ..topology.graph import FlatViews
 from .base import (
     DEROUTE_PENALTY,
     NO_PENALTY,
@@ -43,17 +44,20 @@ from .base import (
 PENALTY_BY_DELTA_MU = {2: NO_PENALTY, 1: DEROUTE_PENALTY, 0: POLARIZED_FLAT_PENALTY}
 
 
-class PolarizedRoutes:
+class PolarizedRoutes(FlatViews):
     """Stateless candidate generator for Polarized routes.
 
     Works on any connected network (the paper stresses Polarized discovers
     the topology through BFS tables), which is what makes it a good base
-    route set for fault-tolerant SurePath.
+    route set for fault-tolerant SurePath.  Distances are read through
+    ``_dist``, a flat view of ``dist`` (:class:`FlatViews`).
     """
+
+    FLAT = {"_dist": "dist"}
 
     def __init__(self, network: Network):
         self.network = network
-        self.dist = network.distances
+        self.on_topology_change()
 
     def init_packet(self, pkt) -> None:
         pkt.hops = 0
@@ -66,15 +70,16 @@ class PolarizedRoutes:
         """Candidate ``(port, neighbour, penalty)`` hops at ``current``."""
         src = pkt.src_switch
         dst = pkt.dst_switch
-        ds_row = self.dist[:, src]
-        dt_row = self.dist[:, dst]
-        ds_c = ds_row[current]
-        dt_c = dt_row[current]
+        d = self._dist
+        n = self._n
+        ds_c = d[current * n + src]
+        dt_c = d[current * n + dst]
         closer = pkt.closer
         out: list[tuple[int, int, int]] = []
         for port, nbr in self.network.live_ports[current]:
-            delta_s = ds_row[nbr] - ds_c
-            delta_t = dt_row[nbr] - dt_c
+            row = nbr * n
+            delta_s = d[row + src] - ds_c
+            delta_t = d[row + dst] - dt_c
             dmu = delta_s - delta_t
             if dmu < 0:
                 continue
@@ -88,7 +93,7 @@ class PolarizedRoutes:
                         continue
                 else:  # (0,0) revolving both: not in Table 1
                     continue
-            out.append((port, int(nbr), PENALTY_BY_DELTA_MU[int(dmu)]))
+            out.append((port, int(nbr), PENALTY_BY_DELTA_MU[dmu]))
         return out
 
     def ports_key(self, pkt) -> tuple:
@@ -98,19 +103,20 @@ class PolarizedRoutes:
 
     def on_hop(self, pkt, new_switch: int) -> None:
         pkt.hops += 1
-        pkt.closer = bool(
-            self.dist[new_switch, pkt.src_switch] < self.dist[new_switch, pkt.dst_switch]
-        )
+        d = self._dist
+        row = new_switch * self._n
+        pkt.closer = d[row + pkt.src_switch] < d[row + pkt.dst_switch]
 
     def on_topology_change(self) -> None:
         self.dist = self.network.distances
+        self._bind_flat()
 
     def refresh_packet(self, pkt, current: int) -> None:
         # The header bit was computed against the old distances; recompute
         # it at the packet's current switch so the Δµ=0 gating stays sound.
-        pkt.closer = bool(
-            self.dist[current, pkt.src_switch] < self.dist[current, pkt.dst_switch]
-        )
+        d = self._dist
+        row = current * self._n
+        pkt.closer = d[row + pkt.src_switch] < d[row + pkt.dst_switch]
 
     def max_route_length(self) -> int:
         # Polarized routes never exceed twice the diameter (µ increases at

@@ -14,13 +14,15 @@ import numpy as np
 
 from ..seeding import as_generator
 from ..topology.base import Network
+from ..topology.graph import FlatViews
 from .base import NO_PENALTY, Candidate, RoutingMechanism, ladder_vc
 
 
-class ValiantRouting(RoutingMechanism):
+class ValiantRouting(RoutingMechanism, FlatViews):
     """Two-phase randomized minimal routing, one-by-one VC ladder."""
 
     name = "Valiant"
+    FLAT = {"_dist": "dist"}
 
     def __init__(
         self,
@@ -30,7 +32,7 @@ class ValiantRouting(RoutingMechanism):
     ):
         super().__init__(n_vcs)
         self.network = network
-        self.dist = network.distances
+        self.on_topology_change()
         self.rng = as_generator(rng)
 
     def init_packet(self, pkt) -> None:
@@ -51,11 +53,12 @@ class ValiantRouting(RoutingMechanism):
         if not vcs:
             return []
         vc = vcs[0]
-        drow = self.dist[:, target]
-        here = drow[current]
+        d = self._dist
+        n = self._n
+        here = d[current * n + target]
         out: list[Candidate] = []
         for port, nbr in self.network.live_ports[current]:
-            if drow[nbr] == here - 1:
+            if d[nbr * n + target] == here - 1:
                 out.append((port, vc, NO_PENALTY))
         return out
 
@@ -73,6 +76,7 @@ class ValiantRouting(RoutingMechanism):
 
     def on_topology_change(self) -> None:
         self.dist = self.network.distances
+        self._bind_flat()
 
     def max_route_length(self) -> int | None:
         return self.n_vcs

@@ -61,6 +61,23 @@ mean every VC is empty at full credit, and :meth:`FlowControl.attach
 that would refuse such a VC.  Every other row is scanned VC by VC, so
 the admitted candidates, their scores, the tie list, the RNG draws and
 the request order are exactly the per-triple scan's.
+
+Under congestion many heads of one switch offer the same few loaded
+rows (SurePath's rule-1 row spans ``n_vcs - 1`` VCs on every base-route
+port), so :meth:`QPArbiter.allocate` scores a loaded row wider than one
+VC once per switch visit: keyed by its ``pvs`` tuple, the memo holds the
+row's lowest admitted ``(port_load + vc_load) * phits`` and its tied
+VCs in row order.  That entry reads only the visit's snapshot (credits,
+loads, output-queue lengths), which nothing changes before the grants,
+and the penalty is constant within a row, so "row minimum plus penalty
+beats the best score: take the row's ties; equals it: append them"
+picks exactly what the VC-by-VC walk picks.  The memo lives for one
+visit (rows are interned per mechanism and recur at every switch), is
+keyed by ``pvs`` rather than by port (one port can carry several rows)
+and stores its ties as tuples, so merging them into a head's tie list
+never alters the entry.  Width-1 rows — every row of a mechanism that
+returns plain lists, and SurePath's escape row — keep the direct check:
+for them a dictionary probe costs more than the scan it saves.
 """
 
 from __future__ import annotations
@@ -222,6 +239,10 @@ class QPArbiter(Arbiter):
         grants (``idle``: no request).  Only request-free outcomes are
         reusable: the first request of a scan is always granted, which
         changes a head.  The slot reference passes no cache.
+
+        Within one visit, a loaded row wider than one VC is scored once
+        and its ``(row minimum, tied pvs)`` reused by every later head
+        offering the same ``pvs`` (module docstring: why this is exact).
         """
         granted = 0
         phits = sim._phits
@@ -250,6 +271,9 @@ class QPArbiter(Arbiter):
             port_load = sw.port_load.tolist()
             # ---- requests -------------------------------------------------
             requests: dict[int, list[tuple[float, float, int, int, Packet]]] = {}
+            # pvs -> (lowest admitted (q + load) * phits, its tied pvs):
+            # one score per loaded wide row per visit (docstring).
+            row_best: dict[tuple[int, ...], tuple[int | None, tuple[int, ...]]] = {}
             for idx in sw.active_inputs:
                 pkt = in_q[idx][0]
                 if pkt.dst_switch == sid:
@@ -261,7 +285,10 @@ class QPArbiter(Arbiter):
                     if not cands:
                         continue  # stalled (reported by _route_head)
                 best_score = None
-                best: list[int] = []  # tied output VCs, in list order
+                # Tied output VCs, in list order: a list this head owns
+                # or a memoised tuple (``+=`` then builds a new tuple, so
+                # no merge alters the memo; hence no ``append`` below).
+                best: list[int] | tuple[int, ...] = []
                 for port, pen, pvs in cands.rows:
                     q = port_load[port]
                     if q == 0 and live[port] >= 0:
@@ -272,7 +299,9 @@ class QPArbiter(Arbiter):
                         elif pen == best_score:
                             best += pvs
                         continue
-                    for pv in pvs:
+                    if len(pvs) == 1:
+                        # Width-1 row: checked directly, no memo probe.
+                        pv = pvs[0]
                         if credits[pv] < min_cred or len(out_q[pv]) >= out_cap:
                             continue
                         score = (q + load[pv]) * phits + pen
@@ -280,7 +309,31 @@ class QPArbiter(Arbiter):
                             best_score = score
                             best = [pv]
                         elif score == best_score:
-                            best.append(pv)
+                            best = [*best, pv]
+                        continue
+                    scored = row_best.get(pvs)
+                    if scored is None:
+                        row_min = None
+                        tied: list[int] = []
+                        for pv in pvs:
+                            if credits[pv] < min_cred or len(out_q[pv]) >= out_cap:
+                                continue
+                            score = (q + load[pv]) * phits
+                            if row_min is None or score < row_min:
+                                row_min = score
+                                tied = [pv]
+                            elif score == row_min:
+                                tied.append(pv)
+                        scored = row_best[pvs] = (row_min, tuple(tied))
+                    row_min, row_tied = scored
+                    if not row_tied:
+                        continue  # flow control admits none of the row
+                    score = row_min + pen
+                    if best_score is None or score < best_score:
+                        best_score = score
+                        best = row_tied
+                    elif score == best_score:
+                        best += row_tied
                 if not best:
                     continue  # flow-control blocked this slot
                 port, vc = divmod(

@@ -34,6 +34,36 @@ from .base import Network
 UNREACHABLE = -1
 
 
+class FlatViews:
+    """Flat typed views over an object's distance matrices, for route
+    bodies that read them per hop.
+
+    :data:`FLAT` maps each view attribute to the ``n x n`` matrix
+    attribute it covers; :meth:`_bind_flat` (re)binds them all and sets
+    ``_n``.  ``matrix[a, b]`` is ``view[a * n + b]``, read as a Python
+    int: no numpy scalar per access and no copy (the matrices are
+    C-contiguous, and a view keeps its matrix alive).  Memoryviews
+    cannot be copied or pickled, so the views stay out of the pickled
+    state and are re-bound on load.
+    """
+
+    #: View attribute -> the matrix attribute it flattens.
+    FLAT: dict[str, str] = {}
+
+    def _bind_flat(self) -> None:
+        for view, matrix in self.FLAT.items():
+            m = getattr(self, matrix)
+            self._n = m.shape[1]
+            setattr(self, view, memoryview(m.reshape(-1)))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self.FLAT}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_flat()
+
+
 class NetworkDisconnected(ValueError):
     """A metric that needs a connected network was asked of a split one.
 

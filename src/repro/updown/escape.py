@@ -68,7 +68,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..topology.base import Network
-from ..topology.graph import UNREACHABLE, NetworkDisconnected, bfs_distances, bitset_distances
+from ..topology.graph import (
+    UNREACHABLE,
+    FlatViews,
+    NetworkDisconnected,
+    bfs_distances,
+    bitset_distances,
+)
 
 #: Penalties in phits (paper §3.2): black tree links and red shortcuts.
 UP_PENALTY = 112
@@ -91,7 +97,7 @@ def shortcut_penalty(reduction: int) -> int:
     return SHORTCUT_PENALTIES.get(reduction, SHORTCUT_PENALTY_FLOOR)
 
 
-class EscapeSubnetwork:
+class EscapeSubnetwork(FlatViews):
     """Routing tables of the opportunistic Up/Down escape subnetwork.
 
     Parameters
@@ -106,7 +112,12 @@ class EscapeSubnetwork:
         Enable the opportunistic horizontal links.  Disabling them yields
         the classic AutoNet Up*/Down* escape — the ablation baseline whose
         "marginal throughput of a tree" the paper's shortcuts fix.
+
+    :meth:`candidates` reads the three distance matrices through flat
+    views (:class:`~repro.topology.graph.FlatViews`).
     """
+
+    FLAT = {"_da": "dist_a", "_db": "dist_b", "_ud": "udist"}
 
     def __init__(self, network: Network, root: int = 0, shortcuts: bool = True):
         if not 0 <= root < network.n_switches:
@@ -162,12 +173,17 @@ class EscapeSubnetwork:
                 "connected network has unreachable escape pairs; "
                 "the layered BFS construction is broken"
             )
+        # Drop the old views first: each old matrix is then freed as
+        # soon as its successor is assigned, not after all three.
+        for view in self.FLAT:
+            self.__dict__.pop(view, None)
         #: Pure-descent distance (down* only); ``NO_PATH`` where none exists.
         self.dist_b: np.ndarray = np.where(dist[:n] == UNREACHABLE, NO_PATH, dist[:n])
         #: Classic Up/Down distance over black links only (analysis/tests).
         self.udist: np.ndarray = dist[n : 2 * n].copy()
         #: Full escape distance (up* [shortcut] down*).
         self.dist_a: np.ndarray = dist[-n:].astype(np.int32)
+        self._bind_flat()
 
     # ------------------------------------------------------------------
     # Candidate enumeration
@@ -186,32 +202,34 @@ class EscapeSubnetwork:
         """
         if current == target:
             return []
-        da_row = self.dist_a[:, target]
-        db_row = self.dist_b[:, target]
+        n = self._n
+        da = self._da
+        db = self._db
         kinds = self.link_kind[current]
         out: list[tuple[int, int, int]] = []
         if phase == PHASE_CLIMB:
-            here = int(da_row[current])
-            ud_row = self.udist[:, target]
-            ud_here = int(ud_row[current])
+            here = da[current * n + target]
+            ud = self._ud
+            ud_here = ud[current * n + target]
             for port, nbr in self.network.live_ports[current]:
                 kind = kinds[port]
+                col = nbr * n + target
                 if kind > 0:  # up: stay in climb phase
-                    if da_row[nbr] < here:
+                    if da[col] < here:
                         out.append((port, nbr, UP_PENALTY))
                 elif kind < 0:  # down: enter descend phase
-                    if db_row[nbr] < here:
+                    if db[col] < here:
                         out.append((port, nbr, DOWN_PENALTY))
                 else:  # shortcut: the single horizontal hop, then descend
-                    if self.shortcuts and db_row[nbr] < here:
+                    if self.shortcuts and db[col] < here:
                         # Penalty graded by the paper's metric: how much the
                         # classic Up/Down distance shrinks across the link.
-                        reduction = max(1, ud_here - int(ud_row[nbr]))
+                        reduction = max(1, ud_here - ud[col])
                         out.append((port, nbr, shortcut_penalty(reduction)))
         else:
-            here = int(db_row[current])
+            here = db[current * n + target]
             for port, nbr in self.network.live_ports[current]:
-                if kinds[port] < 0 and db_row[nbr] < here:
+                if kinds[port] < 0 and db[nbr * n + target] < here:
                     out.append((port, nbr, DOWN_PENALTY))
         if not out:
             raise AssertionError(

@@ -21,6 +21,13 @@ over every mechanism in ``routing/`` (plus one that declares no key) on
 four topology families, healthy, through a fail-then-repair schedule
 and with a link dead from the start.  A last case names a dead port in
 a candidate list, which the shortcut must leave to the per-VC scan.
+
+``QPArbiter.allocate`` also scores a loaded row wider than one VC once
+per switch visit and reuses that score for every later head offering
+the same row.  The tally counts those reuses (``shared_rows``) and the
+heads whose tie list spans several rows (``cross_row_ties``, where a
+reused tie list is merged); the congested cases below must reach both,
+including one mechanism whose rows share a port.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import pytest
 
 from repro.routing.base import CandidateList
-from repro.routing.catalog import HYPERX_ONLY, mechanism_supported
+from repro.routing.catalog import HYPERX_ONLY, default_n_vcs, mechanism_supported
 from repro.routing.minimal import MinimalRouting
 from repro.simulator.arbiters import ARBITERS, QPArbiter
 from repro.simulator.backends import make_simulator
@@ -117,12 +124,18 @@ class _RecordingRng:
 
 def _audit(sim):
     """Re-score every head the arbiter visits, at its visit, against the
-    flat scan.  Returns the coverage tally: scanned heads, and rows seen
-    on idle live ports (the shortcut) and on loaded ports (per VC)."""
+    flat scan.  Returns the coverage tally: scanned heads; rows seen on
+    idle live ports (the shortcut) and on loaded ports (scored per VC);
+    loaded rows wider than one VC that an earlier head of the same visit
+    already offered (``shared_rows``, the per-visit memo's reuses); and
+    heads whose tied candidates come from more than one row."""
     arb = sim.arbiter
     visits = sim.alloc_switches
     n_vcs = sim._n_vcs
-    tally = {"heads": 0, "idle_rows": 0, "loaded_rows": 0}
+    tally = {
+        "heads": 0, "idle_rows": 0, "loaded_rows": 0,
+        "shared_rows": 0, "cross_row_ties": 0,
+    }
     checked = {}  # id -> list: each list object's rows checked once
     qp = type(arb) is QPArbiter
     if qp:
@@ -156,15 +169,28 @@ def _audit(sim):
             live = sim.network.port_neighbour[sw.sid]
             got = arb._hol_requests(sim, sw)
             want, expected = [], []
+            scored = set()  # loaded wide rows earlier heads offered
             for idx, pkt, cands in heads(sw):
                 tally["heads"] += 1
-                for port, _pen, _pvs in cands.rows:
+                wide = []
+                for port, _pen, pvs in cands.rows:
                     idle = sw.port_load[port] == 0 and live[port] >= 0
                     tally["idle_rows" if idle else "loaded_rows"] += 1
+                    if not idle and len(pvs) > 1:
+                        tally["shared_rows"] += pvs in scored
+                        wide.append(pvs)
+                scored.update(wide)
                 feasible = _flat_feasible(sim, sw, cands)
                 if feasible:
                     want.append((idx, pkt, feasible))
-                    expected.append((idx, *_flat_best(sim, sw, feasible)))
+                    best_score, best = _flat_best(sim, sw, feasible)
+                    expected.append((idx, best_score, best))
+                    row_of = {
+                        pv: i for i, (_p, _pen, pvs) in enumerate(cands.rows)
+                        for pv in pvs
+                    }
+                    if len({row_of[p * n_vcs + vc] for p, vc in best}) > 1:
+                        tally["cross_row_ties"] += 1
             assert got == want, f"_hol_requests diverged at switch {sw.sid}"
             if qp:
                 rng.calls.clear()
@@ -222,9 +248,9 @@ def _sim(family, mechanism, scenario, arbiter="qp"):
     )
 
 
-def _drive(sim):
+def _drive(sim, slots=END):
     tally = _audit(sim)
-    for _ in range(END):
+    for _ in range(slots):
         sim.step()
     for cands in sim._cand_memo.values():
         _assert_rows(cands, sim._n_vcs)
@@ -253,6 +279,61 @@ class TestRowScanEqualsFlatScan:
     def test_hol_requests_under_every_arbiter(self, arbiter, name):
         tally = _drive(_sim("hyperx", name, "fail_repair", arbiter=arbiter))
         assert tally["idle_rows"] > 0 and tally["loaded_rows"] > 0
+
+
+class _TwoRowMinimal(MinimalRouting):
+    """Minimal routes, each offered as two rows on one port: VCs 0-1 at
+    penalty 0 and VCs 2-3 at one packet's worth — wide rows that share a
+    port but not their VCs, so a score reused by port would be wrong."""
+
+    name = "TwoRowMinimal"
+
+    def candidates(self, pkt, current):
+        n = self.n_vcs
+        dist = self.network.distances
+        dst = pkt.dst_switch
+        rows = []
+        for port, nbr in self.network.live_ports[current]:
+            if dist[nbr, dst] == dist[current, dst] - 1:
+                pv = port * n
+                rows += [(port, 0, (pv, pv + 1)), (port, 16, (pv + 2, pv + 3))]
+        triples = [
+            (port, pv - port * n, pen) for port, pen, pvs in rows for pv in pvs
+        ]
+        return CandidateList(triples, rows)
+
+    def candidate_key(self, pkt, current):
+        return (current, pkt.dst_switch)
+
+
+class TestRowMemo:
+    """Congested visits where many heads offer the same wide loaded rows:
+    the memoised scores are reused, and merged into cross-row ties."""
+
+    @pytest.mark.parametrize("family", ["mesh", "hyperx"])
+    def test_congested_surepath(self, family):
+        topo = (
+            make_topology("mesh", side=4, servers_per_switch=2)
+            if family == "mesh" else HyperX((4, 4), 4)
+        )
+        net = Network(topo)
+        mech = build_mechanism("PolSP", net)
+        assert mech.n_vcs == default_n_vcs(net)  # 2·diameter / 2n VCs
+        sim = make_simulator(
+            PAPER_CONFIG, net, mech, make_traffic("hotspot", net, 0),
+            offered=0.8, seed=0,
+        )
+        tally = _drive(sim, 60)
+        assert tally["shared_rows"] > 0 and tally["cross_row_ties"] > 0
+
+    def test_rows_sharing_a_port(self):
+        net = Network(HyperX((4, 4), 2))
+        sim = make_simulator(
+            PAPER_CONFIG, net, _TwoRowMinimal(net, 4),
+            make_traffic("uniform", net, 0), offered=0.8, seed=0,
+        )
+        tally = _drive(sim)
+        assert tally["shared_rows"] > 0 and tally["cross_row_ties"] > 0
 
 
 class _DeadPortMinimal(MinimalRouting):
