@@ -21,7 +21,7 @@ class MinimalRouting(RoutingMechanism, FlatViews):
     """Adaptive shortest-path routing, ladder with 2 VCs per step."""
 
     name = "Minimal"
-    FLAT = {"_dist": "dist"}
+    FLAT = {"_dist": "network.distances"}
 
     def __init__(self, network: Network, n_vcs: int, vcs_per_step: int = 2):
         super().__init__(n_vcs)
@@ -54,8 +54,7 @@ class MinimalRouting(RoutingMechanism, FlatViews):
         pkt.hops += 1
 
     def on_topology_change(self) -> None:
-        self.dist = self.network.distances  # recomputed lazily by Network
-        self._bind_flat()
+        self._bind_flat()  # Network recomputes its distances lazily
 
     def max_route_length(self) -> int | None:
         return self.n_vcs // self.vcs_per_step

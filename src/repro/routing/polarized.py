@@ -50,10 +50,10 @@ class PolarizedRoutes(FlatViews):
     Works on any connected network (the paper stresses Polarized discovers
     the topology through BFS tables), which is what makes it a good base
     route set for fault-tolerant SurePath.  Distances are read through
-    ``_dist``, a flat view of ``dist`` (:class:`FlatViews`).
+    ``_dist``, a flat view of ``network.distances`` (:class:`FlatViews`).
     """
 
-    FLAT = {"_dist": "dist"}
+    FLAT = {"_dist": "network.distances"}
 
     def __init__(self, network: Network):
         self.network = network
@@ -108,7 +108,6 @@ class PolarizedRoutes(FlatViews):
         pkt.closer = d[row + pkt.src_switch] < d[row + pkt.dst_switch]
 
     def on_topology_change(self) -> None:
-        self.dist = self.network.distances
         self._bind_flat()
 
     def refresh_packet(self, pkt, current: int) -> None:

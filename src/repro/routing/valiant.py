@@ -22,7 +22,7 @@ class ValiantRouting(RoutingMechanism, FlatViews):
     """Two-phase randomized minimal routing, one-by-one VC ladder."""
 
     name = "Valiant"
-    FLAT = {"_dist": "dist"}
+    FLAT = {"_dist": "network.distances"}
 
     def __init__(
         self,
@@ -75,7 +75,6 @@ class ValiantRouting(RoutingMechanism, FlatViews):
             pkt.phase = 1
 
     def on_topology_change(self) -> None:
-        self.dist = self.network.distances
         self._bind_flat()
 
     def max_route_length(self) -> int | None:

@@ -58,16 +58,16 @@ links, per VC ``load = 2 * out + wire + down`` and
 ``credits = capacity - down - wire - out``, makes a zero ``port_load``
 mean every VC is empty at full credit, and :meth:`FlowControl.attach
 <repro.simulator.flowcontrol.FlowControl.attach>` rejects any policy
-that would refuse such a VC.  Every other row is scanned VC by VC, so
+that would refuse such a VC.  Every other row is scored VC by VC, so
 the admitted candidates, their scores, the tie list, the RNG draws and
 the request order are exactly the per-triple scan's.
 
 Under congestion many heads of one switch offer the same few loaded
 rows (SurePath's rule-1 row spans ``n_vcs - 1`` VCs on every base-route
-port), so :meth:`QPArbiter.allocate` scores a loaded row wider than one
-VC once per switch visit: keyed by its ``pvs`` tuple, the memo holds the
-row's lowest admitted ``(port_load + vc_load) * phits`` and its tied
-VCs in row order.  That entry reads only the visit's snapshot (credits,
+port), so :meth:`QPArbiter.allocate` scores each loaded row once per
+switch visit: keyed by its ``pvs`` tuple, the memo holds the row's
+lowest admitted ``(port_load + vc_load) * phits`` and its tied VCs in
+row order.  That entry reads only the visit's snapshot (credits,
 loads, output-queue lengths), which nothing changes before the grants,
 and the penalty is constant within a row, so "row minimum plus penalty
 beats the best score: take the row's ties; equals it: append them"
@@ -75,9 +75,7 @@ picks exactly what the VC-by-VC walk picks.  The memo lives for one
 visit (rows are interned per mechanism and recur at every switch), is
 keyed by ``pvs`` rather than by port (one port can carry several rows)
 and stores its ties as tuples, so merging them into a head's tie list
-never alters the entry.  Width-1 rows — every row of a mechanism that
-returns plain lists, and SurePath's escape row — keep the direct check:
-for them a dictionary probe costs more than the scan it saves.
+never alters the entry.
 """
 
 from __future__ import annotations
@@ -240,9 +238,9 @@ class QPArbiter(Arbiter):
         reusable: the first request of a scan is always granted, which
         changes a head.  The slot reference passes no cache.
 
-        Within one visit, a loaded row wider than one VC is scored once
-        and its ``(row minimum, tied pvs)`` reused by every later head
-        offering the same ``pvs`` (module docstring: why this is exact).
+        Within one visit, each loaded row is scored once and its
+        ``(row minimum, tied pvs)`` reused by every later head offering
+        the same ``pvs`` (module docstring: why this is exact).
         """
         granted = 0
         phits = sim._phits
@@ -272,7 +270,7 @@ class QPArbiter(Arbiter):
             # ---- requests -------------------------------------------------
             requests: dict[int, list[tuple[float, float, int, int, Packet]]] = {}
             # pvs -> (lowest admitted (q + load) * phits, its tied pvs):
-            # one score per loaded wide row per visit (docstring).
+            # one score per loaded row per visit (docstring).
             row_best: dict[tuple[int, ...], tuple[int | None, tuple[int, ...]]] = {}
             for idx in sw.active_inputs:
                 pkt = in_q[idx][0]
@@ -287,7 +285,7 @@ class QPArbiter(Arbiter):
                 best_score = None
                 # Tied output VCs, in list order: a list this head owns
                 # or a memoised tuple (``+=`` then builds a new tuple, so
-                # no merge alters the memo; hence no ``append`` below).
+                # no merge alters the memo).
                 best: list[int] | tuple[int, ...] = []
                 for port, pen, pvs in cands.rows:
                     q = port_load[port]
@@ -298,18 +296,6 @@ class QPArbiter(Arbiter):
                             best = list(pvs)
                         elif pen == best_score:
                             best += pvs
-                        continue
-                    if len(pvs) == 1:
-                        # Width-1 row: checked directly, no memo probe.
-                        pv = pvs[0]
-                        if credits[pv] < min_cred or len(out_q[pv]) >= out_cap:
-                            continue
-                        score = (q + load[pv]) * phits + pen
-                        if best_score is None or score < best_score:
-                            best_score = score
-                            best = [pv]
-                        elif score == best_score:
-                            best = [*best, pv]
                         continue
                     scored = row_best.get(pvs)
                     if scored is None:

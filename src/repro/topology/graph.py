@@ -26,6 +26,8 @@ all-pairs matrix.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from .base import Network
@@ -38,21 +40,22 @@ class FlatViews:
     """Flat typed views over an object's distance matrices, for route
     bodies that read them per hop.
 
-    :data:`FLAT` maps each view attribute to the ``n x n`` matrix
-    attribute it covers; :meth:`_bind_flat` (re)binds them all and sets
-    ``_n``.  ``matrix[a, b]`` is ``view[a * n + b]``, read as a Python
+    :data:`FLAT` maps each view attribute to the ``n x n`` matrix it
+    covers, named by attribute path from the object (``"dist_a"``,
+    ``"network.distances"``); :meth:`_bind_flat` (re)binds them all and
+    sets ``_n``.  ``matrix[a, b]`` is ``view[a * n + b]``, read as a Python
     int: no numpy scalar per access and no copy (the matrices are
     C-contiguous, and a view keeps its matrix alive).  Memoryviews
     cannot be copied or pickled, so the views stay out of the pickled
     state and are re-bound on load.
     """
 
-    #: View attribute -> the matrix attribute it flattens.
+    #: View attribute -> the attribute path of the matrix it flattens.
     FLAT: dict[str, str] = {}
 
     def _bind_flat(self) -> None:
         for view, matrix in self.FLAT.items():
-            m = getattr(self, matrix)
+            m = attrgetter(matrix)(self)
             self._n = m.shape[1]
             setattr(self, view, memoryview(m.reshape(-1)))
 

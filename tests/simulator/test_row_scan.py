@@ -22,8 +22,8 @@ four topology families, healthy, through a fail-then-repair schedule
 and with a link dead from the start.  A last case names a dead port in
 a candidate list, which the shortcut must leave to the per-VC scan.
 
-``QPArbiter.allocate`` also scores a loaded row wider than one VC once
-per switch visit and reuses that score for every later head offering
+``QPArbiter.allocate`` also scores each loaded row once per switch
+visit and reuses that score for every later head offering
 the same row.  The tally counts those reuses (``shared_rows``) and the
 heads whose tie list spans several rows (``cross_row_ties``, where a
 reused tie list is merged); the congested cases below must reach both,
@@ -126,9 +126,9 @@ def _audit(sim):
     """Re-score every head the arbiter visits, at its visit, against the
     flat scan.  Returns the coverage tally: scanned heads; rows seen on
     idle live ports (the shortcut) and on loaded ports (scored per VC);
-    loaded rows wider than one VC that an earlier head of the same visit
-    already offered (``shared_rows``, the per-visit memo's reuses); and
-    heads whose tied candidates come from more than one row."""
+    loaded rows that an earlier head of the same visit already offered
+    (``shared_rows``, the per-visit memo's reuses); and heads whose tied
+    candidates come from more than one row."""
     arb = sim.arbiter
     visits = sim.alloc_switches
     n_vcs = sim._n_vcs
@@ -169,17 +169,17 @@ def _audit(sim):
             live = sim.network.port_neighbour[sw.sid]
             got = arb._hol_requests(sim, sw)
             want, expected = [], []
-            scored = set()  # loaded wide rows earlier heads offered
+            scored = set()  # loaded rows earlier heads offered
             for idx, pkt, cands in heads(sw):
                 tally["heads"] += 1
-                wide = []
+                loaded = []
                 for port, _pen, pvs in cands.rows:
                     idle = sw.port_load[port] == 0 and live[port] >= 0
                     tally["idle_rows" if idle else "loaded_rows"] += 1
-                    if not idle and len(pvs) > 1:
+                    if not idle:
                         tally["shared_rows"] += pvs in scored
-                        wide.append(pvs)
-                scored.update(wide)
+                        loaded.append(pvs)
+                scored.update(loaded)
                 feasible = _flat_feasible(sim, sw, cands)
                 if feasible:
                     want.append((idx, pkt, feasible))
