@@ -595,6 +595,12 @@ def should_parallelize(
 class ParallelExecutor(Executor):
     """Process-pool execution of independent points.
 
+    Jobs go out one chunk per worker (``ceil(len(jobs) / workers)``):
+    sweeps emit jobs grouped by network, so a chunk keeps a worker on one
+    network and amortises its routing tables, and near-homogeneous
+    points gain nothing from finer dispatch, which only re-pays the
+    pool's pickling round trip.
+
     Parameters
     ----------
     jobs:
@@ -607,24 +613,12 @@ class ParallelExecutor(Executor):
     cache_dir:
         Optional content-addressed result cache shared with every other
         executor.
-    chunksize:
-        Jobs handed to a worker per dispatch.  Sweeps emit jobs grouped
-        by network, so chunks keep a worker on one network long enough to
-        amortise its routing-table construction (jobs inside one chunk
-        also share their pickled topology).  Defaults to one chunk per
-        worker (``ceil(len(jobs) / workers)``): sweep points are
-        near-homogeneous in cost, so rebalancing buys nothing while
-        every extra dispatch re-pays the pool's pickling/IPC round
-        trip — the finer default used to leave short sweeps *slower*
-        than the serial executor.  Pass a smaller value explicitly for
-        heterogeneous job lists that need load balancing.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
         cache_dir: str | os.PathLike | None = None,
-        chunksize: int | None = None,
     ) -> None:
         super().__init__(cache_dir)
         # Explicit validation: a truthiness check here used to turn
@@ -638,15 +632,12 @@ class ParallelExecutor(Executor):
             if jobs < 1:
                 raise ValueError(f"jobs must be >= 1, got {jobs}")
             self.n_workers = jobs
-        self.chunksize = None if chunksize is None else max(1, int(chunksize))
 
     def _execute(self, jobs: Sequence[PointJob]) -> list[dict]:
         if not should_parallelize(jobs, self.n_workers):
             return [run_job(job) for job in jobs]
         workers = min(self.n_workers, len(jobs))
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = -(-len(jobs) // workers)  # ceil: one chunk per worker
+        chunksize = -(-len(jobs) // workers)  # ceil: one chunk per worker
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_job, jobs, chunksize=chunksize))
 

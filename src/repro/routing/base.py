@@ -153,6 +153,7 @@ class RoutingMechanism(ABC):
         SurePath's escape phase) override it.
         """
 
+    @abstractmethod
     def candidate_key(self, pkt: "Packet", current: int) -> tuple:
         """The index of the routing table :meth:`candidates` reads: a
         hashable key such that two packets with equal keys get equal
@@ -169,14 +170,7 @@ class RoutingMechanism(ABC):
         route situation instead of calling :meth:`candidates` per
         packet-hop — so an under-specified key misroutes on every
         backend, and a returned list must never be mutated afterwards.
-
-        Overriding is per mechanism, not per packet: every mechanism in
-        this package does (:func:`declares_candidate_key`), and one that
-        does not has :meth:`candidates` called once per packet per
-        switch and is allocated by the arbiter's scalar reference path
-        on every backend.
         """
-        raise NotImplementedError(f"{self.name} declares no candidate key")
 
     # ------------------------------------------------------------------
     def max_route_length(self) -> int | None:
@@ -185,15 +179,6 @@ class RoutingMechanism(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_vcs={self.n_vcs})"
-
-
-def declares_candidate_key(mechanism: object) -> bool:
-    """Whether ``mechanism`` overrides
-    :meth:`RoutingMechanism.candidate_key` — false for the base default
-    and for duck-typed mechanisms without the attribute, which the
-    simulator then never tables."""
-    key = getattr(type(mechanism), "candidate_key", None)
-    return key is not None and key is not RoutingMechanism.candidate_key
 
 
 def ladder_vc(hops: int, n_vcs: int, vcs_per_step: int = 1) -> list[int]:

@@ -2,13 +2,12 @@
 
 Every ``Generator | int | None`` parameter in the library funnels
 through :func:`as_generator` instead of calling
-``np.random.default_rng`` inline.  The point is auditability, enforced
-by ``repro.lint``'s RNG-discipline checker: generator *construction* is
-allowed only here and in the engine's seeding root
+``np.random.default_rng`` inline.  The point is auditability: generator
+*construction* is allowed only here and in the engine's seeding root
 (:mod:`repro.simulator.engine`), so every place a new RNG stream can
 enter the system is one of two named modules — anywhere else, a fresh
 ``default_rng`` call is a stream the backend byte-identity proof does
-not know about, and the linter rejects it.
+not know about, and ``tests/test_rng_discipline.py`` rejects it.
 
 Semantics are exactly ``np.random.default_rng``'s: an existing
 ``Generator`` passes through untouched (same object, same stream

@@ -63,10 +63,8 @@ each to the reference's own per-item body
   so no attempt can alter another's occupancy within the slot.  The
   shared body runs in attempt order — its draws are the RNG contract.
 
-The other arbiters, and any mechanism that does not override
-``candidate_key``, run the arbiter's own ``allocate`` with no plan
-cache: a mechanism without a key may compute candidates differently on
-every call, which a skipped scan would hide.  The engine's busy agenda
+The other arbiters run their own ``allocate`` with no plan cache.  The
+engine's busy agenda
 is inherited unchanged: the request scan visits ``alloc_switches()``,
 and the whole-array scans find work only where the agenda holds it.
 Select with ``SimConfig(backend="array")`` — the config field is part
@@ -101,7 +99,7 @@ class ArraySimulator(Simulator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._use_plans = self._keyed and type(self.arbiter) is QPArbiter
+        self._use_plans = type(self.arbiter) is QPArbiter
         state = self.state
         #: sid -> stalled pids (``None`` until first derived) of every
         #: switch whose last scan made no request: its stored plan.
@@ -132,12 +130,8 @@ class ArraySimulator(Simulator):
 
         ``select`` is the phase-start staleness pass plus every scan
         made without credit feedback, ``fallback`` every scan under
-        credit feedback.  ``predraw`` and ``commit`` stay 0: the draws
-        and grants run inside the shared arbiter loop, which keeps no
-        timers."""
-        self.grant_profile = {
-            "predraw": 0.0, "select": 0.0, "commit": 0.0, "fallback": 0.0,
-        }
+        credit feedback."""
+        self.grant_profile = {"select": 0.0, "fallback": 0.0}
         return self.grant_profile
 
     def _refresh_inflight_packets(self) -> None:

@@ -91,7 +91,6 @@ from ..routing.base import (
     CandidateList,
     CandidateRow,
     RoutingMechanism,
-    declares_candidate_key,
 )
 from ..topology.base import Network
 from ..traffic.base import TrafficPattern
@@ -302,13 +301,11 @@ class Simulator:
         self._escape_vc = getattr(mechanism, "escape_vc", None)
         #: ``candidate_key -> candidate list``: the paper's routing
         #: table, filled on demand by :meth:`lookup_candidates` and
-        #: dropped on every topology event.  Stays empty for a mechanism
-        #: that declares no key.
+        #: dropped on every topology event.
         self._cand_memo: dict[tuple, CandidateList] = {}
         #: ``(port, vc, pen) ->`` its width-1 row, for wrapping the plain
         #: lists of mechanisms that build no rows themselves.
         self._triple_rows: dict[Candidate, CandidateRow] = {}
-        self._keyed = declares_candidate_key(mechanism)
         self.fault_schedule = fault_schedule
         if fault_schedule is not None:
             fault_schedule.validate(network.topology, network.faults)
@@ -439,8 +436,7 @@ class Simulator:
         :meth:`~repro.routing.base.RoutingMechanism.candidate_key`
         between topology events, so the mechanism computes each route
         situation once and every later packet in it shares the same list
-        object (callers must not mutate it).  A mechanism that declares
-        no key is asked every time.  No RNG is drawn on either path.
+        object (callers must not mutate it).  No RNG is drawn.
 
         Every list comes back as a
         :class:`~repro.routing.base.CandidateList`, whose rows the
@@ -456,7 +452,7 @@ class Simulator:
         ``perfbench/tracing.py`` shadows its ``candidates`` per instance.
         """
         mech = self.mechanism
-        key = mech.candidate_key(pkt, sid) if self._keyed else None
+        key = mech.candidate_key(pkt, sid)
         memo = self._cand_memo
         cands = memo.get(key)
         if cands is None:
@@ -470,10 +466,9 @@ class Simulator:
                 cands = CandidateList.of_triples(
                     cands, self._n_vcs, self._triple_rows
                 )
-            if key is not None:
-                if len(memo) >= CANDIDATE_TABLE_BOUND:
-                    self._drop_candidate_table()
-                memo[key] = cands
+            if len(memo) >= CANDIDATE_TABLE_BOUND:
+                self._drop_candidate_table()
+            memo[key] = cands
         return cands
 
     def _drop_candidate_table(self) -> None:

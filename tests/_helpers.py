@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from repro.routing.catalog import MECHANISMS, make_mechanism
-from repro.routing.base import RoutingMechanism
 from repro.routing.escape_only import EscapeOnlyRouting
-from repro.routing.minimal import MinimalRouting
 from repro.routing.tables import TableMinimalRouting
 from repro.simulator.packet import Packet
 from repro.topology.base import Network
@@ -74,9 +72,3 @@ def build_mechanism(name: str, net: Network):
         return TableMinimalRouting(net, 4)
     return make_mechanism(name, net, rng=1)
 
-
-class UnkeyedMinimal(MinimalRouting):
-    """A third-party-style mechanism: routes fine, declares no key."""
-
-    name = "UnkeyedMinimal"
-    candidate_key = RoutingMechanism.candidate_key

@@ -11,6 +11,11 @@ mid-run fail-then-repair, phased workload), plus the microarchitecture
 variants whose RNG/wake behaviour differs (pipelined links, on-off
 injection, split RNG streams), each over multiple seeds.
 
+Records can agree while the hooks that feed them do not (a backend that
+skips ``injection.on_blocked`` changes no record of an open-loop point),
+so a per-hook differential also compares every ``metrics.on_*`` and
+``injection.on_*`` call, slot by slot.
+
 The cache-key tests pin that ``backend`` reaches ``job_key``: no two
 backends' results can ever alias one cache entry, and the ``"event"``
 alias of ``"slot"`` shares the reference's entry rather than adding one.
@@ -19,6 +24,8 @@ alias of ``"slot"`` shares the reference's entry rather than adding one.
 from __future__ import annotations
 
 import json
+import weakref
+from collections import Counter
 
 from repro.experiments.executor import (
     SerialExecutor,
@@ -30,6 +37,9 @@ from repro.experiments.sweeps import (
     transient_run_jobs,
     workload_sweep_jobs,
 )
+from repro.routing.catalog import make_mechanism
+from repro.simulator.backends import make_simulator
+from repro.simulator.collective import CollectiveInjection, make_collective
 from repro.simulator.config import PAPER_CONFIG
 from repro.simulator.schedule import FaultSchedule
 from repro.simulator.workload import WorkloadSchedule
@@ -37,6 +47,8 @@ from repro.topology.base import Network
 from repro.topology.catalog import make_topology
 from repro.topology.faults import random_connected_fault_sequence
 from repro.topology.hyperx import HyperX
+from repro.traffic import make_traffic
+from repro.traffic.collective import CollectiveTraffic
 
 import pytest
 
@@ -240,10 +252,6 @@ def test_fallback_cases_exercise_both_grant_paths(family):
     # drive the plan cache (plan replays) AND the conflict detector's
     # fallback (rescans under credit feedback) — otherwise the matrix would
     # silently stop covering one of the two.
-    from repro.routing.catalog import make_mechanism
-    from repro.simulator.backends import make_simulator
-    from repro.traffic import make_traffic
-
     net = Network(FALLBACK_CASES[family]())
     mech = make_mechanism("PolSP", net, rng=1)
     sim = make_simulator(
@@ -327,3 +335,104 @@ class TestBackendInCacheKey:
         assert counts == [1, 1, 2]
         assert _normalize(records[0]) == _normalize(records[1])
         assert _normalize(records[0]) == _normalize(records[2])
+
+
+
+# ----------------------------------------------------------------------
+# Per-hook observation differential
+# ----------------------------------------------------------------------
+#: Probe points on HyperX (4,4)x4, seed 3, ``(mechanism, traffic,
+#: offered, faulted)``, each with the hooks it must reach.  A faulted
+#: point fails two links at slot 100 and repairs them at 200: Minimal
+#: strands heads behind them, which the plan cache replays under
+#: hotspot congestion, and PolSP's uniform load drops a packet.
+HOOK_POINTS = {
+    ("PolSP", "hotspot", 0.7, False): {"injection.on_blocked"},
+    ("Minimal", "hotspot", 0.7, True): {"metrics.on_stalled"},
+    ("PolSP", "uniform", 0.9, True): {"injection.on_dropped"},
+}
+
+
+def _observe_hooks(sim):
+    """Wrap every ``on_*`` hook of ``sim.metrics`` and ``sim.injection``
+    on the instance; return the multiset of ``(slot, hook, args)`` they
+    receive, with packets named by pid.
+
+    ``on_stalled`` counts ``(slot, pid)`` pairs: ``array`` replays a
+    switch's stalled heads in one call, the scan reports each head in
+    its own.  The hooks hold ``sim`` weakly: a cycle through it would
+    keep every simulator and its calls alive until a full collection,
+    which slows the tests that run after these."""
+    calls = Counter()
+    clock = weakref.proxy(sim)
+
+    def wrap(label, fn):
+        def hook(*args):
+            if label == "metrics.on_stalled":
+                pids, slot = args
+                calls.update((slot, label, pid) for pid in pids)
+            else:
+                key = tuple(getattr(a, "pid", a) for a in args)
+                calls[(clock.slot, label, key)] += 1
+            return fn(*args)
+
+        return hook
+
+    for owner in ("metrics", "injection"):
+        obj = getattr(sim, owner)
+        for name in dir(obj):
+            if name.startswith("on_"):
+                setattr(obj, name, wrap(f"{owner}.{name}", getattr(obj, name)))
+    return calls
+
+
+def _hook_calls(backend, mechanism, traffic, offered, faulted):
+    topo = HyperX((4, 4), 4)
+    net = Network(topo)
+    links = random_connected_fault_sequence(topo, 2, rng=1)
+    sim = make_simulator(
+        _alt_config(backend), net, make_mechanism(mechanism, net, rng=3),
+        make_traffic(traffic, net, 3), offered=offered, seed=3,
+        fault_schedule=(
+            FaultSchedule.down_then_up(100, 200, links) if faulted else None
+        ),
+    )
+    calls = _observe_hooks(sim)
+    sim.run(warmup=60, measure=200)
+    return calls
+
+
+def _collective_hook_calls(backend):
+    # A ring all-reduce drained through a failure of the row-closing
+    # links, the only ones holding queued packets: drops re-queue at the
+    # source, so on_dropped / on_delivered run on the retransmit path.
+    topo = HyperX((4, 4), 4)
+    net = Network(topo)
+    injection = CollectiveInjection(
+        net.n_servers,
+        make_collective("allreduce_ring", net.n_servers, chunk_packets=4),
+    )
+    links = [(4 * row, 4 * row + 3) for row in range(4)]
+    sim = make_simulator(
+        _alt_config(backend), net, make_mechanism("PolSP", net, rng=3),
+        CollectiveTraffic(net, injection), injection=injection, offered=1.0,
+        seed=3, fault_schedule=FaultSchedule.down_then_up(20, 80, links),
+    )
+    calls = _observe_hooks(sim)
+    result = sim.run_until_drained(max_slots=20_000)
+    assert result.completion_slot is not None
+    assert injection.retransmitted > 0
+    return calls
+
+
+@pytest.mark.parametrize("alt", ALT_BACKENDS)
+@pytest.mark.parametrize("point", HOOK_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_every_hook_sees_the_same_calls(point, alt):
+    ref = _hook_calls("slot", *point)
+    assert ref == _hook_calls(alt, *point)
+    assert HOOK_POINTS[point] <= {label for _slot, label, _args in ref}
+
+
+@pytest.mark.parametrize("alt", ALT_BACKENDS)
+def test_every_hook_sees_the_same_calls_on_a_drain(alt):
+    assert _collective_hook_calls("slot") == _collective_hook_calls(alt)

@@ -2,11 +2,13 @@
 
 import json
 import warnings
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.experiments import executor as executor_mod
 from repro.experiments.executor import (
+    CACHE_VERSION,
     PER_WORKER_OVERHEAD,
     ParallelExecutor,
     PointJob,
@@ -23,6 +25,10 @@ from repro.experiments.sweeps import (
     load_sweep_jobs,
     run_sweep,
 )
+from repro.simulator.config import PAPER_CONFIG, SimConfig
+from repro.simulator.schedule import FaultSchedule
+from repro.simulator.workload import WorkloadSchedule
+from repro.topology.hyperx import HyperX
 
 SWEEP_KW = dict(warmup=30, measure=60)
 
@@ -74,6 +80,79 @@ class TestPointJobs:
         assert rec["accepted"] == res.accepted
         assert rec["latency_cycles"] == pytest.approx(res.avg_latency_cycles)
         assert rec["jain"] == res.jain
+
+
+#: One alternative valid value per dataclass field.  The keys must be
+#: exactly the field names, so a new field fails until it is listed here.
+ALT_JOB = {
+    "topology": HyperX((3, 3), 2),
+    "faults": ((0, 1),),
+    "spec": PointSpec("Valiant", "uniform", 0.5),
+    "warmup": 11,
+    "measure": 21,
+    "config": PAPER_CONFIG.with_(arbiter="age"),
+    "schedule": FaultSchedule.down_then_up(5, 15, [(0, 1)]),
+    "series_interval": 5,
+    "workload": WorkloadSchedule.load_steps([(5, 0.1)]),
+    "labels": (("shape", "row"),),
+}
+ALT_SPEC = {
+    "mechanism": "Valiant", "traffic": "randperm", "offered": 0.6,
+    "seed": 1, "n_vcs": 6, "root": 1,
+}
+ALT_CONFIG = {
+    "input_buffer_packets": 9, "output_buffer_packets": 5,
+    "packet_phits": 8, "crossbar_speedup": 1, "source_queue_packets": 8,
+    "deadlock_threshold_slots": 400, "arbiter": "age",
+    "flow_control": "saf", "link_latency_slots": 2, "injection": "onoff",
+    "burst_slots": 4, "idle_slots": 4, "rng_streams": "split",
+    "backend": "array", "collective": "allreduce_ring", "chunk_packets": 2,
+}
+
+
+class TestJobKeyCoversEveryField:
+    """Every field that can change what a point produces moves
+    ``job_key``; only the presentation ``labels`` do not."""
+
+    BASE = PointJob(
+        HyperX((4, 4), 2), (), PointSpec("Minimal", "uniform", 0.5),
+        warmup=10, measure=20,
+    )
+
+    def _unmoved(self, obj, alts, rebuild):
+        assert set(alts) == {f.name for f in fields(obj)}
+        base = job_key(self.BASE)
+        return {
+            name for name, value in alts.items()
+            if job_key(rebuild(replace(obj, **{name: value}))) == base
+        }
+
+    def test_point_job_fields(self):
+        assert self._unmoved(self.BASE, ALT_JOB, lambda job: job) == {"labels"}
+
+    def test_point_spec_fields(self):
+        base = self.BASE
+        assert not self._unmoved(
+            base.spec, ALT_SPEC, lambda spec: replace(base, spec=spec)
+        )
+
+    def test_sim_config_fields(self):
+        base = self.BASE
+        assert not self._unmoved(
+            base.config, ALT_CONFIG, lambda cfg: replace(base, config=cfg)
+        )
+
+    def test_config_fields_are_pinned_to_the_cache_version(self):
+        # Growing SimConfig is keyed by asdict, but records stored before
+        # the field existed must not alias records after it: the same
+        # change bumps CACHE_VERSION and re-pins this literal.
+        assert (CACHE_VERSION, tuple(f.name for f in fields(SimConfig))) == (8, (
+            "input_buffer_packets", "output_buffer_packets", "packet_phits",
+            "crossbar_speedup", "source_queue_packets",
+            "deadlock_threshold_slots", "arbiter", "flow_control",
+            "link_latency_slots", "injection", "burst_slots", "idle_slots",
+            "rng_streams", "backend", "collective", "chunk_packets",
+        ))
 
 
 class TestSerialExecutor:

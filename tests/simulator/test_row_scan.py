@@ -17,7 +17,7 @@ scan written here and pins:
 * ``_hol_requests`` returns the flat scan's feasible list for every
   head, under all four arbiters;
 
-over every mechanism in ``routing/`` (plus one that declares no key) on
+over every mechanism in ``routing/`` on
 four topology families, healthy, through a fail-then-repair schedule
 and with a link dead from the start.  A last case names a dead port in
 a candidate list, which the shortcut must leave to the per-VC scan.
@@ -47,7 +47,7 @@ from repro.topology.faults import random_connected_fault_sequence
 from repro.topology.hyperx import HyperX
 from repro.traffic import make_traffic
 
-from _helpers import ALL_MECHANISMS, UnkeyedMinimal, build_mechanism
+from _helpers import ALL_MECHANISMS, build_mechanism
 
 DOWN, UP, END = 10, 20, 30
 
@@ -58,7 +58,6 @@ FAMILIES = {
     "fattree": lambda: make_topology("fattree", k=4, servers_per_switch=2),
 }
 SCENARIOS = ("healthy", "fail_repair", "initially_failed")
-MECHANISMS = ALL_MECHANISMS + ("UnkeyedMinimal",)
 
 
 # ----------------------------------------------------------------------
@@ -233,10 +232,7 @@ def _sim(family, mechanism, scenario, arbiter="qp"):
     topo = FAMILIES[family]()
     link = random_connected_fault_sequence(topo, 1, rng=3)
     net = Network(topo, link if scenario == "initially_failed" else ())
-    mech = (
-        UnkeyedMinimal(net, 4) if mechanism == "UnkeyedMinimal"
-        else build_mechanism(mechanism, net)
-    )
+    mech = build_mechanism(mechanism, net)
     schedule = (
         FaultSchedule.down_then_up(DOWN, UP, link)
         if scenario == "fail_repair" else None
@@ -260,7 +256,7 @@ def _drive(sim, slots=END):
 def _cases():
     for family, build in FAMILIES.items():
         topo = build()
-        for name in MECHANISMS:
+        for name in ALL_MECHANISMS:
             if name in HYPERX_ONLY and not mechanism_supported(name, topo):
                 continue
             for scenario in SCENARIOS:
