@@ -108,6 +108,17 @@ ALT_CONFIG = {
     "burst_slots": 4, "idle_slots": 4, "rng_streams": "split",
     "backend": "array", "collective": "allreduce_ring", "chunk_packets": 2,
 }
+ALT_FIELDS = {"PointJob": ALT_JOB, "PointSpec": ALT_SPEC, "SimConfig": ALT_CONFIG}
+
+
+def _perturbable(job, owner):
+    """``(obj, alternatives, rebuild)``: the dataclass ``owner`` names
+    inside ``job``, and how a changed copy of it becomes a job again."""
+    if owner == "PointJob":
+        return job, ALT_JOB, lambda obj: obj
+    if owner == "PointSpec":
+        return job.spec, ALT_SPEC, lambda obj: replace(job, spec=obj)
+    return job.config, ALT_CONFIG, lambda obj: replace(job, config=obj)
 
 
 class TestJobKeyCoversEveryField:
@@ -119,28 +130,20 @@ class TestJobKeyCoversEveryField:
         warmup=10, measure=20,
     )
 
-    def _unmoved(self, obj, alts, rebuild):
+    @pytest.mark.parametrize("owner", ALT_FIELDS)
+    def test_every_field_has_an_alternative(self, owner):
+        obj, alts, _rebuild = _perturbable(self.BASE, owner)
         assert set(alts) == {f.name for f in fields(obj)}
-        base = job_key(self.BASE)
-        return {
-            name for name, value in alts.items()
-            if job_key(rebuild(replace(obj, **{name: value}))) == base
-        }
 
-    def test_point_job_fields(self):
-        assert self._unmoved(self.BASE, ALT_JOB, lambda job: job) == {"labels"}
-
-    def test_point_spec_fields(self):
-        base = self.BASE
-        assert not self._unmoved(
-            base.spec, ALT_SPEC, lambda spec: replace(base, spec=spec)
-        )
-
-    def test_sim_config_fields(self):
-        base = self.BASE
-        assert not self._unmoved(
-            base.config, ALT_CONFIG, lambda cfg: replace(base, config=cfg)
-        )
+    @pytest.mark.parametrize(
+        "owner,name",
+        [(owner, name) for owner, alts in ALT_FIELDS.items() for name in alts],
+        ids=lambda v: v,
+    )
+    def test_field_moves_the_key(self, owner, name):
+        obj, alts, rebuild = _perturbable(self.BASE, owner)
+        moved = rebuild(replace(obj, **{name: alts[name]}))
+        assert (job_key(moved) != job_key(self.BASE)) == (name != "labels")
 
     def test_config_fields_are_pinned_to_the_cache_version(self):
         # Growing SimConfig is keyed by asdict, but records stored before
