@@ -3,7 +3,8 @@
 Expected shape (paper §6): both OmniSP and PolSP degrade smoothly — no
 collapse, no deadlock — even as random faults accumulate (the paper's
 Uniform curve drifts ~0.9 -> ~0.8 over 100 faults at paper scale; the
-scaled-down benchmark removes comparable link *fractions*).
+scaled-down benchmark removes comparable link *fractions*).  The 2D
+claims are asserted in ``tests/integration/test_fault_figures.py``.
 """
 
 from conftest import BENCH, once
@@ -28,13 +29,6 @@ def check_graceful(recs):
             assert worst > 0.35 * healthy, (mech, traffic, curve)
     assert not any(r["deadlocked"] for r in recs)
     assert all(r["stalled"] == 0 for r in recs)
-
-
-def test_fig6_2d_random_faults(benchmark):
-    recs = once(benchmark, fig6_random_faults, BENCH, 2)
-    print("\nFigure 6 (2D) — accepted load vs faults")
-    print(ascii_table(recs, ("mechanism", "traffic", "faults", "accepted")))
-    check_graceful(recs)
 
 
 def test_fig6_3d_random_faults(benchmark):

@@ -71,6 +71,7 @@ from .reporting import (
 )
 from .runner import ExperimentRunner
 from .scales import SCALES, get_scale
+from .sweeps import DEFAULT_ARBITERS
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:
@@ -117,7 +118,7 @@ ARGUMENTS: dict[str, dict[str, Any]] = {
     "repair": dict(action="store_true",
                    help="schedule the failed links to come back up"),
     "mechanisms": dict(nargs="+", choices=MECHANISMS),
-    "arbiters": dict(nargs="+", default=sorted(ARBITERS),
+    "arbiters": dict(nargs="+", default=list(DEFAULT_ARBITERS),
                      choices=sorted(ARBITERS)),
     "flow-controls": dict(nargs="+", default=["vct"],
                           choices=sorted(FLOW_CONTROLS)),

@@ -39,7 +39,7 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..simulator.config import PAPER_CONFIG, SimConfig
 from ..simulator.metrics import SimResult
@@ -82,23 +82,6 @@ from .runner import ExperimentRunner, PointSpec
 #: the injection process (``on_delivered``), so closed-loop records from
 #: earlier generations must not alias v8 ones.
 CACHE_VERSION = 8
-
-#: Keys every sweep record carries (historically defined in ``sweeps``;
-#: re-exported there for compatibility).
-RECORD_KEYS = (
-    "mechanism",
-    "traffic",
-    "offered",
-    "accepted",
-    "latency_cycles",
-    "jain",
-    "faults",
-    "deadlocked",
-    "stalled",
-    "escape_fraction",
-    "avg_hops",
-)
-
 
 @dataclass(frozen=True)
 class PointJob:
@@ -199,21 +182,61 @@ def job_key(job: PointJob) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def make_record(job: PointJob, result: SimResult) -> dict:
-    """Flatten one job's :class:`SimResult` into a sweep record."""
-    return {
+def make_record(
+    job: PointJob,
+    result: SimResult | None = None,
+    *,
+    injection: Any = None,
+    dropped: int = 0,
+) -> dict:
+    """Flatten one job's :class:`SimResult` into a sweep record.
+
+    ``result`` ``None`` is a point whose network is (or became)
+    disconnected.  Fault sweeps can legitimately cut a network apart; the
+    point is real data — zero accepted load, no latency — not a crash, and
+    its record says ``disconnected: True`` so reporting can tell "no
+    throughput" from "no network".  Both kinds carry the standard keys
+    (in this order: CSV and JSON columns follow it) and then the same
+    collective / schedule / workload keys, so downstream consumers see
+    one record shape regardless of *when* the network fell apart.
+    ``injection`` is a collective's closed-loop process (for its
+    retransmission count); ``dropped`` is what a run lost on failed links
+    before its network split.
+    """
+    r, nan = result, float("nan")
+    record: dict[str, Any] = {
         "mechanism": job.spec.mechanism,
         "traffic": job.spec.traffic,
-        "offered": result.offered,
-        "accepted": result.accepted,
-        "latency_cycles": result.avg_latency_cycles,
-        "jain": result.jain,
+        "offered": job.spec.offered if r is None else r.offered,
+        "accepted": 0.0 if r is None else r.accepted,
+        "latency_cycles": nan if r is None else r.avg_latency_cycles,
+        "jain": 0.0 if r is None else r.jain,
         "faults": len(job.faults),
-        "deadlocked": result.deadlocked,
-        "stalled": result.stalled_packets,
-        "escape_fraction": result.escape_hop_fraction,
-        "avg_hops": result.avg_hops,
+        "deadlocked": False if r is None else r.deadlocked,
+        "stalled": 0 if r is None else r.stalled_packets,
+        "escape_fraction": 0.0 if r is None else r.escape_hop_fraction,
+        "avg_hops": nan if r is None else r.avg_hops,
     }
+    if r is None:
+        record["disconnected"] = True
+    if job.config.collective != "none":
+        done = None if r is None else r.completion_slot
+        record["collective"] = job.config.collective
+        record["chunk_packets"] = job.config.chunk_packets
+        record["jct_cycles"] = None if r is None else r.jct_cycles
+        record["completion_slot"] = done
+        record["drained"] = done is not None
+        record["retransmitted"] = (
+            injection.retransmitted if injection is not None else 0
+        )
+    if job.schedule is not None:
+        record["dropped"] = dropped if r is None else r.dropped_packets
+        record["schedule_events"] = len(job.schedule)
+        record["series"] = [] if r is None else r.transient_series
+    if job.workload is not None:
+        record["workload_events"] = len(job.workload)
+        record["phase_series"] = [] if r is None else r.phase_series
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -250,91 +273,11 @@ def _get_runner(job: PointJob) -> ExperimentRunner:
     return runner
 
 
-def _extra_fields(
-    job: PointJob,
-    result: SimResult | None,
-    injection: Any = None,
-    dropped: int = 0,
-) -> dict:
-    """The schedule / workload / collective keys a job adds to its record.
-
-    One place decides the key sets, so a live run (``result`` given) and
-    a :func:`disconnected_record` (``result`` ``None``) of the same job
-    always have the same record shape.
-    """
-    extra: dict[str, Any] = {}
-    if job.config.collective != "none":
-        done = result.completion_slot if result is not None else None
-        extra["collective"] = job.config.collective
-        extra["chunk_packets"] = job.config.chunk_packets
-        extra["jct_cycles"] = result.jct_cycles if result is not None else None
-        extra["completion_slot"] = done
-        extra["drained"] = done is not None
-        extra["retransmitted"] = (
-            injection.retransmitted if injection is not None else 0
-        )
-    if job.schedule is not None:
-        extra["dropped"] = (
-            result.dropped_packets if result is not None else dropped
-        )
-        extra["schedule_events"] = len(job.schedule)
-        extra["series"] = result.transient_series if result is not None else []
-    if job.workload is not None:
-        extra["workload_events"] = len(job.workload)
-        extra["phase_series"] = result.phase_series if result is not None else []
-    return extra
-
-
-def disconnected_record(job: PointJob, dropped: int = 0) -> dict:
-    """The record of a point whose network is (or became) disconnected.
-
-    Fault sweeps can legitimately cut a network apart; the point is real
-    data — zero accepted load, no latency — not a crash.  The record
-    carries every standard key plus ``disconnected: True`` so reporting
-    can distinguish "no throughput" from "no network", and the same
-    schedule/workload keys (``series``, ``dropped``, ...) a live run of
-    the job would have produced, so downstream consumers see one record
-    shape regardless of *when* the network fell apart.
-    """
-    return {
-        "mechanism": job.spec.mechanism,
-        "traffic": job.spec.traffic,
-        "offered": job.spec.offered,
-        "accepted": 0.0,
-        "latency_cycles": float("nan"),
-        "jain": 0.0,
-        "faults": len(job.faults),
-        "deadlocked": False,
-        "stalled": 0,
-        "escape_fraction": 0.0,
-        "avg_hops": float("nan"),
-        "disconnected": True,
-        **_extra_fields(job, None, dropped=dropped),
-    }
-
-
-#: Connectivity of (topology, fault set) pairs, memoised so a sweep of
-#: many points on one network pays the gate's Network construction and
-#: component scan once, mirroring the runner cache's amortisation.
-_CONNECTIVITY_MEMO: dict[tuple, bool] = {}
-_CONNECTIVITY_MEMO_MAX = 64
-
-
-def _job_network_connected(job: PointJob) -> bool:
-    key = (topology_signature(job.topology), frozenset(job.faults))
-    hit = _CONNECTIVITY_MEMO.get(key)
-    if hit is None:
-        if len(_CONNECTIVITY_MEMO) >= _CONNECTIVITY_MEMO_MAX:
-            _CONNECTIVITY_MEMO.pop(next(iter(_CONNECTIVITY_MEMO)))
-        hit = _CONNECTIVITY_MEMO[key] = job.network().is_connected
-    return hit
-
-
 def run_job(job: PointJob) -> dict:
     """Simulate one job and return its sweep record.
 
     A job whose fault set disconnects the network — or whose fault
-    schedule does so mid-run — yields a :func:`disconnected_record`
+    schedule does so mid-run — yields a disconnected :func:`make_record`
     instead of propagating :class:`NetworkDisconnected` out of a pool
     worker and killing the whole sweep.
 
@@ -347,19 +290,19 @@ def run_job(job: PointJob) -> dict:
     ``spec.offered`` are nominal, and a workload (phase) schedule is
     meaningless for a DAG-driven point and rejected.
     """
-    if not _job_network_connected(job):
-        return disconnected_record(job)
     spec, config = job.spec, job.config
+    if job.schedule is not None:
+        runner = ExperimentRunner(job.network(), config=config, root=spec.root)
+    else:
+        runner = _get_runner(job)
+    if not runner.network.is_connected:
+        return make_record(job)
     collective = config.collective != "none"
     if collective and job.workload is not None:
         raise ValueError(
             "collective jobs drive their own injection; a workload "
             "schedule cannot apply"
         )
-    if job.schedule is not None:
-        runner = ExperimentRunner(job.network(), config=config, root=spec.root)
-    else:
-        runner = _get_runner(job)
     traffic: Any = spec.traffic
     injection = None
     if collective:
@@ -395,8 +338,8 @@ def run_job(job: PointJob) -> dict:
         # A scheduled event cut the network: record the point instead of
         # crashing the worker (the engine raises before any mechanism
         # sees the split topology).
-        return disconnected_record(job, dropped=sim.metrics.dropped_total)
-    return {**make_record(job, result), **_extra_fields(job, result, injection)}
+        return make_record(job, dropped=sim.metrics.dropped_total)
+    return make_record(job, result, injection=injection)
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +452,12 @@ class Executor:
 
     # -- driving -------------------------------------------------------
     def run(self, jobs: Iterable[PointJob]) -> list[dict]:
-        """Run ``jobs``; the result list matches the job order."""
+        """Run ``jobs``; the result list matches the job order.
+
+        Each fresh record reaches the cache as soon as :meth:`_execute`
+        yields it, so a sweep that dies part-way (a job raising, a
+        Ctrl-C) keeps every point it finished and a rerun resumes there.
+        """
         job_list = list(jobs)
         records: dict[int, dict] = {}
         # Misses grouped by cache address: jobs differing only in labels
@@ -524,7 +472,9 @@ class Executor:
         if misses:
             groups = list(misses.values())
             fresh = self._execute([job_list[group[0]] for group in groups])
-            for (first, *rest), rec in zip(groups, fresh):
+            # ``fresh`` first: zip then runs a generator to its end, so a
+            # pool it holds shuts down here, not at garbage collection.
+            for rec, (first, *rest) in zip(fresh, groups):
                 if self.cache_dir:
                     self._cache_store(job_list[first], rec)
                 records[first] = rec
@@ -536,15 +486,17 @@ class Executor:
             records[i].update(job.labels)
         return [records[i] for i in range(len(job_list))]
 
-    def _execute(self, jobs: Sequence[PointJob]) -> list[dict]:
+    def _execute(self, jobs: Sequence[PointJob]) -> Iterable[dict]:
+        """The strategy hook: ``jobs``' records, in job order."""
         raise NotImplementedError
 
 
 class SerialExecutor(Executor):
     """In-process, in-order execution — the historical sweep behaviour."""
 
-    def _execute(self, jobs: Sequence[PointJob]) -> list[dict]:
-        return [run_job(job) for job in jobs]
+    def _execute(self, jobs: Sequence[PointJob]) -> Iterator[dict]:
+        for job in jobs:
+            yield run_job(job)
 
 
 #: Minimum estimated sweep work, in switch-slots, that each pool worker
@@ -595,11 +547,13 @@ def should_parallelize(
 class ParallelExecutor(Executor):
     """Process-pool execution of independent points.
 
-    Jobs go out one chunk per worker (``ceil(len(jobs) / workers)``):
-    sweeps emit jobs grouped by network, so a chunk keeps a worker on one
-    network and amortises its routing tables, and near-homogeneous
-    points gain nothing from finer dispatch, which only re-pays the
-    pool's pickling round trip.
+    Jobs go out one at a time and their records come back in job order,
+    so each reaches the cache as soon as every job before it has: a pool
+    sweep that dies keeps its finished prefix, as a serial one does.  Not
+    in chunks: a job that raises fails its whole chunk, finished jobs
+    included, and chunking buys no speed (each worker keeps its runner
+    cache across jobs; ``fig4`` and ``fig6`` at ``--scale tiny --jobs 2``
+    take the same time either way on a 2-CPU host).
 
     Parameters
     ----------
@@ -633,13 +587,12 @@ class ParallelExecutor(Executor):
                 raise ValueError(f"jobs must be >= 1, got {jobs}")
             self.n_workers = jobs
 
-    def _execute(self, jobs: Sequence[PointJob]) -> list[dict]:
+    def _execute(self, jobs: Sequence[PointJob]) -> Iterator[dict]:
         if not should_parallelize(jobs, self.n_workers):
-            return [run_job(job) for job in jobs]
-        workers = min(self.n_workers, len(jobs))
-        chunksize = -(-len(jobs) // workers)  # ceil: one chunk per worker
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_job, jobs, chunksize=chunksize))
+            yield from map(run_job, jobs)
+            return
+        with ProcessPoolExecutor(min(self.n_workers, len(jobs))) as pool:
+            yield from pool.map(run_job, jobs)
 
 
 def make_executor(
@@ -648,12 +601,10 @@ def make_executor(
 ) -> Executor:
     """The executor the CLI flags describe: serial unless ``jobs > 1``.
 
-    ``jobs`` must be ``None`` (serial) or >= 1 — matching
-    :class:`ParallelExecutor`'s own validation, so ``jobs=0`` is an error
-    everywhere instead of meaning "serial" here and "all CPUs" there.
+    Any other ``jobs`` goes to :class:`ParallelExecutor`, which rejects a
+    count below 1 — so ``jobs=0`` is an error everywhere instead of
+    meaning "serial" here and "all CPUs" there.
     """
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs is None or jobs == 1:
         return SerialExecutor(cache_dir=cache_dir)
     return ParallelExecutor(jobs=jobs, cache_dir=cache_dir)

@@ -35,7 +35,6 @@ from .sweeps import (
     load_sweep_jobs,
     run_sweep,
     topology_sweep_jobs,
-    transient_run_jobs,
     with_labels,
     workload_sweep_jobs,
 )
@@ -462,10 +461,10 @@ def fig_transient(
         schedule = FaultSchedule.link_down(fail_slot, links)
     if series_interval is None:
         series_interval = max(10, sc.measure // 24)
-    jobs = transient_run_jobs(
-        Network(hx), mechanisms, _hostable(traffics, dims), schedule,
-        offered=offered, warmup=sc.warmup, measure=sc.measure,
-        series_interval=series_interval, seed=seed, config=config,
+    jobs = load_sweep_jobs(
+        Network(hx), mechanisms, _hostable(traffics, dims), (offered,),
+        warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
+        n_vcs=4, schedule=schedule, series_interval=series_interval,
     )
     return run_sweep(jobs, executor)
 

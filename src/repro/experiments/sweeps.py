@@ -2,8 +2,8 @@
 
 Sweeps are *declarative*: each ``*_jobs`` builder returns a flat work
 list of fully-specified :class:`~repro.experiments.executor.PointJob`
-objects — its own axis loop around one shared block builder — and
-:func:`run_sweep` hands the list to an
+objects — its own axis loop around :func:`load_sweep_jobs`, the one
+block builder — and :func:`run_sweep` hands the list to an
 :class:`~repro.experiments.executor.Executor` (serial by default,
 process-parallel and/or disk-cached when the caller provides one).  Job
 lists are plain lists, so a figure composes several sweeps with ``+``
@@ -28,13 +28,12 @@ from ..topology.base import Network, Topology
 from ..topology.faults import random_connected_fault_sequence
 from ..traffic import canonical_traffic_name, supported_traffics
 from ..updown.roots import choose_root
-from .executor import RECORD_KEYS, Executor, PointJob, SerialExecutor
+from .executor import Executor, PointJob, SerialExecutor
 from .runner import PointSpec
 
 __all__ = [
     "DEFAULT_ARBITERS",
     "DEFAULT_INJECTIONS",
-    "RECORD_KEYS",
     "ablation_arbiter_jobs",
     "collective_sweep_jobs",
     "fault_sweep_jobs",
@@ -45,7 +44,6 @@ __all__ = [
     "supported_mechanisms",
     "supported_traffics",
     "topology_sweep_jobs",
-    "transient_run_jobs",
     "with_labels",
     "workload_sweep_jobs",
 ]
@@ -92,18 +90,18 @@ def _validate_traffics(
         )
 
 
-def _block(
+def load_sweep_jobs(
     network: Network,
     mechanisms: Sequence[str],
     traffics: Sequence[str],
     loads: Sequence[float],
     *,
-    warmup: int,
-    measure: int,
-    seed: int,
-    config: SimConfig,
-    root: int,
-    n_vcs: int | None,
+    warmup: int = 300,
+    measure: int = 600,
+    seed: int = 0,
+    config: SimConfig = PAPER_CONFIG,
+    root: int = 0,
+    n_vcs: int | None = None,
     schedule: FaultSchedule | None = None,
     series_interval: int | None = None,
     workload: WorkloadSchedule | None = None,
@@ -111,11 +109,16 @@ def _block(
 ) -> list[PointJob]:
     """One job per (traffic, supported mechanism, load) on one network.
 
-    The block every sweep is made of, in nested-loop order.  Patterns
-    (the workload schedule's phase patterns included) and the fault
-    schedule are validated against the network before any job exists; a
-    collective job's "traffic" is its collective name, which
-    :class:`SimConfig` has already validated.
+    The block every sweep is made of, in nested-loop order, and on its
+    own the throughput/latency/Jain-versus-load sweep of Figures 4 and 5.
+    With a single saturating load, 4 VCs and a structured-fault network
+    it is the sweep behind Figures 8 and 9; with a fault ``schedule`` it
+    plays mid-run link failures/repairs, and each record gains
+    ``dropped``, ``schedule_events`` and the per-``series_interval``
+    recovery ``series``.  Patterns (the workload schedule's phase
+    patterns included) and the fault schedule are validated against the
+    network before any job exists; a collective job's "traffic" is its
+    collective name, which :class:`SimConfig` has already validated.
     """
     if config.collective == "none":
         _validate_traffics(
@@ -144,32 +147,6 @@ def _block(
         for mechanism in supported_mechanisms(network.topology, mechanisms)
         for offered in loads
     ]
-
-
-def load_sweep_jobs(
-    network: Network,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    loads: Sequence[float],
-    *,
-    warmup: int = 300,
-    measure: int = 600,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = None,
-) -> list[PointJob]:
-    """Throughput/latency/Jain versus offered load (Figures 4 and 5).
-
-    One job per (traffic, mechanism, load), in nested-loop order.  With
-    a single saturating load, 4 VCs and a structured-fault network this
-    is also the sweep behind Figures 8 and 9.
-    """
-    return _block(
-        network, mechanisms, traffics, loads,
-        warmup=warmup, measure=measure, seed=seed, config=config,
-        root=root, n_vcs=n_vcs,
-    )
 
 
 def fault_sweep_jobs(
@@ -202,46 +179,13 @@ def fault_sweep_jobs(
     )
     jobs: list[PointJob] = []
     for count in counts:
-        jobs += _block(
+        jobs += load_sweep_jobs(
             Network(topology, sequence[:count]), mechanisms, traffics,
             (offered,),
             warmup=warmup, measure=measure, seed=seed, config=config,
             root=root, n_vcs=4 if n_vcs is None else n_vcs,
         )
     return jobs
-
-
-def transient_run_jobs(
-    network: Network,
-    mechanisms: Sequence[str],
-    traffics: Sequence[str],
-    schedule: FaultSchedule,
-    *,
-    offered: float = 0.6,
-    warmup: int = 300,
-    measure: int = 600,
-    series_interval: int = 25,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    root: int = 0,
-    n_vcs: int | None = 4,
-) -> list[PointJob]:
-    """Mid-run link failures/repairs and the traffic's recovery.
-
-    Each record is a static sweep record plus ``dropped`` (packets lost on
-    failed links), ``schedule_events`` and ``series`` — the per-interval
-    transient recovery series (accepted load, latency, stalls, drops
-    around each event).  SurePath mechanisms reconfigure and keep
-    delivering; ladder mechanisms show the stall the paper predicts.
-    The schedule content enters every job's cache key, so transient
-    points parallelise and cache exactly like static ones.
-    """
-    return _block(
-        network, mechanisms, traffics, (offered,),
-        warmup=warmup, measure=measure, seed=seed, config=config,
-        root=root, n_vcs=n_vcs,
-        schedule=schedule, series_interval=series_interval,
-    )
 
 
 #: The arbiters the ablation sweeps by default, paper's rule first.
@@ -279,7 +223,7 @@ def ablation_arbiter_jobs(
         for flow_control in flow_controls:
             for latency in link_latencies:
                 latency = int(latency)
-                jobs += _block(
+                jobs += load_sweep_jobs(
                     network, mechanisms, traffics, loads,
                     warmup=warmup, measure=measure, seed=seed,
                     config=config.with_(
@@ -344,7 +288,7 @@ def workload_sweep_jobs(
         )
         if workload is not None:
             name += f"+{len(workload)}ev"
-        jobs += _block(
+        jobs += load_sweep_jobs(
             network, mechanisms, traffics, loads,
             warmup=warmup, measure=measure, seed=seed,
             config=config.with_(
@@ -394,7 +338,7 @@ def topology_sweep_jobs(
     for label, net in networks.items():
         if not isinstance(net, Network):
             net = Network(net)
-        jobs += _block(
+        jobs += load_sweep_jobs(
             net, mechanisms, supported_traffics(net, tuple(traffics)), loads,
             warmup=warmup, measure=measure, seed=seed, config=config,
             root=choose_root(net, root_strategy), n_vcs=n_vcs,
@@ -444,7 +388,7 @@ def collective_sweep_jobs(
     jobs: list[PointJob] = []
     for label, schedule in schedules:
         for cfg in configs:
-            jobs += _block(
+            jobs += load_sweep_jobs(
                 network, mechanisms, (cfg.collective,), (1.0,),
                 warmup=0, measure=max_slots, seed=seed, config=cfg,
                 root=root, n_vcs=n_vcs,

@@ -52,7 +52,6 @@ from .injection import (
     BernoulliInjection,
     InjectionProcess,
     OnOffInjection,
-    PhasedInjection,
     make_injection,
 )
 from .links import LinkModel, PipelinedLink, UnitSlotLink, make_link_model
@@ -87,7 +86,6 @@ __all__ = [
     "OnOffInjection",
     "PAPER_CONFIG",
     "Packet",
-    "PhasedInjection",
     "PipelinedLink",
     "QPArbiter",
     "RandomArbiter",

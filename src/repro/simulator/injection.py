@@ -11,7 +11,7 @@ Two generation regimes cover the paper's experiments:
   packet is consumed.  Used by the completion-time experiment (Figure 10,
   8000 phits = 500 packets per server).
 
-The workload-diversity subsystem adds two more:
+The workload-diversity subsystem adds one more:
 
 * :class:`OnOffInjection` — Markov-modulated bursty generation: every
   server alternates between geometrically-distributed ON bursts (mean
@@ -20,10 +20,6 @@ The workload-diversity subsystem adds two more:
   load equals ``offered`` — an on-off point and a Bernoulli point at the
   same ``offered`` are directly comparable; the on-off one just arrives
   in clumps.
-* :class:`PhasedInjection` — a composite that switches between child
-  processes at scheduled slots, for workload-shift experiments (see also
-  :class:`~repro.simulator.workload.WorkloadSchedule`, which switches the
-  *pattern* or retargets the load of a live process mid-run).
 
 A generation *attempt* that finds the source queue full is lost for the
 Bernoulli-style processes (the server was throttled; this is what dents
@@ -217,59 +213,6 @@ class OnOffInjection(InjectionProcess):
         self.offered = float(offered)
 
 
-class PhasedInjection(InjectionProcess):
-    """A composite process switching between children at scheduled slots.
-
-    ``phases`` is a sequence of ``(start_slot, process)`` pairs with
-    strictly increasing start slots, the first at slot 0.  All children
-    must be sized for the same server count.  Success/blocked feedback is
-    routed to the phase that produced the attempt; the composite is
-    exhausted when its *last* phase is active and exhausted (earlier
-    batch phases simply go quiet until their successor takes over).
-    """
-
-    def __init__(self, n_servers: int, phases):
-        super().__init__(n_servers)
-        phases = [(int(slot), proc) for slot, proc in phases]
-        if not phases:
-            raise ValueError("need at least one phase")
-        if phases[0][0] != 0:
-            raise ValueError(f"first phase must start at slot 0, got {phases[0][0]}")
-        starts = [slot for slot, _ in phases]
-        if sorted(set(starts)) != starts:
-            raise ValueError(f"phase starts must strictly increase, got {starts}")
-        for slot, proc in phases:
-            if proc.n_servers != n_servers:
-                raise ValueError(
-                    f"phase at slot {slot} sized for {proc.n_servers} servers, "
-                    f"expected {n_servers}"
-                )
-        self.phases = tuple(phases)
-        self._idx = 0
-
-    @property
-    def current(self) -> InjectionProcess:
-        return self.phases[self._idx][1]
-
-    def attempts(self, slot: int, rng: np.random.Generator) -> np.ndarray:
-        while (
-            self._idx + 1 < len(self.phases)
-            and slot >= self.phases[self._idx + 1][0]
-        ):
-            self._idx += 1
-        return self.current.attempts(slot, rng)
-
-    def on_success(self, server: int) -> None:
-        self.current.on_success(server)
-
-    def on_blocked(self, server: int) -> None:
-        self.current.on_blocked(server)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._idx == len(self.phases) - 1 and self.current.exhausted
-
-
 class BatchInjection(InjectionProcess):
     """Fixed per-server packet budget, injected at full source-queue rate."""
 
@@ -298,9 +241,9 @@ class BatchInjection(InjectionProcess):
 # ----------------------------------------------------------------------
 # Registry (the config-selectable processes)
 # ----------------------------------------------------------------------
-#: Processes selectable through ``SimConfig.injection``.  Batch and Phased
-#: stay explicit-only: they need per-experiment structure (a packet
-#: budget, a phase list) that does not fit a flat config field.
+#: Processes selectable through ``SimConfig.injection``.  Batch stays
+#: explicit-only: its packet budget is per-experiment structure that does
+#: not fit a flat config field.
 INJECTIONS = Registry("injection process")
 INJECTIONS.register("bernoulli", BernoulliInjection)
 INJECTIONS.register("onoff", OnOffInjection)

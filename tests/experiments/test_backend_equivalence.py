@@ -34,7 +34,6 @@ from repro.experiments.executor import (
 )
 from repro.experiments.sweeps import (
     load_sweep_jobs,
-    transient_run_jobs,
     workload_sweep_jobs,
 )
 from repro.routing.catalog import make_mechanism
@@ -134,10 +133,10 @@ def test_midrun_fault_schedule_identical(family, alt):
     def jobs(config):
         out = []
         for seed in SEEDS:
-            out += transient_run_jobs(
-                net, MECHANISMS, ("uniform",), schedule,
-                offered=0.5, warmup=WARMUP, measure=MEASURE,
-                series_interval=20, seed=seed, config=config,
+            out += load_sweep_jobs(
+                net, MECHANISMS, ("uniform",), (0.5,),
+                warmup=WARMUP, measure=MEASURE, seed=seed, config=config,
+                n_vcs=4, schedule=schedule, series_interval=20,
             )
         return out
 

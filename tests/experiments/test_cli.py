@@ -1,10 +1,12 @@
 """CLI tests (parser wiring and fast subcommands)."""
 
+import inspect
 import json
 
 import pytest
 
-from repro.experiments.cli import build_parser, main
+from repro.experiments import figures
+from repro.experiments.cli import COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -47,6 +49,32 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+#: Drivers the CLI reaches through an adapter, by command.
+_DRIVERS = {"fig-transient": figures.fig_transient}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, c in COMMANDS.items() if c.driver is not None)
+)
+def test_sweep_flag_defaults_match_the_driver(name):
+    """A sweep run with no flags is the driver called with no arguments:
+    every flag's parser default equals the driver parameter it feeds."""
+    cmd = COMMANDS[name]
+    params = inspect.signature(_DRIVERS.get(name, cmd.driver)).parameters
+    args = build_parser().parse_args([name])
+    checked = 0
+    for arg in ("scale", "seed") + cmd.args:
+        dest = arg.replace("-", "_")
+        param = params.get(cmd.rename.get(dest, dest))
+        if param is None:  # e.g. --repair, which the adapter translates
+            continue
+        value = getattr(args, dest)
+        value = tuple(value) if isinstance(value, list) else value
+        assert value == param.default, arg
+        checked += 1
+    assert checked >= 2
 
 
 class TestFastCommands:

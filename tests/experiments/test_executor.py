@@ -344,6 +344,75 @@ class TestResultCache:
         assert parallel == serial
 
 
+def _with_bad_job(net2d, k):
+    """Four good jobs with an invalid one (a collective that also carries
+    a workload schedule: ``run_job`` raises) inserted as the k-th."""
+    good = load_sweep_jobs(
+        net2d, ["Minimal", "PolSP"], ["uniform"], [0.2, 0.6], **SWEEP_KW
+    )
+    bad = replace(
+        good[0],
+        config=PAPER_CONFIG.with_(collective="allreduce_ring"),
+        workload=WorkloadSchedule([(40, "offered", 0.1)]),
+    )
+    return good, good[: k - 1] + [bad] + good[k - 1:]
+
+
+class _Counting(SerialExecutor):
+    """Records the cache address of every job that reaches ``_execute``."""
+
+    def __init__(self, cache_dir):
+        super().__init__(cache_dir=cache_dir)
+        self.executed: list[str] = []
+
+    def _execute(self, jobs):
+        self.executed += [job_key(j) for j in jobs]
+        return super()._execute(jobs)
+
+
+class TestSweepKeepsFinishedPoints:
+    """A sweep that dies part-way leaves every point before the failure in
+    the cache, and a rerun simulates only what is still missing."""
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_kth_job_raising_keeps_the_first_k_minus_1(
+        self, net2d, tmp_path, monkeypatch, k, pool
+    ):
+        monkeypatch.setattr(executor_mod, "PER_WORKER_OVERHEAD", 0)
+        good, jobs = _with_bad_job(net2d, k)
+        executor = (
+            ParallelExecutor(jobs=2, cache_dir=tmp_path)
+            if pool else SerialExecutor(cache_dir=tmp_path)
+        )
+        with pytest.raises(ValueError, match="collective jobs"):
+            executor.run(jobs)
+        stored = {p.stem for p in tmp_path.glob("*.json")}
+        assert stored == {job_key(j) for j in good[: k - 1]}
+
+        rerun = _Counting(tmp_path)
+        records = rerun.run(good)
+        assert rerun.executed == [job_key(j) for j in good[k - 1:]]
+        assert records == SerialExecutor().run(good)
+
+    def test_interrupt_keeps_finished_points(self, net2d, tmp_path, monkeypatch):
+        jobs = load_sweep_jobs(
+            net2d, ["Minimal", "PolSP"], ["uniform"], [0.2, 0.6], **SWEEP_KW
+        )
+        real_run_job = executor_mod.run_job
+
+        def interrupted(job):
+            if job is jobs[2]:
+                raise KeyboardInterrupt
+            return real_run_job(job)
+
+        monkeypatch.setattr(executor_mod, "run_job", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            SerialExecutor(cache_dir=tmp_path).run(jobs)
+        stored = {p.stem for p in tmp_path.glob("*.json")}
+        assert stored == {job_key(j) for j in jobs[:2]}
+
+
 class TestMakeExecutor:
     def test_serial_by_default(self):
         assert isinstance(make_executor(None), SerialExecutor)

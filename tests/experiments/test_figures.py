@@ -2,7 +2,8 @@
 
 Simulation-heavy drivers run at a sub-tiny custom scale here; the full
 qualitative checks live in tests/integration/ and the regeneration runs in
-benchmarks/.
+benchmarks/.  Figures 6 and 8 (2D) are checked end to end in
+tests/integration/test_fault_figures.py.
 """
 
 import pytest
@@ -112,9 +113,15 @@ class TestShapeParameters:
         assert params["cross"]["arm"] <= 3  # side-1, keeping the margin
 
 
+@pytest.fixture(scope="module")
+def fig10_micro():
+    """One MICRO-scale Figure 10 run, shared by the checks below."""
+    return fig10_completion_time(MICRO, seed=0)
+
+
 class TestFig10:
-    def test_completion_records(self):
-        recs = fig10_completion_time(MICRO, seed=0)
+    def test_completion_records(self, fig10_micro):
+        recs = fig10_micro
         by_mech = {r["mechanism"]: r for r in recs}
         assert set(by_mech) == {"OmniSP", "PolSP"}
         for r in recs:
@@ -122,11 +129,10 @@ class TestFig10:
             assert r["delivered"] == r["expected"]
             assert r["time_series"]
 
-    def test_polsp_completes_sooner(self):
+    def test_polsp_completes_sooner(self, fig10_micro):
         """The paper's Figure 10 headline: OmniSP's in-cast tail makes its
         completion time a multiple of PolSP's."""
-        recs = fig10_completion_time(MICRO, seed=0)
-        by_mech = {r["mechanism"]: r for r in recs}
+        by_mech = {r["mechanism"]: r for r in fig10_micro}
         assert (
             by_mech["OmniSP"]["completion_cycles"]
             > 1.5 * by_mech["PolSP"]["completion_cycles"]

@@ -28,7 +28,6 @@ from repro.experiments.executor import (
 from repro.experiments.sweeps import (
     fault_sweep_jobs,
     load_sweep_jobs,
-    transient_run_jobs,
 )
 from repro.routing.catalog import MECHANISMS
 from repro.simulator.schedule import FaultSchedule
@@ -57,9 +56,10 @@ def golden_jobs():
     )
     link = random_connected_fault_sequence(hx, 1, rng=7)[0]
     schedule = FaultSchedule.down_then_up(100, 180, [link])
-    jobs += transient_run_jobs(
-        net, ("OmniSP", "PolSP"), ("uniform",), schedule,
-        offered=0.5, warmup=80, measure=160, series_interval=20, seed=0,
+    jobs += load_sweep_jobs(
+        net, ("OmniSP", "PolSP"), ("uniform",), (0.5,),
+        warmup=80, measure=160, seed=0, n_vcs=4,
+        schedule=schedule, series_interval=20,
     )
     return jobs
 

@@ -26,7 +26,6 @@ from repro.experiments.sweeps import (
     fault_sweep_jobs,
     load_sweep_jobs,
     topology_sweep_jobs,
-    transient_run_jobs,
     with_labels,
     workload_sweep_jobs,
 )
@@ -53,8 +52,9 @@ SWEEPS = {
     "fault": lambda: fault_sweep_jobs(
         HX, ["PolSP"], ["uniform"], [0, 3], fault_seed=3, **WINDOW
     ),
-    "transient": lambda: transient_run_jobs(
-        NET, *POINT[:2], DOWN_UP, offered=0.5, series_interval=10, **WINDOW
+    "transient": lambda: load_sweep_jobs(
+        NET, *POINT[:2], [0.5], n_vcs=4, schedule=DOWN_UP, series_interval=10,
+        **WINDOW,
     ),
     "ablation": lambda: ablation_arbiter_jobs(
         NET, ["PolSP"], ["uniform"], [0.5],

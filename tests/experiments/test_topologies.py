@@ -19,8 +19,8 @@ from repro.experiments.executor import (
     ParallelExecutor,
     PointJob,
     SerialExecutor,
-    disconnected_record,
     job_key,
+    make_record,
     run_job,
     topology_signature,
 )
@@ -194,10 +194,9 @@ class TestDisconnectedPoints:
         assert math.isnan(again["avg_hops"])
 
     def test_record_carries_every_standard_key(self):
-        from repro.experiments.executor import RECORD_KEYS
-
-        rec = disconnected_record(self._job([(0, 1), (0, 2)]))
-        assert set(RECORD_KEYS) <= set(rec)
+        live = run_job(self._job([]))
+        rec = make_record(self._job([(0, 1), (0, 2)]))
+        assert list(rec) == list(live) + ["disconnected"]
 
     def test_default_n_vcs_raises_typed_error(self):
         from repro.routing.catalog import default_n_vcs

@@ -13,11 +13,18 @@ from repro.experiments.executor import (
     job_key,
     make_executor,
 )
-from repro.experiments.sweeps import load_sweep_jobs, run_sweep, transient_run_jobs
+from repro.experiments.sweeps import load_sweep_jobs, run_sweep
 from repro.simulator.schedule import FaultSchedule
 from repro.topology.faults import random_connected_fault_sequence
 
-KW = dict(offered=0.6, warmup=40, measure=200, series_interval=25)
+KW = dict(warmup=40, measure=200, n_vcs=4, series_interval=25)
+
+
+def _jobs(net, mechanisms, schedule):
+    """One transient point per mechanism: uniform traffic at load 0.6."""
+    return load_sweep_jobs(
+        net, mechanisms, ["uniform"], [0.6], schedule=schedule, **KW
+    )
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +40,7 @@ def _norm(records):
 
 class TestTransientThroughExecutor:
     def test_records_carry_transient_payload(self, net2d, schedule):
-        (rec,) = run_sweep(
-            transient_run_jobs(net2d, ["PolSP"], ["uniform"], schedule, **KW)
-        )
+        (rec,) = run_sweep(_jobs(net2d, ["PolSP"], schedule))
         assert rec["schedule_events"] == len(schedule)
         assert isinstance(rec["series"], list) and rec["series"]
         assert {"slot", "accepted", "latency_cycles", "stalls", "dropped"} <= set(
@@ -44,34 +49,31 @@ class TestTransientThroughExecutor:
         assert rec["accepted"] > 0.3  # recovered, not deadlocked
 
     def test_serial_parallel_identity(self, net2d, schedule):
-        jobs = transient_run_jobs(
-            net2d, ["OmniSP", "PolSP"], ["uniform"], schedule, **KW
-        )
+        jobs = _jobs(net2d, ["OmniSP", "PolSP"], schedule)
         serial = run_sweep(jobs)
         for workers in (1, 4):
             par = run_sweep(jobs, ParallelExecutor(jobs=workers))
             assert _norm(par) == _norm(serial)
 
     def test_identity_through_the_cache(self, net2d, schedule, tmp_path):
-        jobs = transient_run_jobs(net2d, ["PolSP"], ["uniform"], schedule, **KW)
+        jobs = _jobs(net2d, ["PolSP"], schedule)
         fresh = run_sweep(jobs, SerialExecutor(cache_dir=tmp_path))
         cached = run_sweep(jobs, ParallelExecutor(jobs=2, cache_dir=tmp_path))
         assert _norm(cached) == _norm(fresh)
 
     def test_schedule_content_enters_job_key(self, net2d, schedule):
-        j1 = transient_run_jobs(net2d, ["PolSP"], ["uniform"], schedule, **KW)[0]
-        j2 = transient_run_jobs(
-            net2d, ["PolSP"], ["uniform"],
-            FaultSchedule.link_down(80, sorted(schedule.links())), **KW,
+        j1 = _jobs(net2d, ["PolSP"], schedule)[0]
+        j2 = _jobs(
+            net2d, ["PolSP"], FaultSchedule.link_down(80, sorted(schedule.links()))
         )[0]
-        static = transient_run_jobs(net2d, ["PolSP"], ["uniform"], schedule, **KW)[0]
+        static = _jobs(net2d, ["PolSP"], schedule)[0]
         assert job_key(j1) == job_key(static)  # deterministic
         assert job_key(j1) != job_key(j2)  # repair half matters
 
     def test_jobs_are_order_independent(self, net2d, schedule):
         """Transient jobs bypass the shared runner cache, so a mutated
         network from one job can never leak into the next."""
-        jobs = transient_run_jobs(net2d, ["PolSP"], ["uniform"], schedule, **KW)
+        jobs = _jobs(net2d, ["PolSP"], schedule)
         once = run_sweep(jobs)
         assert _norm(run_sweep(jobs + jobs)) == _norm(once + once)
 

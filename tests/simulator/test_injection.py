@@ -8,7 +8,6 @@ from repro.simulator.injection import (
     BatchInjection,
     BernoulliInjection,
     OnOffInjection,
-    PhasedInjection,
     make_injection,
 )
 
@@ -151,58 +150,6 @@ class TestOnOff:
 
     def test_never_exhausted(self, rng):
         assert not OnOffInjection(8, 0.2).exhausted
-
-
-class TestPhased:
-    def test_switches_at_scheduled_slots(self, rng):
-        phased = PhasedInjection(
-            4,
-            [
-                (0, BernoulliInjection(4, 1.0)),
-                (10, BernoulliInjection(4, 0.0)),
-            ],
-        )
-        assert phased.attempts(0, rng).size == 4
-        assert phased.attempts(9, rng).size == 4
-        assert phased.attempts(10, rng).size == 0
-        assert phased.attempts(50, rng).size == 0
-
-    def test_feedback_routes_to_active_phase(self, rng):
-        batch = BatchInjection(2, 1)
-        phased = PhasedInjection(
-            2, [(0, batch), (10, BernoulliInjection(2, 0.5))]
-        )
-        phased.attempts(0, rng)
-        phased.on_success(0)
-        assert batch.remaining[0] == 0
-
-    def test_exhausted_only_on_last_phase(self, rng):
-        drained = BatchInjection(2, 1)
-        drained.on_success(0)
-        drained.on_success(1)
-        phased = PhasedInjection(
-            2, [(0, drained), (10, BernoulliInjection(2, 0.5))]
-        )
-        phased.attempts(0, rng)
-        assert not phased.exhausted  # a later phase is still coming
-        phased.attempts(10, rng)
-        assert not phased.exhausted  # bernoulli never exhausts
-
-    def test_rejects_bad_phase_lists(self):
-        with pytest.raises(ValueError):
-            PhasedInjection(4, [])
-        with pytest.raises(ValueError, match="slot 0"):
-            PhasedInjection(4, [(5, BernoulliInjection(4, 0.5))])
-        with pytest.raises(ValueError, match="strictly increase"):
-            PhasedInjection(
-                4,
-                [
-                    (0, BernoulliInjection(4, 0.5)),
-                    (0, BernoulliInjection(4, 0.1)),
-                ],
-            )
-        with pytest.raises(ValueError, match="sized for"):
-            PhasedInjection(4, [(0, BernoulliInjection(8, 0.5))])
 
 
 class TestRegistry:
