@@ -14,7 +14,7 @@ These closed-form results come straight from the paper's arguments:
 * A uniform-traffic bisection bound for the HyperX, showing the topology
   itself is not the limiter on benign traffic.
 
-The benchmark suite asserts the simulator respects every bound; the
+``tests/analysis/test_bounds.py`` checks the bounds themselves; the
 integration tests assert the paper's mechanisms approach them.
 """
 

@@ -15,39 +15,40 @@ Examples::
     surepath-sim fig4 --scale small --backend array
     surepath-sim point --mechanism PolSP --traffic rpn --offered 0.8 --dims 3
 
-Every figure/table of the paper has a subcommand; ``--scale paper`` runs
-the exact paper topologies (slow in pure Python — see README.md,
-"Running experiments").  The sweep-based experiments (figures 4, 5, 6, 8, 9, fig-transient,
-fig-ablation-arbiter, fig-workloads, fig-topologies and
-fig-collectives) accept ``--jobs N`` to simulate points on a process
-pool, ``--cache-dir DIR`` to reuse
-previously simulated points across runs, and ``--backend NAME`` to pick
-the engine backend: ``slot`` (the reference loop, which skips idle
-switches) or ``array`` (vectorized phase kernels — identical records,
-faster on dense loads; see the README's "Backends" section).  ``fig-transient`` goes beyond
-the paper's static snapshots: links fail (and optionally come back)
-*mid-run* and the per-interval recovery series is reported.
-``fig-ablation-arbiter`` sweeps the router microarchitecture itself —
-arbiter (Q+P / round-robin / age / random), flow control (virtual
-cut-through / store-and-forward) and link latency — which the paper
-hardwires.  ``fig-workloads`` opens the workload axis: the adversarial
-traffic-pattern library (hotspot, tornado, shift, bit permutations)
-under smooth and bursty (on-off) injection.  ``fig-topologies`` opens
-the topology axis: the same mechanisms over torus/mesh, fat-tree and
-seeded random-regular (Jellyfish-style) families from the topology
-registry, with per-family escape roots.  ``fig-collectives`` opens the
-closed-loop workload axis: all-reduce / all-gather dependency DAGs run
-to completion (the metric is the job completion time, lower is better),
-healthy and through a mid-run link failure + repair.
+Every table and figure of the paper has a subcommand, one row of
+:data:`COMMANDS`; ``--scale paper`` runs the exact paper topologies (slow
+in pure Python — see README.md, "Running experiments").
+
+A *sweep* subcommand (figures 4, 5, 6, 8, 9 and the five ``fig-*``)
+calls one driver in :mod:`repro.experiments.figures`, and each of its
+flags defaults to the driver parameter it feeds: a run with no flags is
+the driver called with no arguments.  ``fig4``/``fig5`` share the
+load-sweep driver and ``fig8``/``fig9`` the shape-fault driver, bound to
+2 and 3 dimensions.  Sweeps also accept ``--jobs N`` (a process pool),
+``--cache-dir DIR`` (reuse points simulated by earlier runs) and
+``--backend NAME`` (``slot``, the reference loop, or ``array``, the
+vectorized phase kernels; identical records, see the README's
+"Backends").
+
+Beyond the paper's figures: ``fig-transient`` fails links mid-run (and,
+with ``--repair``, brings them back) and reports the recovery series;
+``fig-ablation-arbiter`` swaps the router microarchitecture (arbiter,
+flow control, link latency) the paper hardwires; ``fig-workloads``
+crosses the adversarial pattern library with smooth and bursty (on-off)
+injection; ``fig-topologies`` runs the mechanisms over the torus, mesh,
+fat-tree and random-regular families; ``fig-collectives`` runs
+all-reduce / all-gather dependency DAGs to completion and reports the
+job completion time, healthy and through a link failure and repair.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, wraps
 from typing import Any, Callable
 
 from ..routing.catalog import MECHANISMS
@@ -71,7 +72,6 @@ from .reporting import (
 )
 from .runner import ExperimentRunner
 from .scales import SCALES, get_scale
-from .sweeps import DEFAULT_ARBITERS
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:
@@ -89,12 +89,14 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 _positive_int = _int_at_least(1)
 
 #: Every reusable argument, declared once: its range-checked type and
-#: registry-derived choices live here; a command row overrides the
-#: default / help where the commands genuinely differ.
+#: registry-derived choices live here; a command row overrides the help
+#: where the commands genuinely differ.  A sweep command's defaults are
+#: its driver's (see :func:`build_parser`), so the sweep-only flags below
+#: carry none; the defaults here serve the other commands.
 ARGUMENTS: dict[str, dict[str, Any]] = {
     # on every command
     "scale": dict(default="tiny", choices=sorted(SCALES),
-                  help="experiment scale preset (default: tiny)"),
+                  help="experiment scale preset (default: %(default)s)"),
     "seed": dict(type=int, default=0, help="simulation seed"),
     "csv": dict(metavar="FILE", help="also write records as CSV"),
     "json": dict(metavar="FILE", help="also write records as JSON"),
@@ -112,43 +114,42 @@ ARGUMENTS: dict[str, dict[str, Any]] = {
     # per command
     "sequences": dict(type=_positive_int, default=4),
     "step": dict(type=_positive_int, default=64),
-    "dims": dict(type=int, default=2, choices=(2, 3)),
+    "dims": dict(type=int, choices=(2, 3)),
     "offered": dict(type=float),
-    "links": dict(type=_int_at_least(0), default=2, metavar="N"),
+    "links": dict(type=_int_at_least(0), metavar="N"),
     "repair": dict(action="store_true",
                    help="schedule the failed links to come back up"),
     "mechanisms": dict(nargs="+", choices=MECHANISMS),
-    "arbiters": dict(nargs="+", default=list(DEFAULT_ARBITERS),
-                     choices=sorted(ARBITERS)),
-    "flow-controls": dict(nargs="+", default=["vct"],
-                          choices=sorted(FLOW_CONTROLS)),
-    "link-latencies": dict(nargs="+", type=_positive_int, default=[1],
-                           metavar="SLOTS",
-                           help="link latencies in slots (default: 1)"),
-    "loads": dict(nargs="+", type=float, default=None,
-                  help="offered loads (default: scale mid + max)"),
+    "arbiters": dict(nargs="+", choices=sorted(ARBITERS)),
+    "flow-controls": dict(nargs="+", choices=sorted(FLOW_CONTROLS)),
+    "link-latencies": dict(nargs="+", type=_positive_int, metavar="SLOTS",
+                           help="link latencies in slots "
+                                "(default: %(default)s)"),
+    "loads": dict(nargs="+", type=float,
+                  help="offered loads (default: the scale's mid and top "
+                       "load)"),
     "patterns": dict(nargs="+", choices=TRAFFIC_PATTERNS, metavar="PATTERN"),
-    "injections": dict(nargs="+", default=sorted(INJECTIONS),
-                       choices=sorted(INJECTIONS)),
-    "burst": dict(type=_positive_int, default=8, metavar="SLOTS",
+    "injections": dict(nargs="+", choices=sorted(INJECTIONS)),
+    "burst": dict(type=_positive_int, metavar="SLOTS",
                   help="mean on-burst length of the on-off process "
-                       "(default: 8)"),
-    "idle": dict(type=_positive_int, default=8, metavar="SLOTS",
+                       "(default: %(default)s)"),
+    "idle": dict(type=_positive_int, metavar="SLOTS",
                  help="mean off-idle length of the on-off process "
-                      "(default: 8)"),
-    "topologies": dict(nargs="+", choices=TOPOLOGIES, metavar="FAMILY"),
-    "root-strategy": dict(default="max_live_degree", choices=ROOT_STRATEGIES,
+                      "(default: %(default)s)"),
+    "topologies": dict(nargs="+", choices=TOPOLOGIES, metavar="FAMILY",
+                       help="topology families to sweep "
+                            "(default: %(default)s)"),
+    "root-strategy": dict(choices=ROOT_STRATEGIES,
                           help="escape-root policy per family "
-                               "(default: max_live_degree)"),
-    "collectives": dict(nargs="+", default=list(figures.COLLECTIVE_SET),
-                        choices=sorted(COLLECTIVES), metavar="NAME",
-                        help="collectives to run (default: allreduce_ring "
-                             "allreduce_tree allgather_ring)"),
-    "chunk-packets": dict(type=_positive_int, default=1, metavar="N",
+                               "(default: %(default)s)"),
+    "collectives": dict(nargs="+", choices=sorted(COLLECTIVES),
+                        metavar="NAME",
+                        help="collectives to run (default: %(default)s)"),
+    "chunk-packets": dict(type=_positive_int, metavar="N",
                           help="chunk transfer size in 16-phit packets "
-                               "(default: 1)"),
-    "max-slots": dict(type=_positive_int, default=200_000, metavar="SLOTS",
-                      help="drain budget per run (default: 200000)"),
+                               "(default: %(default)s)"),
+    "max-slots": dict(type=_positive_int, metavar="SLOTS",
+                      help="drain budget per run (default: %(default)s)"),
     "mechanism": dict(default="PolSP", choices=MECHANISMS),
     "traffic": dict(default="uniform", choices=TRAFFIC_PATTERNS),
     "warmup": dict(type=int, default=None),
@@ -253,10 +254,15 @@ def _point(args) -> None:
     print(res.summary())
 
 
-def _fig_transient(scale: str, repair: bool, **kwargs: Any) -> list[dict]:
-    return figures.fig_transient(
-        scale, repair_at=0.66 if repair else None, **kwargs
-    )
+# ``wraps``: the parser reads this command's flag defaults through
+# ``__wrapped__``, from ``fig_transient``'s own signature.  ``--repair`` is
+# the one sweep flag with no driver parameter: without it the failed links
+# stay down; with it they come back at the driver's ``repair_at``.
+@wraps(figures.fig_transient)
+def _fig_transient(*args: Any, repair: bool, **kwargs: Any) -> list[dict]:
+    if not repair:
+        kwargs["repair_at"] = None
+    return figures.fig_transient(*args, **kwargs)
 
 
 def _recovery_sparklines(recs: list[dict]) -> str:
@@ -275,13 +281,14 @@ class Command:
     """One subcommand.
 
     ``args`` names its :data:`ARGUMENTS`; ``overrides`` holds this
-    command's own default / help for some of them.  A *sweep* command has a
-    ``driver`` — a ``figures`` function called with the scale, every
-    listed argument under its own name (``rename`` maps the exceptions),
-    the seed, the config and the executor; its records print as
-    ``pivot(records)`` (when set) above a ``columns`` table headed
-    ``title`` (``str.format``-ed with, or called on, the parsed
-    arguments).  Any other command prints through ``run``.
+    command's own help (or, for a command without a driver, default) for
+    some of them.  A *sweep* command has a ``driver`` — a ``figures``
+    function called with the scale, every listed argument under its own
+    name (``rename`` maps the exceptions), the seed, the config and the
+    executor; each flag's default is the default of the driver parameter
+    it feeds.  Its records print as ``pivot(records)`` (when set) above a
+    ``columns`` table headed ``title`` (``str.format``-ed with, or called
+    on, the parsed arguments).  Any other command prints through ``run``.
     """
 
     help: str
@@ -300,8 +307,6 @@ SWEEP_COLUMNS = (
     "jain", "faults",
 )
 SHAPE_COLUMNS = ("shape", "mechanism", "traffic", "accepted")
-_SP = ["OmniSP", "PolSP"]
-_CROSS_FAMILY = ["Minimal", "Polarized", "PolSP"]
 
 COMMANDS: dict[str, Command] = {
     "table2": Command("simulation parameters", run=_table2),
@@ -313,13 +318,13 @@ COMMANDS: dict[str, Command] = {
     "fig3": Command("RPN traffic-pattern illustration", run=_fig3),
     "fig4": Command(
         "2D fault-free load sweep",
-        driver=figures.fig4_2d_loadsweep,
+        driver=partial(figures.fig_load_sweep, dims=2),
         columns=SWEEP_COLUMNS, title="Figure 4 — 2D load sweep",
         pivot=throughput_matrix,
     ),
     "fig5": Command(
         "3D fault-free load sweep (incl. RPN)",
-        driver=figures.fig5_3d_loadsweep,
+        driver=partial(figures.fig_load_sweep, dims=3),
         columns=SWEEP_COLUMNS, title="Figure 5 — 3D load sweep",
         pivot=throughput_matrix,
     ),
@@ -333,12 +338,12 @@ COMMANDS: dict[str, Command] = {
     "fig7": Command("structured fault shapes and link counts", run=_fig7),
     "fig8": Command(
         "2D throughput under structured faults",
-        driver=figures.fig8_2d_shape_faults,
+        driver=partial(figures.fig_shape_faults, dims=2),
         columns=SHAPE_COLUMNS, title="Figure 8 — 2D structured faults",
     ),
     "fig9": Command(
         "3D throughput under structured faults",
-        driver=figures.fig9_3d_shape_faults,
+        driver=partial(figures.fig_shape_faults, dims=3),
         columns=SHAPE_COLUMNS, title="Figure 9 — 3D structured faults",
     ),
     "fig10": Command("completion time under Star faults + RPN", run=_fig10),
@@ -346,9 +351,8 @@ COMMANDS: dict[str, Command] = {
         "mid-run link failure/repair recovery series",
         args=("dims", "offered", "links", "repair", "mechanisms"),
         overrides={
-            "offered": dict(default=0.6),
-            "links": dict(help="links failing at the event (default: 2)"),
-            "mechanisms": dict(default=_SP),
+            "links": dict(help="links failing at the event "
+                               "(default: %(default)s)"),
         },
         driver=_fig_transient,
         rename={"links": "n_links"},
@@ -366,7 +370,6 @@ COMMANDS: dict[str, Command] = {
             "dims", "mechanisms", "arbiters", "flow-controls",
             "link-latencies", "loads",
         ),
-        overrides={"mechanisms": dict(default=_SP)},
         driver=figures.fig_ablation_arbiter,
         columns=(
             "arbiter", "flow_control", "link_latency", "mechanism", "traffic",
@@ -383,10 +386,10 @@ COMMANDS: dict[str, Command] = {
             "loads",
         ),
         overrides={
-            "mechanisms": dict(default=_SP),
-            "patterns": dict(default=None,
-                             help="traffic patterns (default: every pattern "
+            "patterns": dict(help="traffic patterns (default: every pattern "
                                   "the topology supports)"),
+            "loads": dict(help="offered loads (default: the scale's mid and "
+                               "top load, capped at the on-off duty cycle)"),
         },
         driver=figures.fig_workloads,
         rename={"patterns": "traffics", "burst": "burst_slots",
@@ -402,12 +405,8 @@ COMMANDS: dict[str, Command] = {
         "topology-diversity sweep (mechanism x family)",
         args=("topologies", "mechanisms", "patterns", "root-strategy", "loads"),
         overrides={
-            "topologies": dict(default=list(figures.TOPOLOGY_FAMILIES),
-                               help="topology families to sweep (default: "
-                                    "hyperx torus mesh fattree random)"),
-            "mechanisms": dict(default=_CROSS_FAMILY),
-            "patterns": dict(default=list(figures.TOPOLOGY_TRAFFICS),
-                             help="traffic patterns (filtered per family)"),
+            "patterns": dict(help="traffic patterns, filtered per family "
+                                  "(default: %(default)s)"),
         },
         driver=figures.fig_topologies,
         rename={"patterns": "traffics"},
@@ -426,12 +425,8 @@ COMMANDS: dict[str, Command] = {
             "links", "max-slots", "root-strategy",
         ),
         overrides={
-            "topologies": dict(default=list(figures.COLLECTIVE_TOPOLOGIES),
-                               help="topology families to sweep (default: "
-                                    "hyperx torus fattree)"),
-            "mechanisms": dict(default=_CROSS_FAMILY),
             "links": dict(help="links failing in the faulted runs "
-                               "(default: 2)"),
+                               "(default: %(default)s)"),
         },
         driver=figures.fig_collectives,
         rename={"links": "n_links"},
@@ -449,7 +444,7 @@ COMMANDS: dict[str, Command] = {
     "point": Command(
         "one simulation point",
         args=("mechanism", "traffic", "offered", "dims", "warmup", "measure"),
-        overrides={"offered": dict(default=0.5)},
+        overrides={"offered": dict(default=0.5), "dims": dict(default=2)},
         run=_point,
     ),
 }
@@ -464,10 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
         executor_args = EXECUTOR_ARGS if cmd.driver else ()
+        params = inspect.signature(cmd.driver).parameters if cmd.driver else {}
         for arg in COMMON_ARGS + executor_args + cmd.args:
-            p.add_argument(
-                f"--{arg}", **{**ARGUMENTS[arg], **cmd.overrides.get(arg, {})}
-            )
+            spec = {**ARGUMENTS[arg], **cmd.overrides.get(arg, {})}
+            dest = arg.replace("-", "_")
+            param = params.get(cmd.rename.get(dest, dest))
+            if param is not None:
+                spec["default"] = param.default
+            p.add_argument(f"--{arg}", **spec)
     return parser
 
 

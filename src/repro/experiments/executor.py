@@ -52,35 +52,12 @@ from ..topology.hyperx import HyperX
 from ..topology.torus import Torus
 from .runner import ExperimentRunner, PointSpec
 
-#: Salt of the on-disk cache key.  Bump whenever a simulator/routing
-#: change alters what a point produces, so stale records from earlier
-#: package versions can never satisfy a new run.
-#: v3: SimConfig grew the router-microarchitecture fields (arbiter,
-#: flow_control, link_latency_slots) and early-stopped runs now report
-#: actually-measured slot counts.
-#: v4: the workload-diversity subsystem — SimConfig grew injection /
-#: burst_slots / idle_slots / rng_streams, and jobs grew the optional
-#: workload (phase) schedule; two points differing only in burst
-#: geometry or phasing must never alias one cache entry.
-#: v5: the topology-diversity subsystem — compact signatures for the new
-#: families (torus/mesh, fat-tree, random-regular), disconnected points
-#: now produce records instead of crashing, and ``avg_hops`` joined the
-#: NaN-able keys; pre-v5 entries for non-HyperX topologies used the
-#: neighbour-list fallback signature and must not alias the compact one.
-#: v6: the engine-backend axis — SimConfig grew the ``backend`` field
-#: (slot vs event scheduling).  Backends are record-identical by
-#: contract, but the field enters the payload via ``asdict(config)``, so
-#: pre-v6 entries (no ``backend`` key) must not alias v6 ones.
-#: v7: the struct-of-arrays state core + ``"array"`` backend.  The store
-#: refactor is record-identical (golden-pinned), but the backend value
-#: space grew and the state layout underlying every record changed —
-#: entries produced by either generation must not alias the other, and
-#: ``backend="array"`` records must never alias slot/event ones.
-#: v8: the collective-workload subsystem — SimConfig grew ``collective``
-#: / ``chunk_packets`` (entering via ``asdict(config)``), collective
-#: records carry JCT keys, and every backend's eject path now notifies
-#: the injection process (``on_delivered``), so closed-loop records from
-#: earlier generations must not alias v8 ones.
+#: Salt of the on-disk cache key.  Bump it, once per change, when a
+#: change alters what a job produces without altering its payload below
+#: (a simulator, routing or record-shape change), and when ``SimConfig``
+#: gains or loses a field (``test_config_fields_are_pinned_to_the_cache_version``
+#: pins the field list to this number), so no entry stored by an earlier
+#: generation can answer a job of this one.  CHANGES.md records each bump.
 CACHE_VERSION = 8
 
 @dataclass(frozen=True)

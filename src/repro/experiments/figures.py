@@ -1,9 +1,9 @@
 """Drivers regenerating every table and figure of the paper's evaluation.
 
-Each ``figN_*`` function returns plain JSON-able data (lists of records /
-curves) shaped like the paper's plot: the benchmark suite prints them, the
-CLI renders them as ASCII tables, and EXPERIMENTS.md records the measured
-values against the paper's.  Every driver takes a ``scale`` preset (see
+Each ``fig*`` function returns plain JSON-able data (lists of records /
+curves) shaped like the paper's plot, which the CLI renders as ASCII
+tables.  One driver serves both dimensionalities of a figure kind through
+``dims`` (Figures 4/5, 6, 8/9).  Every driver takes a ``scale`` preset (see
 :mod:`repro.experiments.scales`); ``"paper"`` reproduces the exact paper
 topologies.
 """
@@ -223,45 +223,28 @@ def fig3_rpn_illustration(scale: str | Scale = "paper") -> dict:
 # ----------------------------------------------------------------------
 # Figures 4 and 5 — fault-free load sweeps
 # ----------------------------------------------------------------------
-def fig4_2d_loadsweep(
+def fig_load_sweep(
     scale: str | Scale = "tiny",
+    dims: int = 2,
     mechanisms: tuple[str, ...] = MECHANISMS,
     seed: int = 0,
     config: SimConfig = PAPER_CONFIG,
     executor=None,
 ) -> list[dict]:
-    """2D HyperX: throughput/latency/Jain vs offered load (Figure 4).
+    """Throughput/latency/Jain vs offered load: Figure 4 (2D), Figure 5 (3D).
 
     ``config`` carries the simulator knobs including the engine backend
     (``--backend`` on the CLI); records are backend-independent.
 
     Expected shape: Valiant saturates ~0.5 everywhere and is optimal on
     DCR; Minimal lags on permutations; OmniSP/PolSP match or beat the
-    ladder mechanisms.
+    ladder mechanisms.  The 3D sweep adds RPN, where Minimal is worst,
+    Omni-based mechanisms cap at 0.5 (aligned routes) and
+    Polarized-based ones exceed it.
     """
     sc = _scale(scale)
     jobs = load_sweep_jobs(
-        Network(sc.hyperx_2d()), mechanisms, TRAFFICS_2D, sc.loads,
-        warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
-    )
-    return run_sweep(jobs, executor)
-
-
-def fig5_3d_loadsweep(
-    scale: str | Scale = "tiny",
-    mechanisms: tuple[str, ...] = MECHANISMS,
-    seed: int = 0,
-    config: SimConfig = PAPER_CONFIG,
-    executor=None,
-) -> list[dict]:
-    """3D HyperX: Figure 4's sweep plus the RPN pattern (Figure 5).
-
-    Expected shape additions: under RPN, Minimal is worst, Omni-based
-    mechanisms cap at 0.5 (aligned routes), Polarized-based exceed 0.5.
-    """
-    sc = _scale(scale)
-    jobs = load_sweep_jobs(
-        Network(sc.hyperx_3d()), mechanisms, TRAFFICS_3D, sc.loads,
+        Network(sc.hyperx(dims)), mechanisms, _hostable(TRAFFICS_3D, dims), sc.loads,
         warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
     )
     return run_sweep(jobs, executor)
@@ -292,7 +275,7 @@ def fig6_random_faults(
     n_links = len(hx.links())
     counts = sorted({int(round(f * n_links)) for f in sc.fault_fractions})
     jobs = fault_sweep_jobs(
-        hx, ("OmniSP", "PolSP"), TRAFFICS_2D if dims == 2 else TRAFFICS_3D, counts,
+        hx, ("OmniSP", "PolSP"), _hostable(TRAFFICS_3D, dims), counts,
         offered=1.0, warmup=sc.warmup, measure=sc.measure,
         seed=seed, fault_seed=fault_seed, config=config,
     )
@@ -353,63 +336,41 @@ def fig7_fault_shapes(scale: str | Scale = "paper") -> list[dict]:
 # ----------------------------------------------------------------------
 # Figures 8 and 9 — throughput bars under structured faults
 # ----------------------------------------------------------------------
-def _shape_bars(
-    hx: HyperX,
-    shapes: tuple[str, ...],
-    traffics: tuple[str, ...],
-    sc: Scale,
-    seed: int,
+def fig_shape_faults(
+    scale: str | Scale = "tiny",
+    dims: int = 2,
+    seed: int = 0,
     config: SimConfig = PAPER_CONFIG,
     executor=None,
 ) -> list[dict]:
+    """Saturation throughput bars under structured faults: Figure 8 (2D
+    Row/Subplane/Cross), Figure 9 (3D Row/Subcube/Star, plus RPN).
+
+    Each shape is followed by its healthy reference marks (same root,
+    same mechanisms), labelled ``<shape>-healthy-ref``.
+
+    Expected shape: Row and Subplane/Subcube cost ~11%; Cross is the 2D
+    stressor (~37% drop under Uniform, paper scale); OmniSP ~ PolSP in
+    2D; in 3D PolSP keeps its RPN edge except under Star, where OmniSP
+    wins peak throughput (the in-cast analysis of Figure 10).
+    """
+    sc = _scale(scale)
+    hx = sc.hyperx(dims)
     params = shape_parameters(hx)
     jobs = []
-    for shape in shapes:
+    for shape in SHAPES_2D if dims == 2 else SHAPES_3D:
         root = shape_root(hx, shape, **params[shape])
         faulty = Network(hx, shape_faults(hx, shape, **params[shape]))
-        # Each shape, then its healthy reference marks (same root, same
-        # mechanisms).
         for net, label in ((faulty, shape), (Network(hx), f"{shape}-healthy-ref")):
             jobs += with_labels(
                 load_sweep_jobs(
-                    net, ("OmniSP", "PolSP"), traffics, (1.0,),
+                    net, ("OmniSP", "PolSP"), _hostable(TRAFFICS_3D, dims), (1.0,),
                     warmup=sc.warmup, measure=sc.measure, seed=seed,
                     config=config, root=root, n_vcs=4,
                 ),
                 shape=label,
             )
     return run_sweep(jobs, executor)
-
-
-def fig8_2d_shape_faults(
-    scale: str | Scale = "tiny", seed: int = 0,
-    config: SimConfig = PAPER_CONFIG, executor=None
-) -> list[dict]:
-    """2D throughput bars under Row/Subplane/Cross faults (Figure 8).
-
-    Expected shape: Row and Subplane cost ~11%; Cross is the stressor
-    (~37% drop under Uniform, paper scale); OmniSP ~ PolSP throughout.
-    """
-    sc = _scale(scale)
-    return _shape_bars(
-        sc.hyperx_2d(), SHAPES_2D, TRAFFICS_2D, sc, seed, config, executor
-    )
-
-
-def fig9_3d_shape_faults(
-    scale: str | Scale = "tiny", seed: int = 0,
-    config: SimConfig = PAPER_CONFIG, executor=None
-) -> list[dict]:
-    """3D throughput bars under Row/Subcube/Star faults + RPN (Figure 9).
-
-    Expected shape: Row/Subcube analogous to 2D; PolSP keeps its RPN edge
-    except under Star, where OmniSP wins peak throughput (the in-cast
-    analysis of Figure 10).
-    """
-    sc = _scale(scale)
-    return _shape_bars(
-        sc.hyperx_3d(), SHAPES_3D, TRAFFICS_3D, sc, seed, config, executor
-    )
 
 
 # ----------------------------------------------------------------------
@@ -542,6 +503,10 @@ def fig_workloads(
     normalised offered loads.  Patterns a topology cannot host (e.g. bit
     transpose on an odd bit count) are dropped automatically.
 
+    ``loads=None`` runs the scale's mid and top load, capped (with
+    on-off injection) at the duty cycle ``burst / (burst + idle)``: no
+    on-off source can offer more, and every process runs the same loads.
+
     Expected shape: everything loses throughput under hotspot (the hot
     server is the bottleneck, not routing); tornado/bit patterns separate
     the load-aware mechanisms from the oblivious ones; on-off matches
@@ -552,9 +517,12 @@ def fig_workloads(
     net = Network(sc.hyperx(dims))
     if traffics is None:
         traffics = tuple(supported_traffics(net, WORKLOAD_TRAFFICS))
+    if loads is None:
+        duty = burst_slots / (burst_slots + idle_slots)
+        cap = duty if "onoff" in injections else 1.0
+        loads = tuple(dict.fromkeys(min(x, cap) for x in _mid_and_max_load(sc)))
     jobs = workload_sweep_jobs(
-        net, mechanisms, traffics,
-        _mid_and_max_load(sc) if loads is None else loads,
+        net, mechanisms, traffics, loads,
         injections=injections, burst_slots=burst_slots, idle_slots=idle_slots,
         warmup=sc.warmup, measure=sc.measure, seed=seed, config=config,
     )

@@ -1,8 +1,8 @@
 """Plain-text reporting of experiment results.
 
 The figure drivers return lists of dict records; these helpers render them
-as aligned ASCII tables (the form EXPERIMENTS.md and the benchmark logs
-use) and as CSV for external plotting.
+as aligned ASCII tables (the form the CLI prints) and as CSV for external
+plotting.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ The paper evaluates a 16x16 2D HyperX (256 switches, 4096 servers) and an
 simulator cannot sweep those in CI time, so every experiment driver takes
 a :class:`Scale`:
 
-* ``tiny``  — 4x4 / 4x4x4, short runs; seconds per point.  Used by the
-  benchmark suite and tests.  The qualitative shape of every figure (who
+* ``tiny``  — 4x4 / 4x4x4, short runs; seconds per point.  The CLI's
+  default.  The qualitative shape of every figure (who
   wins, where the 0.5 caps bind, graceful degradation) already shows here.
 * ``small`` — 8x8 / 4x4x4 with longer runs; the recommended interactive
   scale.

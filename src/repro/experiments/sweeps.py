@@ -11,7 +11,7 @@ and still pays for one executor run.  Columns that only name a job's
 place in its sweep (topology, shape, microarchitecture...) travel as
 ``PointJob.labels`` and are stamped onto the record by the executor.
 Sweep outputs are flat lists of records (plain dicts) so the reporting
-module, the benchmark suite and external analysis can consume them
+module, the tests and external analysis can consume them
 without custom types.
 """
 
@@ -276,9 +276,19 @@ def workload_sweep_jobs(
     ``burst_slots`` / ``idle_slots`` labels and the combined ``workload``
     row label — the process name plus its burst geometry when that
     matters, e.g. ``onoff(8/8)`` (and, for phased jobs,
-    ``workload_events`` + the per-phase ``phase_series``).
+    ``workload_events`` + the per-phase ``phase_series``).  With on-off
+    injection a load above the duty cycle ``burst / (burst + idle)`` is
+    rejected before any job exists: no on-off source can offer it.
     """
     burst_slots, idle_slots = int(burst_slots), int(idle_slots)
+    duty = burst_slots / (burst_slots + idle_slots)
+    # The on-off injection's own test, so a load it accepts passes here.
+    if "onoff" in injections and max(loads, default=0.0) / duty > 1.0 + 1e-12:
+        raise ValueError(
+            f"offered load {max(loads)} exceeds the duty cycle {duty:.4f} "
+            f"of burst {burst_slots} / idle {idle_slots}; even saturated "
+            "on-off bursts cannot carry it"
+        )
     jobs: list[PointJob] = []
     for injection in injections:
         name = (

@@ -77,6 +77,16 @@ def test_sweep_flag_defaults_match_the_driver(name):
     assert checked >= 2
 
 
+@pytest.mark.parametrize(
+    "name,dims", [("fig4", 2), ("fig5", 3), ("fig8", 2), ("fig9", 3)]
+)
+def test_figure_pairs_bind_dims(name, dims):
+    """Figures 4/5 and 8/9 share a driver each; the command binds dims."""
+    cmd = COMMANDS[name]
+    assert inspect.signature(cmd.driver).parameters["dims"].default == dims
+    assert f"{dims}D" in cmd.title
+
+
 class TestFastCommands:
     def test_table2(self, capsys):
         assert main(["table2"]) == 0

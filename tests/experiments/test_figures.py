@@ -1,14 +1,15 @@
 """Figure-driver tests: structure and paper-scale exact counts.
 
-Simulation-heavy drivers run at a sub-tiny custom scale here; the full
-qualitative checks live in tests/integration/ and the regeneration runs in
-benchmarks/.  Figures 6 and 8 (2D) are checked end to end in
-tests/integration/test_fault_figures.py.
+Simulation-heavy drivers run at a sub-tiny custom scale here.  The
+paper's performance claims are asserted in tests/integration/:
+Figures 4 and 5 in test_paper_claims.py, Figures 6, 8 and 9 end to end
+through their drivers in test_fault_figures.py.
 """
 
 import pytest
 
 from repro.experiments.figures import (
+    SHAPES_3D,
     fig1_diameter_under_failures,
     fig2_escape_illustration,
     fig3_rpn_illustration,
@@ -20,12 +21,13 @@ from repro.experiments.figures import (
     table4,
 )
 from repro.experiments.scales import Scale
+from repro.topology.faults import shape_faults
 from repro.topology.hyperx import HyperX
 
 #: A sub-tiny scale so driver tests stay fast.
 MICRO = Scale(
     name="micro", side_2d=4, side_3d=4, warmup=40, measure=80,
-    loads=(0.2, 0.6), batch_packets=10,
+    loads=(0.2, 0.6), batch_packets=20,
 )
 
 
@@ -67,6 +69,20 @@ class TestFig1:
             faults = [f for f, _d in c["points"]]
             assert faults == sorted(faults)
 
+    def test_paper_scale_claims(self):
+        """8x8x8 (paper §2): 256 random faults (~5% of the links) keep the
+        diameter at most 4, it never shrinks as faults accumulate, and
+        disconnection needs a large share of the links."""
+        for c in fig1_diameter_under_failures(
+            sides=(8, 8, 8), n_sequences=2, step=256, seed=0
+        ):
+            diameter = dict(c["points"])
+            assert diameter[0] == 3
+            assert diameter[256] <= 4
+            diams = [d for _f, d in c["points"]]
+            assert diams == sorted(diams)
+            assert c["disconnect_at"] > 0.4 * c["total_links"]
+
 
 class TestIllustrations:
     def test_fig2_reports_colouring(self):
@@ -90,6 +106,17 @@ class TestFig7:
         assert rows["subplane"]["n_faults"] == 100
         assert rows["cross"]["n_faults"] == 110
         assert all(r["connected"] for r in rows.values())
+
+    def test_paper_scale_3d_counts(self):
+        """The 3D shapes Figure 9 runs: Row K8 (28 links), Subcube K3^3
+        (81) and Star arm 7 (63) on the paper's 8x8x8."""
+        hx = HyperX((8, 8, 8), 8)
+        params = shape_parameters(hx)
+        counts = {
+            shape: len(shape_faults(hx, shape, **params[shape]))
+            for shape in SHAPES_3D
+        }
+        assert counts == {"row": 28, "subcube": 81, "star": 63}
 
     def test_tiny_scale_shapes_connected(self):
         for r in fig7_fault_shapes("tiny"):
@@ -127,7 +154,9 @@ class TestFig10:
         for r in recs:
             assert r["completion_cycles"] is not None
             assert r["delivered"] == r["expected"]
-            assert r["time_series"]
+            assert not r["deadlocked"]
+            # The series opens in a high-throughput bulk phase.
+            assert max(v for _t, v in r["time_series"][:3]) > 0.25
 
     def test_polsp_completes_sooner(self, fig10_micro):
         """The paper's Figure 10 headline: OmniSP's in-cast tail makes its

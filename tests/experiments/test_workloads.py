@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.executor import job_key, run_job
+from repro.experiments.executor import Executor, job_key, run_job
 from repro.experiments.figures import fig_workloads
 from repro.experiments.reporting import throughput_matrix
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.sweeps import (
     DEFAULT_INJECTIONS,
     run_sweep,
@@ -79,6 +80,13 @@ class TestJobs:
                 small_net, ["PolSP"], ["uniform", "transpose"], [0.3], **SWEEP_KW
             )  # 32 servers = 5 bits: transpose needs an even bit count
 
+    def test_load_above_duty_cycle_rejected_upfront(self, small_net):
+        """An on-off source cannot offer more than its duty cycle
+        burst / (burst + idle): the sweep says so before any job exists."""
+        with pytest.raises(ValueError, match="exceeds the duty cycle 0.2500"):
+            _jobs(small_net, burst_slots=2, idle_slots=6)
+        assert _jobs(small_net, injections=("bernoulli",), burst_slots=2, idle_slots=6)
+
 
 class TestDifferential:
     def test_onoff_record_differs_from_bernoulli(self, small_net):
@@ -115,7 +123,31 @@ class TestPhasedRecords:
         assert phases[1]["accepted"] < phases[0]["accepted"]
 
 
+class _BuildOnly(Executor):
+    """Builds every job's simulator and steps none of them; a job's
+    record holds only its traffic."""
+
+    def _execute(self, jobs):
+        for job in jobs:
+            spec = job.spec
+            ExperimentRunner(
+                job.network(), config=job.config, root=spec.root
+            ).build_simulator(
+                spec.mechanism, spec.traffic, spec.offered, seed=spec.seed,
+                n_vcs=spec.n_vcs, workload_schedule=job.workload,
+            )
+            yield {"traffic": spec.traffic}
+
+
 class TestSweepAndFigure:
+    @pytest.mark.parametrize("scale", ["tiny", "small", "paper"])
+    def test_default_sweep_builds_at_every_scale(self, scale):
+        """The default sweep (what ``fig-workloads`` runs with no flags)
+        builds every point, on-off ones included: its default loads stay
+        within the on-off duty cycle."""
+        recs = fig_workloads(scale, executor=_BuildOnly())
+        assert {r["injection"] for r in recs} == set(DEFAULT_INJECTIONS)
+
     def test_workload_sweep_annotates_records(self, small_net):
         recs = run_sweep(workload_sweep_jobs(
             small_net, ["PolSP"], ["uniform"], [0.3],
@@ -139,7 +171,7 @@ class TestSweepAndFigure:
         # rectangular default filter must keep only constructible ones.
         recs = fig_workloads(
             "tiny", dims=3, mechanisms=("PolSP",), loads=(0.3,),
-            injections=("bernoulli",),
+            injections=("bernoulli",), executor=_BuildOnly(),
         )
         assert "transpose" in {r["traffic"] for r in recs}
         assert "adversarial" not in {r["traffic"] for r in recs}

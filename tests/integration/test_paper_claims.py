@@ -93,6 +93,7 @@ class TestJainFairness:
                         offered=0.4, seed=0)
         res = sim.run(150, 300)
         assert res.jain > 0.98
+        assert res.avg_latency_cycles < 400
 
     def test_saturation_drops_jain(self, net2d):
         mech = make_mechanism("PolSP", net2d, rng=1)
