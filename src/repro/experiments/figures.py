@@ -13,6 +13,7 @@ from __future__ import annotations
 from ..routing.catalog import MECHANISMS
 from ..seeding import as_generator
 from ..simulator.config import PAPER_CONFIG, SimConfig, table2_rows
+from ..simulator.injection import onoff_duty
 from ..simulator.schedule import FaultSchedule
 from ..topology.base import Network
 from ..topology.faults import (
@@ -518,8 +519,7 @@ def fig_workloads(
     if traffics is None:
         traffics = tuple(supported_traffics(net, WORKLOAD_TRAFFICS))
     if loads is None:
-        duty = burst_slots / (burst_slots + idle_slots)
-        cap = duty if "onoff" in injections else 1.0
+        cap = onoff_duty(burst_slots, idle_slots) if "onoff" in injections else 1.0
         loads = tuple(dict.fromkeys(min(x, cap) for x in _mid_and_max_load(sc)))
     jobs = workload_sweep_jobs(
         net, mechanisms, traffics, loads,

@@ -22,6 +22,7 @@ from typing import Any, Iterable, Sequence
 
 from ..routing.catalog import supported_mechanisms
 from ..simulator.config import PAPER_CONFIG, SimConfig
+from ..simulator.injection import onoff_peak
 from ..simulator.schedule import FaultSchedule
 from ..simulator.workload import WorkloadSchedule
 from ..topology.base import Network, Topology
@@ -281,14 +282,9 @@ def workload_sweep_jobs(
     rejected before any job exists: no on-off source can offer it.
     """
     burst_slots, idle_slots = int(burst_slots), int(idle_slots)
-    duty = burst_slots / (burst_slots + idle_slots)
-    # The on-off injection's own test, so a load it accepts passes here.
-    if "onoff" in injections and max(loads, default=0.0) / duty > 1.0 + 1e-12:
-        raise ValueError(
-            f"offered load {max(loads)} exceeds the duty cycle {duty:.4f} "
-            f"of burst {burst_slots} / idle {idle_slots}; even saturated "
-            "on-off bursts cannot carry it"
-        )
+    if "onoff" in injections:  # fail before any job exists
+        for load in loads:
+            onoff_peak(load, burst_slots, idle_slots)
     jobs: list[PointJob] = []
     for injection in injections:
         name = (

@@ -142,6 +142,33 @@ class BernoulliInjection(InjectionProcess):
         self.offered = float(offered)
 
 
+def onoff_duty(burst_slots: float, idle_slots: float) -> float:
+    """Stationary ON fraction ``burst / (burst + idle)`` of an on-off source.
+
+    Raises ``ValueError`` unless both mean sojourns are at least one slot.
+    """
+    if burst_slots < 1 or idle_slots < 1:
+        raise ValueError("burst_slots and idle_slots must be >= 1")
+    return burst_slots / (burst_slots + idle_slots)
+
+
+def onoff_peak(offered: float, burst_slots: float, idle_slots: float) -> float:
+    """In-burst attempt rate ``offered / duty`` of an on-off source.
+
+    Raises ``ValueError`` for a load above the duty cycle: even
+    back-to-back in-burst injection could not carry it.
+    """
+    duty = onoff_duty(burst_slots, idle_slots)
+    peak = offered / duty
+    if peak > 1.0 + 1e-12:
+        raise ValueError(
+            f"offered load {offered} exceeds the duty cycle {duty:.4f} of "
+            f"burst {burst_slots:g} / idle {idle_slots:g}; even saturated "
+            "bursts cannot carry it"
+        )
+    return min(peak, 1.0)
+
+
 class OnOffInjection(InjectionProcess):
     """Markov-modulated (on-off) bursty generation, normalised load.
 
@@ -169,13 +196,11 @@ class OnOffInjection(InjectionProcess):
         idle_slots: float = 8.0,
     ):
         super().__init__(n_servers)
-        if burst_slots < 1 or idle_slots < 1:
-            raise ValueError("burst_slots and idle_slots must be >= 1")
+        self.duty = onoff_duty(burst_slots, idle_slots)
         if not 0.0 <= offered <= 1.0:
             raise ValueError(f"offered load must be in [0, 1], got {offered}")
         self.burst_slots = float(burst_slots)
         self.idle_slots = float(idle_slots)
-        self.duty = self.burst_slots / (self.burst_slots + self.idle_slots)
         self.offered = float(offered)
         self.peak = self._peak(self.offered)
         self._p_off = 1.0 / self.burst_slots  # ON -> OFF
@@ -183,14 +208,7 @@ class OnOffInjection(InjectionProcess):
         self._on: np.ndarray | None = None  # drawn stationary on first use
 
     def _peak(self, offered: float) -> float:
-        peak = offered / self.duty
-        if peak > 1.0 + 1e-12:
-            raise ValueError(
-                f"offered load {offered} exceeds the duty cycle "
-                f"{self.duty:.4f} of burst {self.burst_slots:g} / idle "
-                f"{self.idle_slots:g}; even saturated bursts cannot carry it"
-            )
-        return min(peak, 1.0)
+        return onoff_peak(offered, self.burst_slots, self.idle_slots)
 
     def attempts(self, slot: int, rng: np.random.Generator) -> np.ndarray:
         n = self.n_servers

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.experiments import figures
 from repro.experiments.cli import COMMANDS, build_parser, main
 
 
@@ -51,30 +50,24 @@ class TestParser:
         assert "usage:" in capsys.readouterr().err
 
 
-#: Drivers the CLI reaches through an adapter, by command.
-_DRIVERS = {"fig-transient": figures.fig_transient}
-
-
 @pytest.mark.parametrize(
     "name", sorted(n for n, c in COMMANDS.items() if c.driver is not None)
 )
 def test_sweep_flag_defaults_match_the_driver(name):
-    """A sweep run with no flags is the driver called with no arguments:
-    every flag's parser default equals the driver parameter it feeds."""
+    """Every sweep flag but ``--repair`` feeds a driver parameter (through
+    ``rename``), and a run with no flags passes that parameter's default."""
     cmd = COMMANDS[name]
-    params = inspect.signature(_DRIVERS.get(name, cmd.driver)).parameters
+    params = inspect.signature(cmd.driver).parameters
     args = build_parser().parse_args([name])
-    checked = 0
     for arg in ("scale", "seed") + cmd.args:
-        dest = arg.replace("-", "_")
-        param = params.get(cmd.rename.get(dest, dest))
-        if param is None:  # e.g. --repair, which the adapter translates
+        if arg == "repair":  # the fig-transient adapter's own switch
             continue
+        dest = arg.replace("-", "_")
+        param = cmd.rename.get(dest, dest)
+        assert param in params, f"--{arg} feeds no parameter of the driver"
         value = getattr(args, dest)
         value = tuple(value) if isinstance(value, list) else value
-        assert value == param.default, arg
-        checked += 1
-    assert checked >= 2
+        assert value == params[param].default, arg
 
 
 @pytest.mark.parametrize(

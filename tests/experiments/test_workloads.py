@@ -87,6 +87,16 @@ class TestJobs:
             _jobs(small_net, burst_slots=2, idle_slots=6)
         assert _jobs(small_net, injections=("bernoulli",), burst_slots=2, idle_slots=6)
 
+    @pytest.mark.parametrize("burst,idle", [(0, 8), (8, 0), (0, 0)])
+    @pytest.mark.parametrize("injections", [DEFAULT_INJECTIONS, ("bernoulli",)])
+    def test_sojourn_below_one_slot_rejected(self, small_net, injections, burst, idle):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            _jobs(small_net, injections=injections, burst_slots=burst, idle_slots=idle)
+
+    def test_default_loads_reject_sojourn_below_one_slot(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            fig_workloads("tiny", burst_slots=0, executor=_BuildOnly())
+
 
 class TestDifferential:
     def test_onoff_record_differs_from_bernoulli(self, small_net):

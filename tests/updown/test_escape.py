@@ -95,6 +95,11 @@ class TestDistances:
         s10, s20 = hx.switch_id((1, 0)), hx.switch_id((2, 0))
         assert esc.udist[s10, s20] == 2
 
+    def test_route_length_bound_paper_3d(self):
+        """On the paper's 8x8x8 no escape route beats the diameter (3)."""
+        esc = EscapeSubnetwork(Network(HyperX((8, 8, 8), 8)), root=0)
+        assert esc.route_length_bound() >= 3
+
     def test_dist_a_at_most_udist(self, esc_faulty):
         """One shortcut can only shorten the pure Up/Down route."""
         assert (esc_faulty.dist_a <= esc_faulty.udist).all()
