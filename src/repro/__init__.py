@@ -23,14 +23,9 @@ from __future__ import annotations
 
 from .routing import (
     MECHANISMS,
-    MinimalRouting,
-    OmniSPRouting,
-    OmniWARRouting,
-    PolSPRouting,
-    PolarizedRouting,
+    LadderRouting,
     RoutingMechanism,
     SurePathRouting,
-    ValiantRouting,
     make_mechanism,
 )
 from .simulator import (
@@ -75,14 +70,10 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "HyperX",
+    "LadderRouting",
     "MECHANISMS",
-    "MinimalRouting",
     "Network",
-    "OmniSPRouting",
-    "OmniWARRouting",
     "PAPER_CONFIG",
-    "PolSPRouting",
-    "PolarizedRouting",
     "RandomServerPermutation",
     "RegularPermutationToNeighbour",
     "RoutingMechanism",
@@ -94,7 +85,6 @@ __all__ = [
     "Topology",
     "TrafficPattern",
     "UniformTraffic",
-    "ValiantRouting",
     "complete_graph",
     "make_mechanism",
     "make_traffic",

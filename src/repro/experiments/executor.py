@@ -8,7 +8,8 @@ sweep into data plus a strategy:
   point: topology, fault set, :class:`~repro.experiments.runner.PointSpec`
   and the run window.  Sweeps *generate* lists of jobs instead of
   simulating inline.
-* :func:`run_job` — simulates one job to a flat record dict.  A
+* :func:`run_job` — simulates one job to a flat record dict (through
+  :func:`build_job`, which assembles its simulator unstepped).  A
   per-process runner cache reuses routing tables / escape subnetworks
   across jobs on the same network, so workers pay table construction once
   per (topology, faults, root) — exactly like the serial runner did.
@@ -39,9 +40,10 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from ..simulator.config import PAPER_CONFIG, SimConfig
+from ..simulator.engine import Simulator
 from ..simulator.metrics import SimResult
 from ..simulator.schedule import FaultSchedule
 from ..simulator.workload import WorkloadSchedule
@@ -51,6 +53,9 @@ from ..topology.graph import NetworkDisconnected
 from ..topology.hyperx import HyperX
 from ..topology.torus import Torus
 from .runner import ExperimentRunner, PointSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..simulator.collective import CollectiveInjection
 
 #: Salt of the on-disk cache key.  Bump it, once per change, when a
 #: change alters what a job produces without altering its payload below
@@ -250,13 +255,10 @@ def _get_runner(job: PointJob) -> ExperimentRunner:
     return runner
 
 
-def run_job(job: PointJob) -> dict:
-    """Simulate one job and return its sweep record.
-
-    A job whose fault set disconnects the network — or whose fault
-    schedule does so mid-run — yields a disconnected :func:`make_record`
-    instead of propagating :class:`NetworkDisconnected` out of a pool
-    worker and killing the whole sweep.
+def build_job(job: PointJob) -> tuple[Simulator, CollectiveInjection | None] | None:
+    """Assemble one job's simulator without stepping it, together with
+    the collective injection driving it (``None`` for an open-loop job);
+    ``None`` instead when the job's fault set disconnects the network.
 
     A fault schedule mutates its network in place (that is the point),
     so those jobs get a fresh :class:`Network` and routing tables rather
@@ -273,7 +275,7 @@ def run_job(job: PointJob) -> dict:
     else:
         runner = _get_runner(job)
     if not runner.network.is_connected:
-        return make_record(job)
+        return None
     collective = config.collective != "none"
     if collective and job.workload is not None:
         raise ValueError(
@@ -306,8 +308,23 @@ def run_job(job: PointJob) -> dict:
         fault_schedule=job.schedule,
         workload_schedule=job.workload,
     )
+    return sim, injection
+
+
+def run_job(job: PointJob) -> dict:
+    """Simulate one job (:func:`build_job`) and return its sweep record.
+
+    A job whose fault set disconnects the network — or whose fault
+    schedule does so mid-run — yields a disconnected :func:`make_record`
+    instead of propagating :class:`NetworkDisconnected` out of a pool
+    worker and killing the whole sweep.
+    """
+    built = build_job(job)
+    if built is None:
+        return make_record(job)
+    sim, injection = built
     try:
-        if collective:
+        if injection is not None:
             result = sim.run_until_drained(max_slots=job.measure)
         else:
             result = sim.run(warmup=job.warmup, measure=job.measure)

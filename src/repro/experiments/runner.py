@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..routing.catalog import make_mechanism
+from ..routing.catalog import MECHANISM_REGISTRY, make_mechanism
 from ..simulator.backends import make_simulator
 from ..simulator.config import PAPER_CONFIG, SimConfig
 from ..simulator.engine import Simulator
@@ -109,9 +109,7 @@ class ExperimentRunner:
         ``workload_schedule`` never mutates the network; it swaps the
         pattern / retargets the load inside the simulator only.
         """
-        escape = (
-            self.escape if mechanism.lower() in ("omnisp", "polsp") else None
-        )
+        escape = self.escape if MECHANISM_REGISTRY[mechanism].surepath else None
         mech = make_mechanism(
             mechanism, self.network, n_vcs, escape=escape, root=self.root,
             rng=seed + 1,

@@ -1,4 +1,12 @@
-"""Routing algorithms and mechanisms for HyperX networks (paper §3, Table 4)."""
+"""Routing algorithms and mechanisms for HyperX networks (paper §3, Table 4).
+
+A mechanism is a route set (:class:`MinimalRoutes`, :class:`ValiantRoutes`,
+:class:`OmnidimensionalRoutes`, :class:`PolarizedRoutes`) under one of two
+VC policies, :class:`LadderRouting` or :class:`SurePathRouting`;
+:func:`make_mechanism` builds the paper's six by name from
+:data:`MECHANISM_REGISTRY`.  :class:`EscapeOnlyRouting` is an ablation
+that routes on the escape subnetwork alone.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +16,14 @@ from .base import (
     POLARIZED_FLAT_PENALTY,
     Candidate,
     CandidateList,
+    LadderRouting,
+    RouteSet,
     RoutingMechanism,
     ladder_vc,
 )
 from .catalog import (
     HYPERX_ONLY,
+    MECHANISM_REGISTRY,
     MECHANISMS,
     SUREPATH_MECHANISMS,
     default_n_vcs,
@@ -20,17 +31,11 @@ from .catalog import (
     make_mechanism,
 )
 from .escape_only import EscapeOnlyRouting
-from .minimal import MinimalRouting
-from .omni import OmnidimensionalRoutes, OmniWARRouting
-from .polarized import PENALTY_BY_DELTA_MU, PolarizedRoutes, PolarizedRouting
-from .surepath import (
-    OmniSPRouting,
-    PolSPRouting,
-    SurePathRouting,
-    omni_surepath,
-    polarized_surepath,
-)
-from .valiant import ValiantRouting
+from .minimal import MinimalRoutes
+from .omni import OmnidimensionalRoutes
+from .polarized import PENALTY_BY_DELTA_MU, PolarizedRoutes
+from .surepath import SurePathRouting
+from .valiant import ValiantRoutes
 
 __all__ = [
     "Candidate",
@@ -38,25 +43,22 @@ __all__ = [
     "DEROUTE_PENALTY",
     "EscapeOnlyRouting",
     "HYPERX_ONLY",
+    "LadderRouting",
     "MECHANISMS",
-    "MinimalRouting",
+    "MECHANISM_REGISTRY",
+    "MinimalRoutes",
     "NO_PENALTY",
-    "OmniSPRouting",
-    "OmniWARRouting",
     "OmnidimensionalRoutes",
     "PENALTY_BY_DELTA_MU",
     "POLARIZED_FLAT_PENALTY",
-    "PolSPRouting",
     "PolarizedRoutes",
-    "PolarizedRouting",
+    "RouteSet",
     "RoutingMechanism",
     "SUREPATH_MECHANISMS",
     "SurePathRouting",
-    "ValiantRouting",
+    "ValiantRoutes",
     "default_n_vcs",
     "is_fault_tolerant",
     "ladder_vc",
     "make_mechanism",
-    "omni_surepath",
-    "polarized_surepath",
 ]

@@ -1,9 +1,12 @@
 """Routing-mechanism interface shared by the simulator and the analyses.
 
-A *routing mechanism* (paper Table 4) couples a route-candidate generator
-(Minimal, Valiant, Omnidimensional, Polarized) with a VC-management policy
-(Ladder or SurePath).  The simulator interrogates the mechanism once per
-allocation round for each head-of-line packet:
+A *routing mechanism* (paper Table 4) couples a route set
+(:class:`RouteSet`: Minimal, Valiant, Omnidimensional or Polarized
+hops) with one of two VC-management policies: the :class:`LadderRouting`
+defined here, or SurePath (:mod:`repro.routing.surepath`).  The catalog
+(:mod:`repro.routing.catalog`) builds the paper's six mechanisms from
+one registry row each.  The simulator interrogates the mechanism once
+per allocation round for each head-of-line packet:
 
 * :meth:`RoutingMechanism.init_packet` seeds per-packet routing state at
   injection time,
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.packet import Packet
@@ -178,7 +181,7 @@ class RoutingMechanism(ABC):
         return None
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n_vcs={self.n_vcs})"
+        return f"{type(self).__name__}({self.name!r}, n_vcs={self.n_vcs})"
 
 
 def ladder_vc(hops: int, n_vcs: int, vcs_per_step: int = 1) -> list[int]:
@@ -192,3 +195,83 @@ def ladder_vc(hops: int, n_vcs: int, vcs_per_step: int = 1) -> list[int]:
     """
     lo = hops * vcs_per_step
     return [vc for vc in range(lo, lo + vcs_per_step) if vc < n_vcs]
+
+
+class RouteSet(Protocol):
+    """The hops a mechanism may offer, whatever VCs carry them.
+
+    A route set owns its per-packet state (``pkt.hops`` included); a VC
+    policy only decides which VCs each hop may use.
+    """
+
+    def init_packet(self, pkt) -> None: ...
+
+    def ports(self, pkt, current: int) -> list[tuple[int, int, int]]:
+        """Candidate ``(port, neighbour, penalty)`` hops at ``current``."""
+        ...
+
+    def ports_key(self, pkt, current: int) -> tuple:
+        """Every per-packet input of :meth:`ports` besides ``current``
+        (destination or phase target included), performing any lazy
+        state update :meth:`ports` would."""
+        ...
+
+    def on_hop(self, pkt, new_switch: int) -> None: ...
+
+    def on_topology_change(self) -> None: ...
+
+    def refresh_packet(self, pkt, current: int) -> None: ...
+
+    def max_route_length(self) -> int | None: ...
+
+
+class LadderRouting(RoutingMechanism):
+    """A route set under a VC ladder: hop ``h`` may only use the VCs
+    :func:`ladder_vc` grants it, so VC indices rise along every route
+    (deadlock-free) and a route longer than the ladder stalls.
+
+    ``vcs_per_step`` is 2 for the paper's Minimal and 1 for its other
+    ladder mechanisms (Valiant, OmniWAR, Polarized).
+    """
+
+    def __init__(self, name: str, routes: RouteSet, n_vcs: int, vcs_per_step: int = 1):
+        super().__init__(n_vcs)
+        self.name = name
+        self.routes = routes
+        self.vcs_per_step = vcs_per_step
+        #: First hop count with no VC left: every later one gets the
+        #: same empty list, so the key saturates here.
+        self._exhausted = -(-n_vcs // vcs_per_step)
+
+    def init_packet(self, pkt) -> None:
+        self.routes.init_packet(pkt)
+
+    def candidates(self, pkt, current: int) -> list[Candidate]:
+        vcs = ladder_vc(pkt.hops, self.n_vcs, self.vcs_per_step)
+        if not vcs:
+            return []
+        return [
+            (port, vc, pen)
+            for port, _nbr, pen in self.routes.ports(pkt, current)
+            for vc in vcs
+        ]
+
+    def candidate_key(self, pkt, current: int) -> tuple:
+        hops = pkt.hops
+        if hops > self._exhausted:
+            hops = self._exhausted
+        return (current, hops) + self.routes.ports_key(pkt, current)
+
+    def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
+        self.routes.on_hop(pkt, new_switch)
+
+    def on_topology_change(self) -> None:
+        self.routes.on_topology_change()
+
+    def refresh_packet(self, pkt, current: int) -> None:
+        self.routes.refresh_packet(pkt, current)
+
+    def max_route_length(self) -> int | None:
+        bound = self.n_vcs // self.vcs_per_step
+        routes_bound = self.routes.max_route_length()
+        return bound if routes_bound is None else min(bound, routes_bound)

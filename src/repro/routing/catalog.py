@@ -1,50 +1,91 @@
 """Catalogue of the paper's six routing mechanisms (Table 4).
 
-:func:`make_mechanism` builds any of the evaluated configurations by name
-with the paper's VC conventions: every mechanism gets ``2n`` VCs on an
-``n``-dimensional HyperX for the fault-free comparison (§4), while the
-fault experiments (§6) run SurePath with 4 VCs (3 routing + 1 escape).
+Each mechanism is one row of :data:`MECHANISM_REGISTRY`: a route set run
+under one of two VC policies, a ladder
+(:class:`~repro.routing.base.LadderRouting`) or SurePath
+(:class:`~repro.routing.surepath.SurePathRouting`).  :func:`make_mechanism`
+builds any row by name with the paper's VC conventions: every mechanism
+gets ``2n`` VCs on an ``n``-dimensional HyperX for the fault-free
+comparison (§4), while the fault experiments (§6) run SurePath with 4 VCs
+(3 routing + 1 escape).
 
-The factory also accepts non-HyperX networks for the mechanisms that only
-need BFS tables (Minimal, Valiant, Polarized, PolSP), matching the paper's
-remark that SurePath is topology-agnostic.
+Rows whose route set only needs BFS tables (Minimal, Valiant, Polarized,
+PolSP) also build on non-HyperX networks, matching the paper's remark
+that SurePath is topology-agnostic.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ..registry import Registry
 from ..topology.base import Network
 from ..topology.hyperx import HyperX
 from ..updown.escape import EscapeSubnetwork
-from .base import RoutingMechanism
-from .minimal import MinimalRouting
-from .omni import OmniWARRouting
-from .polarized import PolarizedRouting
-from .surepath import OmniSPRouting, PolSPRouting
-from .valiant import ValiantRouting
+from .base import LadderRouting, RouteSet, RoutingMechanism
+from .minimal import MinimalRoutes
+from .omni import OmnidimensionalRoutes
+from .polarized import PolarizedRoutes
+from .surepath import SurePathRouting
+from .valiant import ValiantRoutes
+
+
+@dataclass(frozen=True)
+class MechanismRow:
+    """One Table 4 row: which route set, under which VC policy."""
+
+    #: The paper's name, its casing kept (records and cache keys use it).
+    name: str
+    #: ``(network, *, rng, max_deroutes) -> RouteSet``.
+    routes: Callable[..., RouteSet]
+    #: Ladder VCs per hop, or ``None`` for the SurePath policy.
+    vcs_per_step: int | None
+    #: The route set walks HyperX coordinates.
+    hyperx_only: bool = False
+
+    @property
+    def surepath(self) -> bool:
+        return self.vcs_per_step is None
+
+
+#: The mechanism axis, in the paper's plotting order.
+MECHANISM_REGISTRY = Registry("routing mechanism")
+for _row in (
+    MechanismRow("Minimal", lambda net, **_: MinimalRoutes(net), 2),
+    MechanismRow("Valiant", lambda net, *, rng, **_: ValiantRoutes(net, rng), 1),
+    MechanismRow(
+        "OmniWAR",
+        lambda net, *, max_deroutes, **_: OmnidimensionalRoutes(net, max_deroutes),
+        1, hyperx_only=True,
+    ),
+    MechanismRow("Polarized", lambda net, **_: PolarizedRoutes(net), 1),
+    MechanismRow(
+        "OmniSP",
+        lambda net, *, max_deroutes, **_: OmnidimensionalRoutes(net, max_deroutes),
+        None, hyperx_only=True,
+    ),
+    MechanismRow("PolSP", lambda net, **_: PolarizedRoutes(net), None),
+):
+    MECHANISM_REGISTRY.register(_row.name, _row)
+del _row
 
 #: Mechanism names in the paper's plotting order.
-MECHANISMS: tuple[str, ...] = (
-    "Minimal",
-    "Valiant",
-    "OmniWAR",
-    "Polarized",
-    "OmniSP",
-    "PolSP",
+MECHANISMS: tuple[str, ...] = tuple(
+    row.name for row in MECHANISM_REGISTRY.values()
 )
 
 #: SurePath configurations (escape-based deadlock avoidance).
-SUREPATH_MECHANISMS: tuple[str, ...] = ("OmniSP", "PolSP")
+SUREPATH_MECHANISMS: tuple[str, ...] = tuple(
+    row.name for row in MECHANISM_REGISTRY.values() if row.surepath
+)
 
 #: Mechanisms that assume the HyperX coordinate structure.
-HYPERX_ONLY: tuple[str, ...] = ("OmniWAR", "OmniSP")
-
-#: Lower-cased lookup sets, computed once (these run per sweep cell).
-_MECHANISMS_LC = frozenset(n.lower() for n in MECHANISMS)
-_HYPERX_ONLY_LC = frozenset(n.lower() for n in HYPERX_ONLY)
+HYPERX_ONLY: tuple[str, ...] = tuple(
+    row.name for row in MECHANISM_REGISTRY.values() if row.hyperx_only
+)
 
 
 def mechanism_supported(name: str, topology) -> bool:
@@ -57,14 +98,7 @@ def mechanism_supported(name: str, topology) -> bool:
     graphs alike.  An unknown mechanism name raises here — a typo is an
     error at filter time, never a crash inside a pool worker.
     """
-    key = name.strip().lower()
-    if key not in _MECHANISMS_LC:
-        raise ValueError(
-            f"unknown mechanism {name!r}; expected one of {MECHANISMS}"
-        )
-    if key in _HYPERX_ONLY_LC:
-        return isinstance(topology, HyperX)
-    return True
+    return not MECHANISM_REGISTRY[name].hyperx_only or isinstance(topology, HyperX)
 
 
 def supported_mechanisms(topology, names) -> list[str]:
@@ -143,33 +177,20 @@ def make_mechanism(
     max_deroutes:
         Omnidimensional deroute budget ``m`` (default: ``n`` dims).
     """
-    key = name.strip().lower()
     if not mechanism_supported(name, network.topology):
-        # Clean upfront rejection (the constructors would fail deeper in,
+        # Clean upfront rejection (the route set would fail deeper in,
         # possibly inside a pool worker): name both sides of the mismatch.
         raise TypeError(
             f"mechanism {name!r} requires a HyperX topology, got "
             f"{type(network.topology).__name__}; see supported_mechanisms()"
         )
+    row = MECHANISM_REGISTRY[name]
     if n_vcs is None:
         n_vcs = default_n_vcs(network)
-    builders: dict[str, Callable[[], RoutingMechanism]] = {
-        "minimal": lambda: MinimalRouting(network, n_vcs),
-        "valiant": lambda: ValiantRouting(network, n_vcs, rng=rng),
-        "omniwar": lambda: OmniWARRouting(network, n_vcs, max_deroutes=max_deroutes),
-        "polarized": lambda: PolarizedRouting(network, n_vcs),
-        "omnisp": lambda: OmniSPRouting(
-            network, n_vcs, escape=escape, root=root, max_deroutes=max_deroutes
-        ),
-        "polsp": lambda: PolSPRouting(network, n_vcs, escape=escape, root=root),
-    }
-    try:
-        builder = builders[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown mechanism {name!r}; expected one of {MECHANISMS}"
-        ) from None
-    return builder()
+    routes = row.routes(network, rng=rng, max_deroutes=max_deroutes)
+    if row.surepath:
+        return SurePathRouting(row.name, network, routes, n_vcs, escape=escape, root=root)
+    return LadderRouting(row.name, routes, n_vcs, row.vcs_per_step)
 
 
 def is_fault_tolerant(name: str) -> bool:
@@ -180,4 +201,4 @@ def is_fault_tolerant(name: str) -> bool:
     Only the SurePath configurations are unconditionally fault-tolerant
     (paper §6).
     """
-    return name.strip().lower() in ("omnisp", "polsp")
+    return MECHANISM_REGISTRY[name].surepath

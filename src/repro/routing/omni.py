@@ -1,4 +1,4 @@
-"""Omnidimensional route generation and the OmniWAR mechanism (paper §3.1.1).
+"""Omnidimensional routes, behind OmniWAR and OmniSP (paper §3.1.1).
 
 Omnidimensional routing (the route set behind DAL and OmniWAR) only ever
 moves a packet along dimensions where its current switch is *unaligned*
@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from ..topology.base import Network
 from ..topology.hyperx import HyperX
-from .base import DEROUTE_PENALTY, NO_PENALTY, Candidate, RoutingMechanism, ladder_vc
+from .base import DEROUTE_PENALTY, NO_PENALTY
 
 
 class OmnidimensionalRoutes:
     """Stateless candidate generator for Omnidimensional routes.
 
-    Shared by :class:`OmniWARRouting` (ladder VCs) and SurePath's OmniSP
-    configuration (escape VCs); the caller supplies the VC list.
+    Shared by OmniWAR (ladder VCs) and OmniSP (SurePath VCs); the VC
+    policy supplies the VCs.
     """
 
     def __init__(self, network: Network, max_deroutes: int | None = None):
@@ -75,10 +75,10 @@ class OmnidimensionalRoutes:
                         out.append((p, nbr, DEROUTE_PENALTY))
         return out
 
-    def ports_key(self, pkt) -> tuple:
+    def ports_key(self, pkt, current: int) -> tuple:
         # ``ports`` reads only (current, dst_switch) and whether the
-        # deroute budget is open; current/dst are keyed by the caller.
-        return (pkt.deroutes < self.max_deroutes,)
+        # deroute budget is open.
+        return (pkt.dst_switch, pkt.deroutes < self.max_deroutes)
 
     def on_hop(self, pkt, new_switch: int) -> None:
         pkt.hops += 1
@@ -107,40 +107,3 @@ class OmnidimensionalRoutes:
     def max_route_length(self) -> int:
         return self.hx.n_dims + self.max_deroutes
 
-
-class OmniWARRouting(RoutingMechanism):
-    """Omnidimensional routes under a one-by-one VC ladder (OmniWAR)."""
-
-    name = "OmniWAR"
-
-    def __init__(self, network: Network, n_vcs: int, max_deroutes: int | None = None):
-        super().__init__(n_vcs)
-        self.routes = OmnidimensionalRoutes(network, max_deroutes)
-
-    def init_packet(self, pkt) -> None:
-        self.routes.init_packet(pkt)
-
-    def candidates(self, pkt, current: int) -> list[Candidate]:
-        vcs = ladder_vc(pkt.hops, self.n_vcs, 1)
-        if not vcs:
-            return []
-        vc = vcs[0]
-        return [(port, vc, pen) for port, _nbr, pen in self.routes.ports(pkt, current)]
-
-    def candidate_key(self, pkt, current: int) -> tuple:
-        # The one-by-one ladder adds the packet's hop count (saturating:
-        # every exhausted ladder yields the same empty list).
-        hops = pkt.hops if pkt.hops < self.n_vcs else self.n_vcs
-        return (current, pkt.dst_switch, hops) + self.routes.ports_key(pkt)
-
-    def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
-        self.routes.on_hop(pkt, new_switch)
-
-    def on_topology_change(self) -> None:
-        self.routes.on_topology_change()
-
-    def refresh_packet(self, pkt, current: int) -> None:
-        self.routes.refresh_packet(pkt, current)
-
-    def max_route_length(self) -> int | None:
-        return min(self.routes.max_route_length(), self.n_vcs)

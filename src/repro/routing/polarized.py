@@ -1,4 +1,4 @@
-"""Polarized route generation and the Polarized-ladder mechanism (§3.1.2).
+"""Polarized routes, behind Polarized and PolSP (paper §3.1.2).
 
 Polarized routing builds minimal and non-minimal routes hop by hop while
 never decreasing the weight function
@@ -22,23 +22,16 @@ To avoid cycles among Δµ = 0 hops, the packet carries the boolean
 departing (+1,+1) hop is legal, afterwards only the approaching (-1,-1)
 hop is.  Route length is bounded by twice the network diameter.
 
-The standalone **Polarized** mechanism of Table 4 uses these routes with a
-one-by-one VC ladder; SurePath's PolSP reuses :class:`PolarizedRoutes`
-with escape-based deadlock avoidance instead.
+The standalone **Polarized** mechanism of Table 4 runs these routes under
+a one-by-one VC ladder; PolSP runs the same :class:`PolarizedRoutes` under
+SurePath's escape-based deadlock avoidance instead.
 """
 
 from __future__ import annotations
 
 from ..topology.base import Network
 from ..topology.graph import FlatViews
-from .base import (
-    DEROUTE_PENALTY,
-    NO_PENALTY,
-    POLARIZED_FLAT_PENALTY,
-    Candidate,
-    RoutingMechanism,
-    ladder_vc,
-)
+from .base import DEROUTE_PENALTY, NO_PENALTY, POLARIZED_FLAT_PENALTY
 
 #: Penalty by weight gain Δµ (paper: highest Δµ -> 0, then 64, then 80).
 PENALTY_BY_DELTA_MU = {2: NO_PENALTY, 1: DEROUTE_PENALTY, 0: POLARIZED_FLAT_PENALTY}
@@ -96,10 +89,10 @@ class PolarizedRoutes(FlatViews):
             out.append((port, int(nbr), PENALTY_BY_DELTA_MU[dmu]))
         return out
 
-    def ports_key(self, pkt) -> tuple:
+    def ports_key(self, pkt, current: int) -> tuple:
         # ``ports`` reads only (current, src_switch, dst_switch, closer)
-        # and topology tables; current/dst are keyed by the caller.
-        return (pkt.src_switch, pkt.closer)
+        # and topology tables.
+        return (pkt.dst_switch, pkt.src_switch, pkt.closer)
 
     def on_hop(self, pkt, new_switch: int) -> None:
         pkt.hops += 1
@@ -122,40 +115,3 @@ class PolarizedRoutes(FlatViews):
         # least every other hop and spans [-diam, diam]).
         return 2 * int(self.network.diameter)
 
-
-class PolarizedRouting(RoutingMechanism):
-    """Polarized routes under a one-by-one VC ladder (paper Table 4)."""
-
-    name = "Polarized"
-
-    def __init__(self, network: Network, n_vcs: int):
-        super().__init__(n_vcs)
-        self.routes = PolarizedRoutes(network)
-
-    def init_packet(self, pkt) -> None:
-        self.routes.init_packet(pkt)
-
-    def candidates(self, pkt, current: int) -> list[Candidate]:
-        vcs = ladder_vc(pkt.hops, self.n_vcs, 1)
-        if not vcs:
-            return []
-        vc = vcs[0]
-        return [(port, vc, pen) for port, _nbr, pen in self.routes.ports(pkt, current)]
-
-    def candidate_key(self, pkt, current: int) -> tuple:
-        # The one-by-one ladder adds the packet's hop count (saturating:
-        # every exhausted ladder yields the same empty list).
-        hops = pkt.hops if pkt.hops < self.n_vcs else self.n_vcs
-        return (current, pkt.dst_switch, hops) + self.routes.ports_key(pkt)
-
-    def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
-        self.routes.on_hop(pkt, new_switch)
-
-    def on_topology_change(self) -> None:
-        self.routes.on_topology_change()
-
-    def refresh_packet(self, pkt, current: int) -> None:
-        self.routes.refresh_packet(pkt, current)
-
-    def max_route_length(self) -> int | None:
-        return min(self.routes.max_route_length(), self.n_vcs)

@@ -27,13 +27,12 @@ topology change, so *some* candidate always remains and every escape hop
 strictly decreases the Up/Down distance to the destination — packets cannot
 cycle and cannot deadlock.
 
-The mechanism is exposed in the paper's two configurations through
-:func:`omni_surepath` (OmniSP) and :func:`polarized_surepath` (PolSP).
+The paper's two configurations are rows of the mechanism catalog
+(:mod:`repro.routing.catalog`): OmniSP runs the Omnidimensional route set
+under this policy, PolSP the Polarized one.
 """
 
 from __future__ import annotations
-
-from typing import Protocol
 
 from ..topology.base import Network
 from ..updown.escape import PHASE_CLIMB, EscapeSubnetwork
@@ -41,32 +40,13 @@ from .base import (
     Candidate,
     CandidateList,
     CandidateRow,
+    RouteSet,
     RoutingMechanism,
     candidate_row,
 )
-from .omni import OmnidimensionalRoutes
-from .polarized import PolarizedRoutes
 
 #: ``(port, penalty) -> (triples, row)``, see :func:`candidate_row`.
 _InternedRows = dict[tuple[int, int], tuple[tuple[Candidate, ...], CandidateRow]]
-
-
-class RouteSet(Protocol):
-    """What SurePath needs from a base route generator."""
-
-    def init_packet(self, pkt) -> None: ...
-
-    def ports(self, pkt, current: int) -> list[tuple[int, int, int]]: ...
-
-    def ports_key(self, pkt) -> tuple: ...
-
-    def on_hop(self, pkt, new_switch: int) -> None: ...
-
-    def on_topology_change(self) -> None: ...
-
-    def refresh_packet(self, pkt, current: int) -> None: ...
-
-    def max_route_length(self) -> int: ...
 
 
 class SurePathRouting(RoutingMechanism):
@@ -74,6 +54,8 @@ class SurePathRouting(RoutingMechanism):
 
     Parameters
     ----------
+    name:
+        The mechanism's name (``"OmniSP"``, ``"PolSP"``).
     network:
         The (possibly faulty) network; must be connected so the escape
         subnetwork can be built.
@@ -91,10 +73,9 @@ class SurePathRouting(RoutingMechanism):
         Root of the Up/Down layering when ``escape`` is not supplied.
     """
 
-    name = "SurePath"
-
     def __init__(
         self,
+        name: str,
         network: Network,
         routes: RouteSet,
         n_vcs: int = 4,
@@ -104,6 +85,7 @@ class SurePathRouting(RoutingMechanism):
         if n_vcs < 2:
             raise ValueError("SurePath needs >= 2 VCs (1 routing + 1 escape)")
         super().__init__(n_vcs)
+        self.name = name
         self.network = network
         self.routes = routes
         self.escape = escape if escape is not None else EscapeSubnetwork(network, root)
@@ -164,14 +146,15 @@ class SurePathRouting(RoutingMechanism):
         """See :meth:`RoutingMechanism.candidate_key`.
 
         :meth:`candidates` reads, besides ``current``: ``pkt.in_escape``,
-        the base route set's inputs (``dst_switch`` plus whatever
-        ``ports_key`` declares) for rule 1, and ``(dst_switch,
-        escape_phase)`` for rule 2 — packets outside the escape always
-        query the climb phase, so their phase needs no key component.
+        the base route set's inputs (its ``ports_key``) for rule 1, and
+        ``(dst_switch, escape_phase)`` for rule 2.  Packets outside the
+        escape always query the climb phase, and their destination is in
+        ``ports_key`` (a route set run under SurePath must key it), so
+        rule 2 adds nothing to their key.
         """
         if pkt.in_escape:
             return (1, current, pkt.dst_switch, pkt.escape_phase)
-        return (0, current, pkt.dst_switch) + self.routes.ports_key(pkt)
+        return (0, current) + self.routes.ports_key(pkt, current)
 
     def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
         if vc == self.escape_vc:
@@ -220,53 +203,7 @@ class SurePathRouting(RoutingMechanism):
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(routes={type(self.routes).__name__},"
+            f"{type(self).__name__}({self.name!r}, routes={type(self.routes).__name__},"
             f" n_vcs={self.n_vcs}, root={self.escape.root})"
         )
 
-
-class OmniSPRouting(SurePathRouting):
-    """SurePath over Omnidimensional routes — the paper's *OmniSP*."""
-
-    name = "OmniSP"
-
-    def __init__(
-        self,
-        network: Network,
-        n_vcs: int = 4,
-        escape: EscapeSubnetwork | None = None,
-        root: int = 0,
-        max_deroutes: int | None = None,
-    ):
-        routes = OmnidimensionalRoutes(network, max_deroutes)
-        super().__init__(network, routes, n_vcs, escape, root)
-
-
-class PolSPRouting(SurePathRouting):
-    """SurePath over Polarized routes — the paper's *PolSP*."""
-
-    name = "PolSP"
-
-    def __init__(
-        self,
-        network: Network,
-        n_vcs: int = 4,
-        escape: EscapeSubnetwork | None = None,
-        root: int = 0,
-    ):
-        routes = PolarizedRoutes(network)
-        super().__init__(network, routes, n_vcs, escape, root)
-
-
-def omni_surepath(
-    network: Network, n_vcs: int = 4, root: int = 0, **kw
-) -> OmniSPRouting:
-    """Build the paper's OmniSP configuration."""
-    return OmniSPRouting(network, n_vcs=n_vcs, root=root, **kw)
-
-
-def polarized_surepath(
-    network: Network, n_vcs: int = 4, root: int = 0, **kw
-) -> PolSPRouting:
-    """Build the paper's PolSP configuration."""
-    return PolSPRouting(network, n_vcs=n_vcs, root=root, **kw)

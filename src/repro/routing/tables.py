@@ -23,9 +23,9 @@ would hold, and report their sizes:
   ports with their penalties, exactly the *"table at each switch C,
   indexable at every target switch T and port p"* of §3.2.
 
-:class:`TableMinimalRouting` is a drop-in mechanism running purely off the
-compiled table; the test suite asserts it is hop-for-hop equivalent to the
-dynamic :class:`~repro.routing.minimal.MinimalRouting`, and that the
+:class:`TableMinimalRoutes` is a drop-in route set reading purely off the
+compiled table; the test suite asserts it offers the same hops as the
+dynamic :class:`~repro.routing.minimal.MinimalRoutes`, and that the
 Polarized/escape reconstructions match their dynamic counterparts on every
 (switch, destination) pair.
 """
@@ -38,7 +38,8 @@ import numpy as np
 
 from ..topology.base import Network
 from ..updown.escape import PHASE_CLIMB, PHASE_DESCEND, EscapeSubnetwork
-from .base import NO_PENALTY, Candidate, RoutingMechanism, ladder_vc
+from .base import NO_PENALTY
+from .minimal import MinimalRoutes
 
 
 # ----------------------------------------------------------------------
@@ -82,41 +83,22 @@ def minimal_ports(table: np.ndarray, current: int, target: int) -> list[int]:
     return out
 
 
-class TableMinimalRouting(RoutingMechanism):
-    """Minimal routing driven exclusively by a compiled bitmask table.
+class TableMinimalRoutes(MinimalRoutes):
+    """Minimal routes read exclusively from a compiled bitmask table.
 
-    Behaviourally identical to
-    :class:`~repro.routing.minimal.MinimalRouting` (same candidates, same
-    ladder); exists to validate the paper's table-implementation claim
-    and to measure table sizes.
+    The same hops as :class:`~repro.routing.minimal.MinimalRoutes`; run
+    under the same two-by-two ladder, it validates the paper's
+    table-implementation claim and measures table sizes.
     """
 
-    name = "Minimal(table)"
+    FLAT: dict[str, str] = {}  # reads the table, not the distances
 
-    def __init__(self, network: Network, n_vcs: int, vcs_per_step: int = 2):
-        super().__init__(n_vcs)
-        self.network = network
-        self.vcs_per_step = vcs_per_step
-        self.table = compile_minimal_table(network)
-
-    def init_packet(self, pkt) -> None:
-        pkt.hops = 0
-
-    def candidates(self, pkt, current: int) -> list[Candidate]:
-        vcs = ladder_vc(pkt.hops, self.n_vcs, self.vcs_per_step)
-        if not vcs:
-            return []
-        out: list[Candidate] = []
-        for port in minimal_ports(self.table, current, pkt.dst_switch):
-            for vc in vcs:
-                out.append((port, vc, NO_PENALTY))
-        return out
-
-    def candidate_key(self, pkt, current: int) -> tuple:
-        return (current, pkt.dst_switch, pkt.hops)
-
-    def on_hop(self, pkt, old_switch: int, new_switch: int, port: int, vc: int) -> None:
-        pkt.hops += 1
+    def ports(self, pkt, current: int) -> list[tuple[int, int, int]]:
+        live = self.network.port_neighbour[current]
+        return [
+            (port, live[port], NO_PENALTY)
+            for port in minimal_ports(self.table, current, pkt.dst_switch)
+        ]
 
     def on_topology_change(self) -> None:
         """Recompile the bitmask table — the paper's per-topology-event BFS.
@@ -126,9 +108,6 @@ class TableMinimalRouting(RoutingMechanism):
         serves, so the whole table is rebuilt from the fresh distances.
         """
         self.table = compile_minimal_table(self.network)
-
-    def max_route_length(self) -> int | None:
-        return self.n_vcs // self.vcs_per_step
 
 
 # ----------------------------------------------------------------------

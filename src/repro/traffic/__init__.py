@@ -8,7 +8,12 @@ import numpy as np
 
 from ..registry import Registry
 from ..topology.base import Network
-from .base import PermutationTraffic, TrafficPattern, validate_permutation
+from .base import (
+    PermutationTraffic,
+    TrafficPattern,
+    break_fixed_points,
+    validate_permutation,
+)
 from .collective import CollectiveTraffic
 from .patterns import (
     DimensionComplementReverse,
@@ -24,7 +29,6 @@ from .workloads import (
     HotspotTraffic,
     ShiftTraffic,
     TornadoTraffic,
-    break_fixed_points,
 )
 
 #: The traffic-pattern axis: canonical name -> ``(network, rng)``

@@ -89,6 +89,25 @@ class PermutationTraffic(TrafficPattern):
         return self.permutation.copy()
 
 
+def break_fixed_points(perm: np.ndarray) -> np.ndarray:
+    """Remove fixed points from a permutation, in place, deterministically.
+
+    Fixed points are rotated among themselves (a lone one is swapped with
+    its successor index): every touched entry keeps mapping into the
+    formerly-fixed set, so the result is still a permutation and the
+    perturbation is minimal.
+    """
+    n = perm.shape[0]
+    fixed = np.nonzero(perm == np.arange(n))[0]
+    if fixed.size == 1:
+        i = int(fixed[0])
+        j = (i + 1) % n
+        perm[i], perm[j] = perm[j], perm[i]
+    elif fixed.size > 1:
+        perm[fixed] = perm[np.roll(fixed, 1)]
+    return perm
+
+
 def validate_permutation(perm: np.ndarray, n: int) -> None:
     """Check that ``perm`` is a fixed-point-free permutation of ``range(n)``.
 

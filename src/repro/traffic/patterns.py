@@ -17,7 +17,12 @@ import numpy as np
 from ..seeding import as_generator
 from ..topology.base import Network
 from ..topology.hyperx import HyperX
-from .base import PermutationTraffic, TrafficPattern, require_topology
+from .base import (
+    PermutationTraffic,
+    TrafficPattern,
+    break_fixed_points,
+    require_topology,
+)
 
 
 class UniformTraffic(TrafficPattern):
@@ -46,15 +51,7 @@ class RandomServerPermutation(PermutationTraffic):
         n = network.n_servers
         if n < 2:
             raise ValueError("a fixed-point-free permutation needs >= 2 servers")
-        perm = rng.permutation(n)
-        fixed = np.nonzero(perm == np.arange(n))[0]
-        if fixed.size == 1:
-            i = int(fixed[0])
-            j = (i + 1) % n
-            perm[i], perm[j] = perm[j], perm[i]
-        elif fixed.size > 1:
-            perm[fixed] = perm[np.roll(fixed, 1)]
-        super().__init__(network, perm)
+        super().__init__(network, break_fixed_points(rng.permutation(n)))
 
 
 def _complement_coords(coords: tuple[int, ...], sides: tuple[int, ...]) -> tuple[int, ...]:

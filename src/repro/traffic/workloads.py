@@ -22,7 +22,7 @@ the classic adversarial patterns of the interconnection-network literature:
 All fixed maps are :class:`~repro.traffic.base.PermutationTraffic`
 subclasses, so the admissibility validation (bijective, fixed-point-free)
 applies unchanged.  Bit permutations naturally have fixed points (server 0
-maps to itself under any bit permutation); :func:`break_fixed_points`
+maps to itself under any bit permutation); :func:`~.base.break_fixed_points`
 rotates those among themselves — the same fix-up Random Server Permutation
 uses — so every registered pattern stays self-traffic-free.
 """
@@ -35,26 +35,12 @@ from ..seeding import as_generator
 from ..topology.base import Network
 from ..topology.dragonfly import Dragonfly
 from ..topology.hyperx import HyperX
-from .base import PermutationTraffic, TrafficPattern, require_topology
-
-
-def break_fixed_points(perm: np.ndarray) -> np.ndarray:
-    """Remove fixed points from a permutation, in place, deterministically.
-
-    Fixed points are rotated among themselves (a lone one is swapped with
-    its successor index), exactly like Random Server Permutation's fix-up —
-    every touched entry keeps mapping into the formerly-fixed set, so the
-    result is still a permutation and the perturbation is minimal.
-    """
-    n = perm.shape[0]
-    fixed = np.nonzero(perm == np.arange(n))[0]
-    if fixed.size == 1:
-        i = int(fixed[0])
-        j = (i + 1) % n
-        perm[i], perm[j] = perm[j], perm[i]
-    elif fixed.size > 1:
-        perm[fixed] = perm[np.roll(fixed, 1)]
-    return perm
+from .base import (
+    PermutationTraffic,
+    TrafficPattern,
+    break_fixed_points,
+    require_topology,
+)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from repro.experiments.executor import Executor, _runner_key, build_job, make_record
+from repro.routing.base import LadderRouting
 from repro.routing.catalog import MECHANISMS, make_mechanism
 from repro.routing.escape_only import EscapeOnlyRouting
-from repro.routing.tables import TableMinimalRouting
+from repro.routing.tables import TableMinimalRoutes
 from repro.simulator.packet import Packet
 from repro.topology.base import Network
 from repro.updown.escape import EscapeSubnetwork
@@ -69,6 +71,37 @@ def build_mechanism(name: str, net: Network):
         escape = EscapeSubnetwork(net, 0, shortcuts=False)
         return EscapeOnlyRouting(net, n_vcs=2, shortcuts=False, escape=escape)
     if name == "Minimal(table)":
-        return TableMinimalRouting(net, 4)
+        return LadderRouting("Minimal(table)", TableMinimalRoutes(net), 4, 2)
     return make_mechanism(name, net, rng=1)
 
+
+
+class BuildOnlyExecutor(Executor):
+    """Builds every distinct job's simulator (:func:`build_job`, the first
+    half of ``run_job``) and steps none of them.
+
+    Jobs differing only in offered load or seed build once.  Each record
+    is the job's unsimulated one (what a disconnected point records), so
+    a figure's tables still print; :attr:`records` keeps the last run's.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.built: set[tuple] = set()
+        self.records: list[dict] = []
+
+    def run(self, jobs):
+        self.records = super().run(jobs)
+        return self.records
+
+    def _execute(self, jobs):
+        for job in jobs:
+            spec = job.spec
+            key = (
+                _runner_key(job), spec.mechanism, spec.traffic, spec.n_vcs,
+                job.schedule, job.workload,
+            )
+            if key not in self.built:
+                self.built.add(key)
+                build_job(job)
+            yield make_record(job)

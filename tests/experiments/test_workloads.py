@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.executor import Executor, job_key, run_job
+from repro.experiments.executor import job_key, run_job
 from repro.experiments.figures import fig_workloads
 from repro.experiments.reporting import throughput_matrix
-from repro.experiments.runner import ExperimentRunner
 from repro.experiments.sweeps import (
     DEFAULT_INJECTIONS,
     run_sweep,
@@ -22,6 +21,8 @@ from repro.experiments.sweeps import (
 from repro.simulator.workload import WorkloadSchedule
 from repro.topology.base import Network
 from repro.topology.hyperx import HyperX
+
+from _helpers import BuildOnlyExecutor
 
 SWEEP_KW = dict(warmup=30, measure=60)
 
@@ -95,7 +96,7 @@ class TestJobs:
 
     def test_default_loads_reject_sojourn_below_one_slot(self):
         with pytest.raises(ValueError, match="must be >= 1"):
-            fig_workloads("tiny", burst_slots=0, executor=_BuildOnly())
+            fig_workloads("tiny", burst_slots=0, executor=BuildOnlyExecutor())
 
 
 class TestDifferential:
@@ -133,31 +134,7 @@ class TestPhasedRecords:
         assert phases[1]["accepted"] < phases[0]["accepted"]
 
 
-class _BuildOnly(Executor):
-    """Builds every job's simulator and steps none of them; a job's
-    record holds only its traffic."""
-
-    def _execute(self, jobs):
-        for job in jobs:
-            spec = job.spec
-            ExperimentRunner(
-                job.network(), config=job.config, root=spec.root
-            ).build_simulator(
-                spec.mechanism, spec.traffic, spec.offered, seed=spec.seed,
-                n_vcs=spec.n_vcs, workload_schedule=job.workload,
-            )
-            yield {"traffic": spec.traffic}
-
-
 class TestSweepAndFigure:
-    @pytest.mark.parametrize("scale", ["tiny", "small", "paper"])
-    def test_default_sweep_builds_at_every_scale(self, scale):
-        """The default sweep (what ``fig-workloads`` runs with no flags)
-        builds every point, on-off ones included: its default loads stay
-        within the on-off duty cycle."""
-        recs = fig_workloads(scale, executor=_BuildOnly())
-        assert {r["injection"] for r in recs} == set(DEFAULT_INJECTIONS)
-
     def test_workload_sweep_annotates_records(self, small_net):
         recs = run_sweep(workload_sweep_jobs(
             small_net, ["PolSP"], ["uniform"], [0.3],
@@ -181,7 +158,7 @@ class TestSweepAndFigure:
         # rectangular default filter must keep only constructible ones.
         recs = fig_workloads(
             "tiny", dims=3, mechanisms=("PolSP",), loads=(0.3,),
-            injections=("bernoulli",), executor=_BuildOnly(),
+            injections=("bernoulli",), executor=BuildOnlyExecutor(),
         )
         assert "transpose" in {r["traffic"] for r in recs}
         assert "adversarial" not in {r["traffic"] for r in recs}

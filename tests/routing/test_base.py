@@ -35,7 +35,7 @@ class TestLadderVC:
 
 class TestMechanismValidation:
     def test_rejects_zero_vcs(self, net2d):
-        from repro.routing.minimal import MinimalRouting
+        from repro.routing.catalog import make_mechanism
 
         with pytest.raises(ValueError):
-            MinimalRouting(net2d, 0)
+            make_mechanism("Minimal", net2d, 0)

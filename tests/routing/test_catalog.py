@@ -8,7 +8,27 @@ from repro.routing.catalog import (
     is_fault_tolerant,
     make_mechanism,
 )
+from repro.topology.base import Network
+from repro.topology.hyperx import HyperX
 from repro.updown.escape import EscapeSubnetwork
+
+#: ``(n_vcs, max_route_length())`` of each mechanism, in this order, per
+#: HyperX shape and VC budget (``None``: the default ``2n``).  Measured on
+#: the per-mechanism classes the registry rows replaced; a row that
+#: builds another policy or route set moves a bound here.
+PINNED_NAMES = ("Minimal", "Valiant", "OmniWAR", "Polarized", "OmniSP", "PolSP")
+PINNED = {
+    ((4, 4), None): [(4, 2), (4, 4), (4, 4), (4, 4), (4, 7), (4, 7)],
+    ((4, 4), 2): [(2, 1), (2, 2), (2, 2), (2, 2), (2, 7), (2, 7)],
+    ((4, 4), 4): [(4, 2), (4, 4), (4, 4), (4, 4), (4, 7), (4, 7)],
+    ((4, 4), 6): [(6, 3), (6, 6), (6, 4), (6, 4), (6, 7), (6, 7)],
+    ((4, 4), 8): [(8, 4), (8, 8), (8, 4), (8, 4), (8, 7), (8, 7)],
+    ((4, 4, 4), None): [(6, 3), (6, 6), (6, 6), (6, 6), (6, 11), (6, 11)],
+    ((4, 4, 4), 2): [(2, 1), (2, 2), (2, 2), (2, 2), (2, 11), (2, 11)],
+    ((4, 4, 4), 4): [(4, 2), (4, 4), (4, 4), (4, 4), (4, 11), (4, 11)],
+    ((4, 4, 4), 6): [(6, 3), (6, 6), (6, 6), (6, 6), (6, 11), (6, 11)],
+    ((4, 4, 4), 8): [(8, 4), (8, 8), (8, 6), (8, 6), (8, 11), (8, 11)],
+}
 
 
 class TestFactory:
@@ -47,6 +67,21 @@ class TestFactory:
     def test_max_deroutes_forwarded(self, net3d):
         mech = make_mechanism("OmniWAR", net3d, max_deroutes=1)
         assert mech.routes.max_deroutes == 1
+
+
+class TestPinnedRows:
+    @pytest.mark.parametrize("sides,budget", list(PINNED))
+    def test_name_vcs_and_route_bound(self, sides, budget):
+        net = Network(HyperX(sides, 4))
+        got = []
+        for name in PINNED_NAMES:
+            mech = make_mechanism(name, net, budget, rng=1)
+            got.append((mech.name, mech.n_vcs, mech.max_route_length()))
+        want = [
+            (name, n_vcs, bound)
+            for name, (n_vcs, bound) in zip(PINNED_NAMES, PINNED[sides, budget])
+        ]
+        assert got == want
 
 
 class TestTopologyCompatibility:
@@ -101,9 +136,9 @@ class TestTopologyCompatibility:
         from repro.routing.catalog import mechanism_supported, supported_mechanisms
 
         topo = self._families()["torus"]
-        with pytest.raises(ValueError, match="unknown mechanism 'Polarised'"):
+        with pytest.raises(ValueError, match="unknown routing mechanism 'Polarised'"):
             mechanism_supported("Polarised", topo)
-        with pytest.raises(ValueError, match="unknown mechanism"):
+        with pytest.raises(ValueError, match="unknown routing mechanism"):
             supported_mechanisms(topo, ["PolSP", "Polarised"])
 
     def test_every_supported_mechanism_builds_on_every_family(self):

@@ -2,12 +2,12 @@
 
 
 from _helpers import make_packet, walk_route
-from repro.routing.minimal import MinimalRouting
+from repro.routing.catalog import make_mechanism
 
 
 class TestCandidates:
     def test_only_shortest_path_hops(self, net2d):
-        mech = MinimalRouting(net2d, 4)
+        mech = make_mechanism("Minimal", net2d, 4)
         d = net2d.distances
         for src in (0, 5):
             for dst in (10, 15):
@@ -26,14 +26,14 @@ class TestCandidates:
         src = hx.switch_id((0, 0))
         dst = hx.switch_id((2, 3))
         pkt = make_packet(net2d, src, dst)
-        mech = MinimalRouting(net2d, 4)
+        mech = make_mechanism("Minimal", net2d, 4)
         mech.init_packet(pkt)
         ports = {p for p, _v, _pen in mech.candidates(pkt, src)}
         assert hx.port(src, 0, 2) in ports
         assert hx.port(src, 1, 3) in ports
 
     def test_two_by_two_ladder_vcs(self, net2d):
-        mech = MinimalRouting(net2d, 4)
+        mech = make_mechanism("Minimal", net2d, 4)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         vcs0 = {vc for _p, vc, _ in mech.candidates(pkt, 0)}
@@ -43,14 +43,14 @@ class TestCandidates:
         assert vcs1 == {2, 3}
 
     def test_ladder_exhaustion_returns_empty(self, net2d):
-        mech = MinimalRouting(net2d, 4)
+        mech = make_mechanism("Minimal", net2d, 4)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         pkt.hops = 2  # 2 VCs per step, 4 VCs -> at most 2 hops
         assert mech.candidates(pkt, 0) == []
 
     def test_avoids_dead_links(self, faulty2d):
-        mech = MinimalRouting(faulty2d, 16)
+        mech = make_mechanism("Minimal", faulty2d, 16)
         d = faulty2d.distances
         for src in range(faulty2d.n_switches):
             for dst in range(faulty2d.n_switches):
@@ -66,7 +66,7 @@ class TestCandidates:
 
 class TestRoutes:
     def test_routes_have_minimal_length(self, net2d, rng):
-        mech = MinimalRouting(net2d, 8)
+        mech = make_mechanism("Minimal", net2d, 8)
         d = net2d.distances
         for src in range(0, 16, 3):
             for dst in range(1, 16, 4):
@@ -76,7 +76,7 @@ class TestRoutes:
                 assert len(visited) - 1 == d[src, dst]
 
     def test_routes_adapt_to_faults(self, faulty2d, rng):
-        mech = MinimalRouting(faulty2d, 16)
+        mech = make_mechanism("Minimal", faulty2d, 16)
         d = faulty2d.distances
         for src in range(0, 16, 5):
             for dst in range(2, 16, 5):
@@ -86,4 +86,4 @@ class TestRoutes:
                 assert len(visited) - 1 == d[src, dst]
 
     def test_max_route_length(self, net2d):
-        assert MinimalRouting(net2d, 4).max_route_length() == 2
+        assert make_mechanism("Minimal", net2d, 4).max_route_length() == 2

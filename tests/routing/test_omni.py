@@ -4,7 +4,8 @@ import pytest
 
 from _helpers import make_packet, walk_route
 from repro.routing.base import DEROUTE_PENALTY, NO_PENALTY
-from repro.routing.omni import OmnidimensionalRoutes, OmniWARRouting
+from repro.routing.catalog import make_mechanism
+from repro.routing.omni import OmnidimensionalRoutes
 from repro.topology.base import Network
 from repro.topology.hyperx import HyperX
 
@@ -98,14 +99,14 @@ class TestFaultIntolerance:
     def test_deroutes_can_rescue_when_budget_remains(self, hx2d, rng):
         src, dst = hx2d.switch_id((0, 0)), hx2d.switch_id((2, 0))
         net = Network(hx2d, [tuple(sorted((src, dst)))])
-        mech = OmniWARRouting(net, 8)
+        mech = make_mechanism("OmniWAR", net, 8)
         visited = walk_route(mech, net, src, dst, rng)
         assert visited[-1] == dst
 
 
 class TestOmniWAR:
     def test_ladder_vcs(self, net2d):
-        mech = OmniWARRouting(net2d, 4)
+        mech = make_mechanism("OmniWAR", net2d, 4)
         pkt = make_packet(net2d, 0, 10)
         mech.init_packet(pkt)
         assert {vc for _p, vc, _pen in mech.candidates(pkt, 0)} == {0}
@@ -113,14 +114,14 @@ class TestOmniWAR:
         assert {vc for _p, vc, _pen in mech.candidates(pkt, 0)} == {3}
 
     def test_ladder_exhaustion(self, net2d):
-        mech = OmniWARRouting(net2d, 4)
+        mech = make_mechanism("OmniWAR", net2d, 4)
         pkt = make_packet(net2d, 0, 10)
         mech.init_packet(pkt)
         pkt.hops = 4
         assert mech.candidates(pkt, 0) == []
 
     def test_routes_deliver_within_bound(self, net3d, rng):
-        mech = OmniWARRouting(net3d, 6)
+        mech = make_mechanism("OmniWAR", net3d, 6)
         for src in range(0, 64, 13):
             for dst in range(3, 64, 17):
                 if src == dst:

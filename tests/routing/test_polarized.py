@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from _helpers import make_packet, walk_route
 from repro.routing.base import DEROUTE_PENALTY, NO_PENALTY, POLARIZED_FLAT_PENALTY
-from repro.routing.polarized import PolarizedRoutes, PolarizedRouting
+from repro.routing.catalog import make_mechanism
+from repro.routing.polarized import PolarizedRoutes
 
 
 def mu(dist, s, t, c):
@@ -96,7 +97,7 @@ class TestWeightMonotonicity:
         assert c == dst
 
     def test_route_length_bound(self, net3d, rng):
-        routes = PolarizedRouting(net3d, 6)
+        routes = make_mechanism("Polarized", net3d, 6)
         for src in range(0, 64, 11):
             for dst in range(5, 64, 13):
                 if src == dst:
@@ -131,7 +132,7 @@ class TestFaultAdaptivity:
                 assert c == dst
 
     def test_ladder_mechanism_exhausts_under_long_routes(self, heavy_faulty2d):
-        mech = PolarizedRouting(heavy_faulty2d, 4)
+        mech = make_mechanism("Polarized", heavy_faulty2d, 4)
         pkt = make_packet(heavy_faulty2d, 0, 15)
         mech.init_packet(pkt)
         pkt.hops = 4

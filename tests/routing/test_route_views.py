@@ -1,6 +1,6 @@
 """Route bodies read distances through flat views that follow the topology.
 
-``PolarizedRoutes``, ``MinimalRouting``, ``ValiantRouting`` and
+``PolarizedRoutes``, ``MinimalRoutes``, ``ValiantRoutes`` and
 ``EscapeSubnetwork`` read their distance matrices through flat typed
 ``memoryview`` s (``matrix[a, b]`` is ``view[a * n + b]``) rebuilt with
 the matrices on every topology event.  This module re-derives every
@@ -20,10 +20,8 @@ import numpy as np
 import pytest
 
 from repro.routing.base import NO_PENALTY
-from repro.routing.minimal import MinimalRouting
+from repro.routing.catalog import make_mechanism
 from repro.routing.polarized import PENALTY_BY_DELTA_MU
-from repro.routing.surepath import PolSPRouting
-from repro.routing.valiant import ValiantRouting
 from repro.topology.base import Network
 from repro.topology.catalog import make_topology
 from repro.topology.faults import random_connected_fault_sequence
@@ -89,6 +87,14 @@ def _ref_minimal(net, current, target):
     ]
 
 
+def _mechanisms(net):
+    return (
+        make_mechanism("PolSP", net, 4),
+        make_mechanism("Minimal", net, 4),
+        make_mechanism("Valiant", net, 4, rng=0),
+    )
+
+
 def _check(net, polsp, minimal, valiant):
     n = net.n_switches
     esc = polsp.escape
@@ -128,7 +134,7 @@ def _check(net, polsp, minimal, valiant):
 def test_route_views_follow_fail_and_repair(family):
     topo = FAMILIES[family]()
     net = Network(topo)
-    mechs = (PolSPRouting(net), MinimalRouting(net, 4), ValiantRouting(net, 4, rng=0))
+    mechs = _mechanisms(net)
     healthy = net.distances.copy()
     _check(net, *mechs)
     (link,) = random_connected_fault_sequence(topo, 1, rng=3)
@@ -150,7 +156,5 @@ def test_route_views_follow_fail_and_repair(family):
 )
 def test_copies_rebind_their_views(clone):
     net = Network(FAMILIES["torus"]())
-    net2, *mechs = clone(
-        (net, PolSPRouting(net), MinimalRouting(net, 4), ValiantRouting(net, 4, rng=0))
-    )
+    net2, *mechs = clone((net, *_mechanisms(net)))
     _check(net2, *mechs)

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_packet, walk_route
-from repro.routing.surepath import (
-    OmniSPRouting,
-    PolSPRouting,
-    omni_surepath,
-    polarized_surepath,
-)
+from repro.routing.catalog import make_mechanism
 from repro.topology.base import Network
 from repro.updown.escape import EscapeSubnetwork
 
@@ -19,33 +14,33 @@ from repro.updown.escape import EscapeSubnetwork
 class TestConstruction:
     def test_requires_two_vcs(self, net2d):
         with pytest.raises(ValueError):
-            PolSPRouting(net2d, n_vcs=1)
+            make_mechanism("PolSP", net2d, n_vcs=1)
 
     def test_vc_partition(self, net2d):
-        mech = PolSPRouting(net2d, n_vcs=4)
+        mech = make_mechanism("PolSP", net2d, n_vcs=4)
         assert mech.routing_vcs == (0, 1, 2)
         assert mech.escape_vc == 3
 
     def test_shared_escape_accepted(self, net2d):
         esc = EscapeSubnetwork(net2d, 0)
-        a = OmniSPRouting(net2d, escape=esc)
-        b = PolSPRouting(net2d, escape=esc)
+        a = make_mechanism("OmniSP", net2d, escape=esc)
+        b = make_mechanism("PolSP", net2d, escape=esc)
         assert a.escape is b.escape
 
     def test_foreign_escape_rejected(self, net2d, hx2d):
         other = Network(hx2d)
         esc = EscapeSubnetwork(other, 0)
         with pytest.raises(ValueError):
-            PolSPRouting(net2d, escape=esc)
+            make_mechanism("PolSP", net2d, escape=esc)
 
-    def test_factories(self, net2d):
-        assert omni_surepath(net2d).name == "OmniSP"
-        assert polarized_surepath(net2d).name == "PolSP"
+    def test_catalog_rows(self, net2d):
+        assert make_mechanism("OmniSP", net2d).name == "OmniSP"
+        assert make_mechanism("PolSP", net2d).name == "PolSP"
 
 
 class TestCandidateRules:
     def test_routing_hops_on_all_routing_vcs(self, net2d):
-        mech = PolSPRouting(net2d, n_vcs=4)
+        mech = make_mechanism("PolSP", net2d, n_vcs=4)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         cands = mech.candidates(pkt, 0)
@@ -56,7 +51,7 @@ class TestCandidateRules:
             assert vcs == set(mech.routing_vcs)
 
     def test_escape_candidates_always_offered(self, net2d):
-        mech = PolSPRouting(net2d, n_vcs=4)
+        mech = make_mechanism("PolSP", net2d, n_vcs=4)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         cands = mech.candidates(pkt, 0)
@@ -64,7 +59,7 @@ class TestCandidateRules:
 
     def test_escape_is_one_way(self, net2d):
         """Once in CEsc, only escape candidates are offered."""
-        mech = PolSPRouting(net2d, n_vcs=4)
+        mech = make_mechanism("PolSP", net2d, n_vcs=4)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         pkt.in_escape = True
@@ -73,7 +68,7 @@ class TestCandidateRules:
         assert all(vc == mech.escape_vc for _p, vc, _pen in cands)
 
     def test_on_hop_tracks_escape_state(self, net2d):
-        mech = PolSPRouting(net2d, n_vcs=4)
+        mech = make_mechanism("PolSP", net2d, n_vcs=4)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         cands = [c for c in mech.candidates(pkt, 0) if c[1] == mech.escape_vc]
@@ -85,7 +80,7 @@ class TestCandidateRules:
         assert pkt.hops == 1
 
     def test_routing_hop_keeps_crout(self, net2d):
-        mech = PolSPRouting(net2d, n_vcs=4)
+        mech = make_mechanism("PolSP", net2d, n_vcs=4)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         cands = [c for c in mech.candidates(pkt, 0) if c[1] != mech.escape_vc]
@@ -102,7 +97,7 @@ class TestForcedHops:
         offer escape candidates — the paper's forced hop."""
         src, dst = hx2d.switch_id((0, 0)), hx2d.switch_id((2, 0))
         net = Network(hx2d, [tuple(sorted((src, dst)))])
-        mech = OmniSPRouting(net, n_vcs=4, max_deroutes=0)
+        mech = make_mechanism("OmniSP", net, n_vcs=4, max_deroutes=0)
         pkt = make_packet(net, src, dst)
         mech.init_packet(pkt)
         cands = mech.candidates(pkt, src)
@@ -114,7 +109,7 @@ class TestDelivery:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_walks_always_deliver_healthy(self, net2d, data):
-        mech = PolSPRouting(net2d, n_vcs=4)
+        mech = make_mechanism("PolSP", net2d, n_vcs=4)
         n = net2d.n_switches
         src = data.draw(st.integers(0, n - 1))
         dst = data.draw(st.integers(0, n - 1))
@@ -124,9 +119,9 @@ class TestDelivery:
         visited = walk_route(mech, net2d, src, dst, rng, max_hops=64)
         assert visited[-1] == dst
 
-    @pytest.mark.parametrize("cls", [OmniSPRouting, PolSPRouting])
-    def test_walks_always_deliver_heavy_faults(self, heavy_faulty2d, cls, rng):
-        mech = cls(heavy_faulty2d, n_vcs=2)  # the paper's minimum budget
+    @pytest.mark.parametrize("name", ["OmniSP", "PolSP"])
+    def test_walks_always_deliver_heavy_faults(self, heavy_faulty2d, name, rng):
+        mech = make_mechanism(name, heavy_faulty2d, n_vcs=2)  # the paper's minimum budget
         for src in range(0, 16, 3):
             for dst in range(1, 16, 4):
                 if src == dst:
@@ -137,7 +132,7 @@ class TestDelivery:
                 assert visited[-1] == dst
 
     def test_max_route_length_finite(self, heavy_faulty2d):
-        mech = PolSPRouting(heavy_faulty2d, n_vcs=4)
+        mech = make_mechanism("PolSP", heavy_faulty2d, n_vcs=4)
         bound = mech.max_route_length()
         assert bound is not None
         assert bound >= heavy_faulty2d.diameter

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from _helpers import make_packet, walk_route
-from repro.routing.minimal import MinimalRouting
+from repro.routing.base import LadderRouting
+from repro.routing.catalog import make_mechanism
 from repro.routing.polarized import PolarizedRoutes
 from repro.routing.tables import (
-    TableMinimalRouting,
+    TableMinimalRoutes,
     compile_escape_table,
     compile_minimal_table,
     compile_polarized_table,
@@ -26,7 +27,7 @@ from repro.updown.escape import PHASE_CLIMB, PHASE_DESCEND, EscapeSubnetwork
 class TestMinimalTable:
     def test_ports_match_dynamic_mechanism(self, net2d):
         table = compile_minimal_table(net2d)
-        mech = MinimalRouting(net2d, 4)
+        mech = make_mechanism("Minimal", net2d, 4)
         for c in range(net2d.n_switches):
             for t in range(net2d.n_switches):
                 if c == t:
@@ -39,7 +40,7 @@ class TestMinimalTable:
 
     def test_ports_match_on_faulty_network(self, heavy_faulty2d):
         table = compile_minimal_table(heavy_faulty2d)
-        mech = MinimalRouting(heavy_faulty2d, 16)
+        mech = make_mechanism("Minimal", heavy_faulty2d, 16)
         for c in range(0, 16, 3):
             for t in range(1, 16, 4):
                 if c == t:
@@ -50,7 +51,7 @@ class TestMinimalTable:
                 assert minimal_ports(table, c, t) == dynamic
 
     def test_table_mechanism_delivers_minimally(self, net2d, rng):
-        mech = TableMinimalRouting(net2d, 8)
+        mech = LadderRouting("Minimal(table)", TableMinimalRoutes(net2d), 8, 2)
         d = net2d.distances
         for src in range(0, 16, 5):
             for dst in range(2, 16, 5):

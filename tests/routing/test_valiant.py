@@ -2,19 +2,19 @@
 
 
 from _helpers import make_packet, walk_route
-from repro.routing.valiant import ValiantRouting
+from repro.routing.catalog import make_mechanism
 
 
 class TestPhases:
     def test_packet_gets_intermediate(self, net2d):
-        mech = ValiantRouting(net2d, 4, rng=0)
+        mech = make_mechanism("Valiant", net2d, 4, rng=0)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         assert 0 <= pkt.mid < net2d.n_switches
         assert pkt.phase == 0
 
     def test_first_phase_heads_to_intermediate(self, net2d):
-        mech = ValiantRouting(net2d, 8, rng=1)
+        mech = make_mechanism("Valiant", net2d, 8, rng=1)
         d = net2d.distances
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
@@ -24,7 +24,7 @@ class TestPhases:
             assert d[nbr, 5] == d[0, 5] - 1
 
     def test_phase_flips_at_intermediate(self, net2d):
-        mech = ValiantRouting(net2d, 8, rng=1)
+        mech = make_mechanism("Valiant", net2d, 8, rng=1)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         pkt.mid = 5
@@ -33,7 +33,7 @@ class TestPhases:
 
     def test_degenerate_intermediate_at_source(self, net2d):
         """mid == src: phase 1 starts immediately, pure minimal route."""
-        mech = ValiantRouting(net2d, 8, rng=1)
+        mech = make_mechanism("Valiant", net2d, 8, rng=1)
         d = net2d.distances
         pkt = make_packet(net2d, 3, 12)
         mech.init_packet(pkt)
@@ -46,7 +46,7 @@ class TestPhases:
 
 class TestRoutes:
     def test_routes_deliver_and_respect_bound(self, net2d, rng):
-        mech = ValiantRouting(net2d, 8, rng=3)
+        mech = make_mechanism("Valiant", net2d, 8, rng=3)
         for src in range(0, 16, 3):
             for dst in range(1, 16, 3):
                 if src == dst:
@@ -56,7 +56,7 @@ class TestRoutes:
                 assert len(visited) - 1 <= 2 * net2d.diameter
 
     def test_ladder_vc_progression(self, net2d, rng):
-        mech = ValiantRouting(net2d, 8, rng=3)
+        mech = make_mechanism("Valiant", net2d, 8, rng=3)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         cands = mech.candidates(pkt, 0)
@@ -66,7 +66,7 @@ class TestRoutes:
         assert {vc for _p, vc, _pen in cands} == {2}
 
     def test_ladder_exhaustion(self, net2d):
-        mech = ValiantRouting(net2d, 4, rng=3)
+        mech = make_mechanism("Valiant", net2d, 4, rng=3)
         pkt = make_packet(net2d, 0, 15)
         mech.init_packet(pkt)
         pkt.hops = 4
@@ -74,7 +74,7 @@ class TestRoutes:
 
     def test_intermediates_cover_network(self, net2d):
         """Valiant's balancing needs intermediates spread over all switches."""
-        mech = ValiantRouting(net2d, 8, rng=5)
+        mech = make_mechanism("Valiant", net2d, 8, rng=5)
         mids = set()
         for i in range(400):
             pkt = make_packet(net2d, 0, 15, pid=i)
@@ -83,7 +83,7 @@ class TestRoutes:
         assert len(mids) == net2d.n_switches
 
     def test_routes_adapt_to_faults(self, faulty2d, rng):
-        mech = ValiantRouting(faulty2d, 16, rng=3)
+        mech = make_mechanism("Valiant", faulty2d, 16, rng=3)
         for src in range(0, 16, 5):
             for dst in range(2, 16, 5):
                 if src == dst:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.routing.base import RoutingMechanism
+from repro.routing.base import LadderRouting, RoutingMechanism
 from repro.routing.catalog import make_mechanism
-from repro.routing.minimal import MinimalRouting
+from repro.routing.minimal import MinimalRoutes
 from repro.simulator.backends import make_simulator
 from repro.simulator.config import PAPER_CONFIG
 from repro.simulator.packet import Packet
@@ -127,7 +127,7 @@ class TestCandidateKeyContract:
         a, b = injected_at_mid(0), injected_at_mid(1)
         key = mech.candidate_key(a, mid)
         assert a.phase == 1  # flipped without a candidates() call
-        assert key == mech.candidate_key(b, mid) == (mid, dst, 0)
+        assert key == mech.candidate_key(b, mid) == (mid, 0, dst)
         assert mech.candidates(a, mid) == mech.candidates(b, mid)
 
         # A packet that hopped to ``mid`` shares the situation of one
@@ -150,7 +150,8 @@ class TestCandidateKeyContract:
         # only because the engine's topology hook drops the memo.
         net = _net()
         src, dst = 0, 15
-        port = MinimalRouting(net, 4).candidates(Packet(0, 0, 0, src, dst, 0), src)[0][0]
+        minimal = make_mechanism("Minimal", net, 4)
+        port = minimal.candidates(Packet(0, 0, 0, src, dst, 0), src)[0][0]
         link = (src, int(net.port_neighbour[src][port]))
         sim = make_simulator(
             PAPER_CONFIG.with_(backend="array"), net,
@@ -177,10 +178,8 @@ class TestCandidateKeyContract:
         assert not any(ent is stale.get(k) for k, ent in sim._cand_memo.items())
 
 
-class _TwiceMinimal(MinimalRouting):
+class _TwiceMinimal(LadderRouting):
     """Breaks the ``candidates`` contract: every hop offered twice."""
-
-    name = "TwiceMinimal"
 
     def candidates(self, pkt, current):
         return super().candidates(pkt, current) * 2
@@ -188,11 +187,11 @@ class _TwiceMinimal(MinimalRouting):
 
 class TestKeyContractEdges:
     def test_a_mechanism_without_a_key_cannot_be_built(self):
-        class Unkeyed(MinimalRouting):
+        class Unkeyed(LadderRouting):
             candidate_key = RoutingMechanism.candidate_key
 
         with pytest.raises(TypeError, match="candidate_key"):
-            Unkeyed(_net(), 4)
+            Unkeyed("Unkeyed", MinimalRoutes(_net()), 4, 2)
 
     @pytest.mark.parametrize("backend", ["slot", "array"])
     @pytest.mark.parametrize("arbiter", ["qp", "roundrobin"])
@@ -200,7 +199,8 @@ class TestKeyContractEdges:
         net = _net()
         sim = make_simulator(
             PAPER_CONFIG.with_(backend=backend, arbiter=arbiter), net,
-            _TwiceMinimal(net, 4), make_traffic("uniform", net, 0),
+            _TwiceMinimal("TwiceMinimal", MinimalRoutes(net), 4, 2),
+            make_traffic("uniform", net, 0),
             offered=0.7, seed=0,
         )
         with pytest.raises(ValueError) as err:

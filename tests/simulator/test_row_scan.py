@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.routing.base import CandidateList
+from repro.routing.base import CandidateList, LadderRouting
 from repro.routing.catalog import HYPERX_ONLY, default_n_vcs, mechanism_supported
-from repro.routing.minimal import MinimalRouting
+from repro.routing.minimal import MinimalRoutes
 from repro.simulator.arbiters import ARBITERS, QPArbiter
 from repro.simulator.backends import make_simulator
 from repro.simulator.config import PAPER_CONFIG
@@ -277,19 +277,18 @@ class TestRowScanEqualsFlatScan:
         assert tally["idle_rows"] > 0 and tally["loaded_rows"] > 0
 
 
-class _TwoRowMinimal(MinimalRouting):
+class _TwoRowMinimal(LadderRouting):
     """Minimal routes, each offered as two rows on one port: VCs 0-1 at
     penalty 0 and VCs 2-3 at one packet's worth — wide rows that share a
     port but not their VCs, so a score reused by port would be wrong."""
 
-    name = "TwoRowMinimal"
-
     def candidates(self, pkt, current):
         n = self.n_vcs
-        dist = self.network.distances
+        network = self.routes.network
+        dist = network.distances
         dst = pkt.dst_switch
         rows = []
-        for port, nbr in self.network.live_ports[current]:
+        for port, nbr in network.live_ports[current]:
             if dist[nbr, dst] == dist[current, dst] - 1:
                 pv = port * n
                 rows += [(port, 0, (pv, pv + 1)), (port, 16, (pv + 2, pv + 3))]
@@ -325,19 +324,17 @@ class TestRowMemo:
     def test_rows_sharing_a_port(self):
         net = Network(HyperX((4, 4), 2))
         sim = make_simulator(
-            PAPER_CONFIG, net, _TwoRowMinimal(net, 4),
+            PAPER_CONFIG, net, _TwoRowMinimal("TwoRowMinimal", MinimalRoutes(net), 4, 2),
             make_traffic("uniform", net, 0), offered=0.8, seed=0,
         )
         tally = _drive(sim)
         assert tally["shared_rows"] > 0 and tally["cross_row_ties"] > 0
 
 
-class _DeadPortMinimal(MinimalRouting):
+class _DeadPortMinimal(LadderRouting):
     """Minimal routing that also offers, at switch 0, every VC of its
     dead port 0 at penalty 0 — an idle port the row shortcut would rank
     first if it trusted an idle dead port."""
-
-    name = "DeadPortMinimal"
 
     def candidates(self, pkt, current):
         out = super().candidates(pkt, current)
@@ -351,7 +348,7 @@ class TestDeadPort:
         topo = HyperX((4, 4), 4)
         net = Network(topo, [(0, 1)])
         assert net.port_neighbour[0][0] < 0
-        mech = _DeadPortMinimal(net, 4)
+        mech = _DeadPortMinimal("DeadPortMinimal", MinimalRoutes(net), 4, 2)
         sim = make_simulator(
             PAPER_CONFIG, net, mech, make_traffic("uniform", net, 0),
             offered=0.5, seed=0,
