@@ -10,7 +10,7 @@ topologies.
 
 from __future__ import annotations
 
-from ..routing.catalog import MECHANISMS
+from ..routing.catalog import MECHANISM_REGISTRY, MECHANISMS
 from ..seeding import as_generator
 from ..simulator.config import PAPER_CONFIG, SimConfig, table2_rows
 from ..simulator.injection import onoff_duty
@@ -148,20 +148,17 @@ def table3(scale: str | Scale = "paper") -> list[dict]:
 
 def table4(n_dims: int = 3) -> list[dict]:
     """Routing mechanisms and their VC budgets (paper Table 4)."""
-    n = n_dims
     return [
-        {"mechanism": "Minimal", "routing": "Shortest path", "vcs": "Ladder 2/step",
-         "required_vcs": n},
-        {"mechanism": "Valiant", "routing": "Shortest path x2 phases",
-         "vcs": "Ladder 1/step", "required_vcs": 2 * n},
-        {"mechanism": "OmniWAR", "routing": "Omnidimensional",
-         "vcs": "Ladder 1/step", "required_vcs": 2 * n},
-        {"mechanism": "Polarized", "routing": "Polarized",
-         "vcs": "Ladder 1/step", "required_vcs": 2 * n},
-        {"mechanism": "OmniSP", "routing": "Omnidimensional",
-         "vcs": "SurePath (routing + escape)", "required_vcs": 2},
-        {"mechanism": "PolSP", "routing": "Polarized",
-         "vcs": "SurePath (routing + escape)", "required_vcs": 2},
+        {
+            "mechanism": row.name,
+            "routing": row.paper_routing,
+            "vcs": (
+                "SurePath (routing + escape)" if row.surepath
+                else f"Ladder {row.vcs_per_step}/step"
+            ),
+            "required_vcs": row.required_vcs(n_dims),
+        }
+        for row in MECHANISM_REGISTRY.values()
     ]
 
 

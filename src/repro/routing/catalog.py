@@ -43,6 +43,10 @@ class MechanismRow:
     routes: Callable[..., RouteSet]
     #: Ladder VCs per hop, or ``None`` for the SurePath policy.
     vcs_per_step: int | None
+    #: Table 4's routing column, as the paper words it.
+    paper_routing: str
+    #: Table 4's VC budget on an ``n``-dimensional HyperX.
+    required_vcs: Callable[[int], int]
     #: The route set walks HyperX coordinates.
     hyperx_only: bool = False
 
@@ -54,20 +58,24 @@ class MechanismRow:
 #: The mechanism axis, in the paper's plotting order.
 MECHANISM_REGISTRY = Registry("routing mechanism")
 for _row in (
-    MechanismRow("Minimal", lambda net, **_: MinimalRoutes(net), 2),
-    MechanismRow("Valiant", lambda net, *, rng, **_: ValiantRoutes(net, rng), 1),
+    MechanismRow("Minimal", lambda net, **_: MinimalRoutes(net), 2,
+                 "Shortest path", lambda n: n),
+    MechanismRow("Valiant", lambda net, *, rng, **_: ValiantRoutes(net, rng), 1,
+                 "Shortest path x2 phases", lambda n: 2 * n),
     MechanismRow(
         "OmniWAR",
         lambda net, *, max_deroutes, **_: OmnidimensionalRoutes(net, max_deroutes),
-        1, hyperx_only=True,
+        1, "Omnidimensional", lambda n: 2 * n, hyperx_only=True,
     ),
-    MechanismRow("Polarized", lambda net, **_: PolarizedRoutes(net), 1),
+    MechanismRow("Polarized", lambda net, **_: PolarizedRoutes(net), 1,
+                 "Polarized", lambda n: 2 * n),
     MechanismRow(
         "OmniSP",
         lambda net, *, max_deroutes, **_: OmnidimensionalRoutes(net, max_deroutes),
-        None, hyperx_only=True,
+        None, "Omnidimensional", lambda n: 2, hyperx_only=True,
     ),
-    MechanismRow("PolSP", lambda net, **_: PolarizedRoutes(net), None),
+    MechanismRow("PolSP", lambda net, **_: PolarizedRoutes(net), None,
+                 "Polarized", lambda n: 2),
 ):
     MECHANISM_REGISTRY.register(_row.name, _row)
 del _row

@@ -48,7 +48,6 @@ class EscapeOnlyRouting(RoutingMechanism):
         pkt.in_escape = True
         pkt.escape_phase = PHASE_CLIMB
         pkt.escape_hops = 0
-        pkt.forced_hops = 0
 
     def candidates(self, pkt, current: int) -> list[Candidate]:
         out: list[Candidate] = []

@@ -111,7 +111,6 @@ class SurePathRouting(RoutingMechanism):
         pkt.in_escape = False
         pkt.escape_phase = PHASE_CLIMB
         pkt.escape_hops = 0
-        pkt.forced_hops = 0
 
     def candidates(self, pkt, current: int) -> CandidateList:
         rows: list[CandidateRow] = []
@@ -160,8 +159,8 @@ class SurePathRouting(RoutingMechanism):
         if vc == self.escape_vc:
             if not pkt.in_escape:
                 # This hop either escaped voluntarily (congestion) or was
-                # forced (no routing candidate); the simulator distinguishes
-                # them when tallying, we record the transition itself here.
+                # forced (no routing candidate); only the transition is
+                # recorded, the two are not told apart.
                 pkt.in_escape = True
                 pkt.escape_phase = PHASE_CLIMB
             pkt.escape_phase = self.escape.next_phase(

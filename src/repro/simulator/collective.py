@@ -31,8 +31,10 @@ that format leaves implicit:
   ``(produces, dst)`` state model reduction fan-in: the parent fires
   only after all children arrive.
 * The policy is **complete** when every entry has fired and delivered.
-  :meth:`CollectivePolicy.fire_order` proves at construction time that
-  this state is reachable (the DAG is deadlock-free).
+  :class:`DagRun` is that rule, on tables the policy compiles once;
+  :meth:`CollectivePolicy.fire_order` replays it to prove completeness
+  reachable (the DAG is deadlock-free), and :class:`CollectiveInjection`
+  runs that proof, then drives the same rule live.
 
 Execution is exact-packet: a transfer completes when its packets are
 consumed by the destination server, chunk combining (reduction
@@ -49,7 +51,8 @@ registered in :data:`COLLECTIVES` and reachable through
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +103,9 @@ class CollectivePolicy:
     ``entries`` keeps caller order (generators emit dependency order;
     ties in firing resolve by list position, deterministically).
     ``initial`` is the set of ``(chunk, server)`` ownerships that exists
-    before the first slot — the DAG's roots.
+    before the first slot — the DAG's roots.  Construction interns each
+    ``(chunk, server)`` state to an int and compiles :class:`DagRun`'s
+    tables.
     """
 
     entries: tuple[CollectiveEntry, ...]
@@ -108,18 +113,30 @@ class CollectivePolicy:
     label: str = "collective"
 
     def __init__(self, entries, initial, label: str = "collective"):
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(
-            self,
-            "initial",
-            tuple(sorted({(str(c), int(s)) for c, s in initial})),
-        )
-        object.__setattr__(self, "label", str(label))
+        set_ = object.__setattr__
+        set_(self, "entries", tuple(entries))
+        set_(self, "initial", tuple(sorted({(str(c), int(s)) for c, s in initial})))
+        set_(self, "label", str(label))
         if not self.entries:
             raise ValueError("a collective needs at least one entry")
+        ids: dict[tuple[str, int], int] = {}
+        triggers: list[int] = []
+        produces: list[int] = []
         for e in self.entries:
             if not isinstance(e, CollectiveEntry):
                 raise TypeError(f"expected CollectiveEntry, got {type(e).__name__}")
+            triggers.append(ids.setdefault((e.chunk, e.src), len(ids)))
+            produces.append(ids.setdefault((e.produces, e.dst), len(ids)))
+        roots = [ids.setdefault(state, len(ids)) for state in self.initial]
+        n_states = len(ids)
+        set_(self, "_produces", produces)
+        set_(self, "_need", np.bincount(produces, minlength=n_states).tolist())
+        # Entries grouped by trigger state, in index order within a state:
+        # state s's waiters are _waiters[_first[s]:_first[s + 1]].
+        set_(self, "_waiters", np.argsort(triggers, kind="stable").tolist())
+        set_(self, "_first", [0, *np.bincount(triggers, minlength=n_states).cumsum().tolist()])
+        set_(self, "_roots", roots)
+        set_(self, "_max_server", max(s for _c, s in ids))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -132,44 +149,24 @@ class CollectivePolicy:
         """Packets the collective injects (without fault retransmits)."""
         return sum(e.packets for e in self.entries)
 
-    def max_server(self) -> int:
-        return max(
-            max(max(e.src, e.dst) for e in self.entries),
-            max((s for _c, s in self.initial), default=0),
-        )
-
     def fire_order(self, n_servers: int) -> list[int]:
         """Entry indices in dependency-respecting fire order.
 
-        Replays the DAG with instantaneous transfers: an entry fires
-        when its source owns its chunk; ownership of ``(produces,
-        dst)`` is granted when every entry producing it has fired.
-        Raises ``ValueError`` when any entry references an out-of-range
-        server or can never fire — the completeness/deadlock-freedom
-        check :class:`CollectiveInjection` runs at construction.
+        Replays :class:`DagRun` with instantaneous transfers, completing
+        entries in the order they fire.  Raises ``ValueError`` when any
+        entry references an out-of-range server or can never fire — the
+        completeness/deadlock-freedom check :class:`CollectiveInjection`
+        runs at construction.
         """
-        if self.max_server() >= n_servers:
+        if self._max_server >= n_servers:
             raise ValueError(
                 f"policy {self.label!r} references server "
-                f"{self.max_server()} but the network has {n_servers}"
+                f"{self._max_server} but the network has {n_servers}"
             )
-        need = Counter((e.produces, e.dst) for e in self.entries)
-        waiting: dict[tuple[str, int], list[int]] = defaultdict(list)
-        for i, e in enumerate(self.entries):
-            waiting[(e.chunk, e.src)].append(i)
-        got: Counter = Counter()
         order: list[int] = []
-        frontier: deque[int] = deque()
-        for state in self.initial:
-            frontier.extend(waiting.pop(state, ()))
-        while frontier:
-            i = frontier.popleft()
-            order.append(i)
-            e = self.entries[i]
-            state = (e.produces, e.dst)
-            got[state] += 1
-            if got[state] == need[state]:
-                frontier.extend(waiting.pop(state, ()))
+        run = DagRun(self, order.append)
+        for i in order:  # grows while iterated: a FIFO of fired entries
+            run.complete(i)
         if len(order) != len(self.entries):
             stuck = len(self.entries) - len(order)
             raise ValueError(
@@ -183,16 +180,38 @@ class CollectivePolicy:
         """Raise unless the policy is a complete, deadlock-free DAG."""
         self.fire_order(n_servers)
 
-    def canonical(self) -> list:
-        """Canonical JSON payload (cache keys, golden fingerprints)."""
-        return [
-            self.label,
-            [[c, s] for c, s in self.initial],
-            [
-                [e.chunk, e.src, e.dst, e.packets, e.produces]
-                for e in self.entries
-            ],
-        ]
+
+class DagRun:
+    """One execution of a policy's ownership rule, with fresh counters.
+
+    :meth:`grant` fires a state's waiters (calling ``fire(i)``, in entry
+    order); :meth:`complete` grants an entry's produced state when its
+    last producer completes.  The roots are granted at construction, in
+    ``initial`` order, and their counts start at 0: a root is owned from
+    the start, so completing its producers never grants it again.
+    """
+
+    __slots__ = ("_produces", "_left", "_waiters", "_first", "_fire")
+
+    def __init__(self, policy: CollectivePolicy, fire: Callable[[int], None]):
+        self._produces = policy._produces
+        self._waiters = policy._waiters
+        self._first = policy._first
+        self._left = list(policy._need)  # producers still to complete
+        self._fire = fire
+        for state in policy._roots:
+            self._left[state] = 0
+            self.grant(state)
+
+    def grant(self, state: int) -> None:
+        for i in self._waiters[self._first[state]:self._first[state + 1]]:
+            self._fire(i)
+
+    def complete(self, i: int) -> None:
+        state = self._produces[i]
+        self._left[state] -= 1
+        if self._left[state] == 0:
+            self.grant(state)
 
 
 # ----------------------------------------------------------------------
@@ -352,43 +371,21 @@ class CollectiveInjection(InjectionProcess):
         #: closed-loop DAG is a saturation workload by construction.
         self.offered = 1.0
         self.retransmitted = 0
-        entries = policy.entries
         self._n_complete = 0
         #: Per-server FIFO of pending destinations (one per packet).
         self._pending: list[deque[int]] = [deque() for _ in range(n_servers)]
         self._pending_n = np.zeros(n_servers, dtype=np.int64)
         #: Deliveries outstanding per entry.
-        self._remaining = [e.packets for e in entries]
-        #: Fan-in accounting: entries producing each (chunk, server).
-        self._need = Counter((e.produces, e.dst) for e in entries)
-        self._got: Counter = Counter()
-        #: Unfired entries keyed by the ownership that triggers them.
-        self._waiting: dict[tuple[str, int], list[int]] = defaultdict(list)
-        for i, e in enumerate(entries):
-            self._waiting[(e.chunk, e.src)].append(i)
+        self._remaining = [e.packets for e in policy.entries]
         #: Live-entry FIFO per (src, dst) flow for delivery attribution.
         self._live: dict[tuple[int, int], deque[int]] = defaultdict(deque)
-        for state in policy.initial:
-            self._grant(state)
-
-    # -- DAG state machine ---------------------------------------------
-    def _grant(self, state: tuple[str, int]) -> None:
-        for i in self._waiting.pop(state, ()):
-            self._fire(i)
+        self._dag = DagRun(policy, self._fire)
 
     def _fire(self, i: int) -> None:
         e = self.policy.entries[i]
         self._pending[e.src].extend([e.dst] * e.packets)
         self._pending_n[e.src] += e.packets
         self._live[(e.src, e.dst)].append(i)
-
-    def _complete(self, i: int) -> None:
-        self._n_complete += 1
-        e = self.policy.entries[i]
-        state = (e.produces, e.dst)
-        self._got[state] += 1
-        if self._got[state] == self._need[state]:
-            self._grant(state)
 
     # -- InjectionProcess interface ------------------------------------
     def attempts(self, slot: int, rng: np.random.Generator) -> np.ndarray:
@@ -414,7 +411,8 @@ class CollectiveInjection(InjectionProcess):
         self._remaining[i] -= 1
         if self._remaining[i] == 0:
             flow.popleft()
-            self._complete(i)
+            self._n_complete += 1
+            self._dag.complete(i)
 
     def on_dropped(self, pkt) -> None:
         # Retransmit: the chunk data died on a failing link; re-queue one

@@ -1,7 +1,7 @@
 """Performance metrics (paper §4): throughput, latency, Jain fairness.
 
 The three metrics the paper reports, plus the diagnostics this
-reproduction adds (escape/forced-hop shares, stall counts):
+reproduction adds (escape-hop share, stall counts):
 
 * **Accepted throughput** — packets ejected per server per slot during the
   measurement window; with 16-phit packets and 16-cycle slots this equals
@@ -51,10 +51,10 @@ class SimResult:
     in_flight_end: int
     avg_hops: float
     escape_hop_fraction: float
-    #: Always 0 today: ``pkt.forced_hops`` is initialised and summed but
-    #: nothing increments it.  The value is hashed into the golden and
-    #: ``perfbench/expected`` fingerprints, so the fix belongs to the PR
-    #: that next regenerates them.
+    #: Always 0: forced escape hops are not told apart from voluntary
+    #: ones, so nothing is counted.  The field stays because the golden
+    #: and ``perfbench/expected`` fingerprints hash it; dropping it (or
+    #: counting it) belongs with the next regeneration of both.
     forced_hop_count: int
     stalled_packets: int
     deadlocked: bool
@@ -119,7 +119,6 @@ class MetricsCollector:
         self.latency_count = 0
         self.hops_sum = 0
         self.escape_hops_sum = 0
-        self.forced_hops_sum = 0
         self.stalled_pids: set[int] = set()
         self.dropped_total = 0
         self.measuring = False
@@ -167,7 +166,6 @@ class MetricsCollector:
         self.delivered_total += 1
         self.hops_sum += pkt.hops
         self.escape_hops_sum += pkt.escape_hops
-        self.forced_hops_sum += pkt.forced_hops
         if not self.measuring:
             # Warmup traffic: excluded from the series as well — binning
             # pre-measurement ejections polluted steady-state series with
@@ -355,7 +353,7 @@ class MetricsCollector:
             in_flight_end=in_flight_end,
             avg_hops=avg_hops,
             escape_hop_fraction=esc_frac,
-            forced_hop_count=self.forced_hops_sum,
+            forced_hop_count=0,
             stalled_packets=len(self.stalled_pids),
             deadlocked=deadlocked,
             completion_slot=completion_slot,

@@ -32,7 +32,6 @@ class Packet:
         "in_escape",
         "escape_phase",
         "escape_hops",
-        "forced_hops",
         # --- engine-managed candidate cache ---
         "cand_switch",
         "cand_list",
@@ -63,7 +62,6 @@ class Packet:
         self.in_escape = False
         self.escape_phase = 0
         self.escape_hops = 0
-        self.forced_hops = 0
         # Routing candidates looked up at switch ``cand_switch`` — valid
         # until the packet hops (candidates depend only on per-packet
         # routing state, which changes in on_hop, never between slots).

@@ -19,9 +19,10 @@ from _helpers import BuildOnlyExecutor
 
 SCALES = ("tiny", "small", "paper")
 
-#: ``fig-collectives`` builds at ``tiny`` only: at ``small`` each of its
-#: 54 jobs constructs a 523 264-entry ring all-reduce policy for 512
-#: servers, about 9 s a job on a 2-CPU x86-64 host (py3.11).
+#: ``fig-collectives`` builds at ``tiny`` only: at ``small`` its 54 jobs
+#: build 512-server policies, 18 of them a 523 264-entry ring all-reduce
+#: (about 3.3 s a job) and 18 a 261 632-entry all-gather (about 1.5 s),
+#: 78 s for the row on a 2-CPU x86-64 host (py3.11).
 CASES = [
     (name, scale)
     for name, cmd in cli.COMMANDS.items()

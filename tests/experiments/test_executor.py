@@ -413,6 +413,28 @@ class TestSweepKeepsFinishedPoints:
         assert stored == {job_key(j) for j in jobs[:2]}
 
 
+class TestCachedCliSweep:
+    """The CLI's run through ``--jobs`` and ``--cache-dir``: the pool
+    fills the result cache, and a warm rerun prints the same bytes
+    without adding an entry."""
+
+    def test_warm_rerun_is_identical_and_adds_nothing(self, tmp_path, capsys):
+        from repro.experiments import cli
+
+        argv = [
+            "fig-collectives", "--scale", "tiny", "--mechanisms", "PolSP",
+            "--collectives", "allreduce_ring", "--jobs", "2",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert cli.main(argv) == 0
+        cold = capsys.readouterr().out
+        entries = len(list(tmp_path.iterdir()))
+        assert entries > 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert len(list(tmp_path.iterdir())) == entries
+
+
 class TestMakeExecutor:
     def test_serial_by_default(self):
         assert isinstance(make_executor(None), SerialExecutor)

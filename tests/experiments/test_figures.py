@@ -21,6 +21,7 @@ from repro.experiments.figures import (
     table4,
 )
 from repro.experiments.scales import Scale
+from repro.routing.catalog import MECHANISMS
 from repro.topology.faults import shape_faults
 from repro.topology.hyperx import HyperX
 
@@ -47,6 +48,7 @@ class TestTables:
         assert t3["avg_distance"] == pytest.approx(2.625)
 
     def test_table4_vc_budgets(self):
+        assert [r["mechanism"] for r in table4(3)] == list(MECHANISMS)
         rows = {r["mechanism"]: r for r in table4(3)}
         assert rows["Minimal"]["required_vcs"] == 3
         assert rows["Valiant"]["required_vcs"] == 6

@@ -11,7 +11,7 @@ not the job.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import asdict
 
 import numpy as np
@@ -37,6 +37,42 @@ from repro.topology.faults import random_connected_fault_sequence
 from repro.traffic import CollectiveTraffic
 
 GENERATORS = (all_reduce_ring, all_reduce_tree, all_gather_ring)
+
+
+def _reference_fire_order(pol):
+    """The fire order by a string-keyed dict/deque replay of the rule.
+
+    An independent oracle for the compiled tables: same FIFO of fired
+    entries, same waiter order, ownership keyed by ``(chunk, server)``.
+    """
+    need = Counter((e.produces, e.dst) for e in pol)
+    waiting = defaultdict(list)
+    for i, e in enumerate(pol):
+        waiting[(e.chunk, e.src)].append(i)
+    got = Counter()
+    frontier = deque()
+    for state in pol.initial:
+        frontier.extend(waiting.pop(state, ()))
+    order = []
+    while frontier:
+        i = frontier.popleft()
+        order.append(i)
+        state = (pol.entries[i].produces, pol.entries[i].dst)
+        got[state] += 1
+        if got[state] == need[state]:
+            frontier.extend(waiting.pop(state, ()))
+    return order
+
+
+def _regranted_root_policy():
+    # ("c", 0) is a root *and* entry 0's product; entry 1 waits on it.
+    return CollectivePolicy(
+        [
+            CollectiveEntry("p", 1, 0, produces="c"),
+            CollectiveEntry("c", 0, 2, packets=2),
+        ],
+        [("c", 0), ("p", 1)],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -100,12 +136,13 @@ class TestPolicy:
         order = pol.fire_order(4)
         assert order.index(2) > max(order.index(0), order.index(1))
 
-    def test_canonical_is_json_stable(self):
-        import json
-
-        pol = all_reduce_ring(3)
-        blob = json.dumps(pol.canonical())
-        assert json.loads(blob) == pol.canonical()
+    def test_initial_state_is_granted_once(self):
+        # ("c", 0) is owned from the start *and* produced by entry 0: its
+        # waiter (entry 1) fires at the root grant and never again.
+        pol = _regranted_root_policy()
+        order = pol.fire_order(3)
+        assert sorted(order) == [0, 1]
+        assert order == _reference_fire_order(pol)
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +160,7 @@ class TestGenerators:
         pol = gen(n, chunk_packets=2)
         order = pol.fire_order(n)
         assert sorted(order) == list(range(len(pol)))
+        assert order == _reference_fire_order(pol)
 
     @pytest.mark.parametrize("n", COUNTS)
     def test_ring_allreduce_shape(self, n):
@@ -166,6 +204,25 @@ class _FakePkt:
     def __init__(self, src_server, dst_server):
         self.src_server = src_server
         self.dst_server = dst_server
+
+
+def _hand_drain(inj):
+    """Deliver every pending head, in server order, until none is left.
+
+    The engine's per-attempt contract (``peek_destination`` then
+    ``on_success``) with each packet delivered at once; returns the
+    ``(src, dst)`` flows of the deliveries in order.
+    """
+    delivered = []
+    while True:
+        servers = inj.attempts(0, None)
+        if not len(servers):
+            return delivered
+        for s in servers.tolist():
+            d = inj.peek_destination(s)
+            inj.on_success(s)
+            inj.on_delivered(_FakePkt(s, d))
+            delivered.append((s, d))
 
 
 class TestInjection:
@@ -235,6 +292,22 @@ class TestInjection:
         assert list(inj.attempts(0, None)) == []
         inj.on_delivered(_FakePkt(0, 1))
         assert list(inj.attempts(0, None)) == [1]
+
+    def test_initial_state_delivers_once(self):
+        inj = CollectiveInjection(3, _regranted_root_policy())
+        assert sorted(_hand_drain(inj)) == [(0, 2), (0, 2), (1, 0)]
+        assert inj.exhausted
+
+    @pytest.mark.parametrize("chunk_packets", (1, 3))
+    @pytest.mark.parametrize("n", TestGenerators.COUNTS)
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_live_drain_completes(self, gen, n, chunk_packets):
+        # The injection alone (no engine) reaches completion with
+        # exactly one delivery per policy packet.
+        pol = gen(n, chunk_packets=chunk_packets)
+        inj = CollectiveInjection(n, pol)
+        assert len(_hand_drain(inj)) == pol.total_packets
+        assert inj.exhausted
 
     def test_validates_policy_against_server_count(self):
         with pytest.raises(ValueError, match="references server"):
