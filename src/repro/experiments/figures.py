@@ -619,10 +619,12 @@ def fig_collectives(
     Expected shape: ring algorithms ride neighbour links and degrade
     gently; the tree's root-adjacent hops make it fault-sensitive.  For
     the deadlock-free mechanisms a fault mid-collective costs time, not
-    the job (``drained`` stays true, JCT degrades); deadlock-prone
-    baselines (Minimal on a torus) can stall the DAG outright — their
-    records report ``deadlocked`` with ``jct_cycles`` ``None``, the
-    closed-loop version of the paper's liveness argument.
+    the job (``drained`` stays true, JCT degrades).  Every ladder gets
+    its family's fair VC budget (``default_n_vcs``, e.g. 8 on the tiny
+    torus and fat-tree); a run that still cannot finish — a ladder
+    whose routes outgrow it strands its packets — records
+    ``deadlocked`` with ``jct_cycles`` ``None``, the closed-loop
+    version of the paper's liveness argument.
     """
     sc = _scale(scale)
     jobs = []

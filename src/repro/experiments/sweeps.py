@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
-from ..routing.catalog import supported_mechanisms
+from ..routing.catalog import default_n_vcs, supported_mechanisms
 from ..simulator.config import PAPER_CONFIG, SimConfig
 from ..simulator.injection import onoff_peak
 from ..simulator.schedule import FaultSchedule
@@ -365,7 +365,7 @@ def collective_sweep_jobs(
     seed: int = 0,
     config: SimConfig = PAPER_CONFIG,
     root: int = 0,
-    n_vcs: int | None = 4,
+    n_vcs: int | None = None,
 ) -> list[PointJob]:
     """Run collectives to completion across mechanisms and fault schedules.
 
@@ -386,7 +386,16 @@ def collective_sweep_jobs(
     ``None`` for the healthy baseline); schedules are link-specific, so a
     multi-topology collective figure builds one such list per network
     (see ``fig_collectives``).
+
+    ``n_vcs`` defaults to the fair ladder budget of the healthy topology
+    (:func:`~repro.routing.catalog.default_n_vcs`), resolved here so
+    each record names it: a ladder shorter than the family's routes
+    strands packets until the watchdog records the run as deadlocked.
+    Sizing on the healthy topology keeps a network that its faults
+    split building, into its disconnected record.
     """
+    if n_vcs is None:
+        n_vcs = default_n_vcs(Network(network.topology))
     configs = [
         config.with_(collective=coll, chunk_packets=chunk_packets)
         for coll in collectives

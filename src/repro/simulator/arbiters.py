@@ -14,9 +14,9 @@ Implementations
 * :class:`QPArbiter` (``"qp"``, default) — the paper's rule, bit-for-bit:
   requests minimise ``(port_load + vc_load) * phits + penalty`` with
   uniform random tie-breaks; ports grant in ascending score order.  Its
-  ``allocate`` is the monolithic engine's hot loop, walking candidate
-  rows instead of triples (below), so the default composition stays
-  record-identical to the historical engine.
+  ``allocate`` keeps its own request scan, the monolithic engine's hot
+  loop, walking candidate rows instead of triples (below), so the
+  default composition stays record-identical to the historical engine.
 * :class:`RoundRobinArbiter` (``"roundrobin"``) — rotating pointers: each
   input cycles through its feasible candidates, each output port grants
   inputs in cyclic order starting after the last winner.  No load
@@ -27,9 +27,15 @@ Implementations
   candidate and uniformly random grant order (the unloaded baseline an
   ablation compares the Q+P rule against).
 
-Adding an arbiter: subclass :class:`Arbiter`, implement ``allocate``
-(usually via the ``_hol_requests``/``_grant_in_order`` helpers), set a
-unique ``name``, and register it in :data:`ARBITERS`; it is then
+Every arbiter grants through one loop, :meth:`Arbiter._grant`: each
+output port sorts its requests and grants them in ascending order, up
+to the crossbar speedup, re-checking flow control and the per-input win
+cap.  A policy differs only in what each head requests and in the sort
+key it gives the request.
+
+Adding an arbiter: subclass :class:`Arbiter`, implement ``_requests``
+(usually over the ``_hol_requests`` helper's feasible candidates), set
+a unique ``name``, and register it in :data:`ARBITERS`; it is then
 reachable from ``SimConfig(arbiter=...)``, every sweep, the cache key
 and the CLI.
 
@@ -80,8 +86,6 @@ never alters the entry.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 from ..registry import Registry
 from .packet import Packet
 
@@ -107,25 +111,43 @@ def _route_head(sim, pkt: Packet, sid: int) -> list:
     return cands
 
 
-class Arbiter(ABC):
+class Arbiter:
     """Phase-2 policy: candidate selection + per-output grant order.
 
     One instance serves one :class:`~repro.simulator.engine.Simulator`
     (arbiters may keep per-switch pointers), driven once per slot via
-    :meth:`allocate`.
+    :meth:`allocate`.  A policy states its rule once, in
+    :meth:`_requests`; the grant loop, :meth:`_grant`, is shared.
     """
 
     #: Registry key (subclasses override).
     name: str = "?"
 
-    @abstractmethod
+    #: Where :meth:`_grant` records each ``(sid, port)``'s last winning
+    #: input, or ``None`` for a policy that does not look (round-robin's
+    #: grant pointer does).
+    _last_win: dict[tuple[int, int], int] | None = None
+
     def allocate(self, sim) -> int:
         """Run the allocation phase over every switch; return the number
-        of crossbar grants made this slot."""
+        of crossbar grants made this slot.  Each switch's requests are
+        granted port by port, in ascending port order."""
+        granted = 0
+        for sw in sim.alloc_switches():
+            if sw.active_inputs:
+                requests = self._requests(sim, sw)
+                if requests:
+                    granted += self._grant(sim, sw, requests, sorted(requests))
+        return granted
 
-    # ------------------------------------------------------------------
-    # Shared building blocks for non-default arbiters
-    # ------------------------------------------------------------------
+    def _requests(self, sim, sw) -> dict[int, list[tuple]]:
+        """``port -> [(key, tie, idx, vc, pkt), ...]``: the request each
+        head of ``sw`` makes (usually one of :meth:`_hol_requests`'
+        feasible candidates), keyed by the output port it asks for.  A
+        port grants its requests in ascending tuple order; ``idx`` after
+        ``(key, tie)`` makes that order total."""
+        raise NotImplementedError
+
     def _hol_requests(self, sim, sw) -> list[tuple[int, Packet, list]]:
         """``(input_idx, packet, feasible)`` for every head-of-line packet.
 
@@ -169,44 +191,52 @@ class Arbiter(ABC):
                 out.append((idx, pkt, feasible))
         return out
 
-    def _commit(self, sim, sw, idx: int, port: int, vc: int, pkt: Packet) -> None:
-        """Grant bookkeeping: move the packet input -> output VC, return
-        the freed input credit, advance the routing mechanism."""
-        pv = port * sw.n_vcs + vc
-        sw.pop_input(idx)
-        sim._return_input_credit(sw, idx)
-        sw.grant(pv, pkt)
-        new_switch = sim.network.port_neighbour[sw.sid][port]
-        sim.mechanism.on_hop(pkt, sw.sid, new_switch, port, vc)
-        pkt.cand_switch = -1
-
-    def _grant_in_order(
-        self, sim, sw, port: int, ordered, input_wins: dict[int, int]
-    ) -> list[int]:
-        """Grant up to ``crossbar_speedup`` of ``ordered`` ``(idx, vc,
-        pkt)`` requests on ``port``, re-checking flow control (an earlier
-        grant may have consumed the last slot) and the per-input win cap.
-        Returns the winning input indices, in grant order."""
-        winners: list[int] = []
+    def _grant(self, sim, sw, requests, ports) -> int:
+        """The grant loop of every arbiter: for each port of ``ports``,
+        in that order, sort its ``(key, tie, idx, vc, pkt)`` requests and
+        grant up to ``crossbar_speedup`` of them in ascending order,
+        re-checking flow control live (an earlier grant may have consumed
+        the last slot) and the per-input win cap.  A grant moves the
+        packet input -> output VC, returns the freed input credit and
+        advances the routing mechanism.  Returns the grants made."""
+        granted = 0
+        sid = sw.sid
+        n_vcs = sw.n_vcs
+        npv = sw.n_ports * n_vcs
+        credits = sw.credits
+        out_q = sw.out_q
+        mech = sim.mechanism
         speedup = sim.cfg.crossbar_speedup
         fc = sim.flow_control
         min_cred = fc.min_credits
         out_cap = fc.output_capacity
-        n_vcs = sw.n_vcs
-        npv = sw.n_ports * n_vcs
-        for idx, vc, pkt in ordered:
-            if len(winners) >= speedup:
-                break
-            in_port = idx // n_vcs if idx < npv else sw.n_ports + (idx - npv)
-            if input_wins.get(in_port, 0) >= speedup:
-                continue
-            pv = port * n_vcs + vc
-            if sw.credits[pv] < min_cred or len(sw.out_q[pv]) >= out_cap:
-                continue
-            self._commit(sim, sw, idx, port, vc, pkt)
-            input_wins[in_port] = input_wins.get(in_port, 0) + 1
-            winners.append(idx)
-        return winners
+        neighbour = sim.network.port_neighbour[sid]
+        last_win = self._last_win
+        input_wins: dict[int, int] = {}
+        for port in ports:
+            reqs = requests[port]
+            reqs.sort()
+            grants_here = 0
+            for _key, _tie, idx, vc, pkt in reqs:
+                if grants_here >= speedup:
+                    break
+                in_port = idx // n_vcs if idx < npv else sw.n_ports + (idx - npv)
+                if input_wins.get(in_port, 0) >= speedup:
+                    continue
+                pv = port * n_vcs + vc
+                if credits[pv] < min_cred or len(out_q[pv]) >= out_cap:
+                    continue  # an earlier grant consumed the last slot
+                sw.pop_input(idx)
+                sim._return_input_credit(sw, idx)
+                sw.grant(pv, pkt)
+                mech.on_hop(pkt, sid, neighbour[port], port, vc)
+                pkt.cand_switch = -1
+                input_wins[in_port] = input_wins.get(in_port, 0) + 1
+                grants_here += 1
+                if last_win is not None:
+                    last_win[sid, port] = idx
+            granted += grants_here
+        return granted
 
 
 class QPArbiter(Arbiter):
@@ -334,49 +364,8 @@ class QPArbiter(Arbiter):
                 plans.store(sw, not requests)
             if not requests:
                 continue
-            # ---- grants ---------------------------------------------------
-            granted += self._grant_requests(sim, sw, requests)
-        return granted
-
-    def _grant_requests(self, sim, sw, requests) -> int:
-        """The grant half of :meth:`allocate`: sort each output port's
-        ``(score, tie, idx, vc, pkt)`` requests and grant in ascending
-        order, re-checking flow control live (an earlier grant may have
-        consumed the last slot) and the per-input win cap."""
-        granted = 0
-        sid = sw.sid
-        n_vcs = sw.n_vcs
-        npv = sw.n_ports * n_vcs
-        credits = sw.credits
-        out_q = sw.out_q
-        mech = sim.mechanism
-        speedup = sim.cfg.crossbar_speedup
-        fc = sim.flow_control
-        min_cred = fc.min_credits
-        out_cap = fc.output_capacity
-        port_neighbour = sim.network.port_neighbour
-        input_wins: dict[int, int] = {}
-        for port, reqs in requests.items():
-            reqs.sort()
-            grants_here = 0
-            for score, _tie, idx, vc, pkt in reqs:
-                if grants_here >= speedup:
-                    break
-                in_port = idx // n_vcs if idx < npv else sw.n_ports + (idx - npv)
-                if input_wins.get(in_port, 0) >= speedup:
-                    continue
-                pv = port * n_vcs + vc
-                if credits[pv] < min_cred or len(out_q[pv]) >= out_cap:
-                    continue  # an earlier grant consumed the last slot
-                sw.pop_input(idx)
-                sim._return_input_credit(sw, idx)
-                sw.grant(pv, pkt)
-                new_switch = port_neighbour[sid][port]
-                mech.on_hop(pkt, sid, new_switch, port, vc)
-                pkt.cand_switch = -1
-                input_wins[in_port] = input_wins.get(in_port, 0) + 1
-                grants_here += 1
-                granted += 1
+            # ---- grants: ports in request-arrival order ---------------------
+            granted += self._grant(sim, sw, requests, requests)
         return granted
 
 
@@ -393,46 +382,24 @@ class RoundRobinArbiter(Arbiter):
 
     def __init__(self) -> None:
         self._cand_ptr: dict[tuple[int, int], int] = {}
-        self._grant_ptr: dict[tuple[int, int], int] = {}
+        self._last_win = {}
 
-    def allocate(self, sim) -> int:
-        granted = 0
-        for sw in sim.alloc_switches():
-            if not sw.active_inputs:
-                continue
-            sid = sw.sid
-            n_vcs = sw.n_vcs
-            requests: dict[int, list[tuple[int, int, Packet]]] = {}
-            for idx, pkt, feasible in self._hol_requests(sim, sw):
-                ptr = self._cand_ptr.get((sid, idx), 0)
-                keyed = sorted(feasible, key=lambda c: c[0] * n_vcs + c[1])
-                chosen = next(
-                    (c for c in keyed if c[0] * n_vcs + c[1] >= ptr), keyed[0]
-                )
-                port, vc, _pen = chosen
-                self._cand_ptr[(sid, idx)] = port * n_vcs + vc + 1
-                requests.setdefault(port, []).append((idx, vc, pkt))
-            granted += self._grant_requests(sim, sw, requests)
-        return granted
-
-    def _grant_requests(self, sim, sw, requests) -> int:
-        """The grant half: ports in ascending index order, each granting
-        inputs in cyclic order starting just past its previous winner."""
-        granted = 0
+    def _requests(self, sim, sw):
         sid = sw.sid
-        input_wins: dict[int, int] = {}
-        for port in sorted(requests):
-            reqs = sorted(requests[port])
-            gp = self._grant_ptr.get((sid, port), 0)
-            ordered = [r for r in reqs if r[0] >= gp] + [
-                r for r in reqs if r[0] < gp
-            ]
-            winners = self._grant_in_order(sim, sw, port, ordered, input_wins)
-            if winners:
-                # Rotate priority just past the last actual winner.
-                self._grant_ptr[(sid, port)] = (winners[-1] + 1) % sw.n_inputs
-            granted += len(winners)
-        return granted
+        n_vcs = sw.n_vcs
+        n_inputs = sw.n_inputs
+        last_win = self._last_win
+        requests: dict[int, list[tuple[int, int, int, int, Packet]]] = {}
+        for idx, pkt, feasible in self._hol_requests(sim, sw):
+            ptr = self._cand_ptr.get((sid, idx), 0)
+            pvs = [port * n_vcs + vc for port, vc, _pen in feasible]
+            pv = min((p for p in pvs if p >= ptr), default=min(pvs))
+            self._cand_ptr[sid, idx] = pv + 1
+            port, vc = divmod(pv, n_vcs)
+            # Cyclic grant order: distance from just past the last winner.
+            key = (idx - last_win.get((sid, port), -1) - 1) % n_inputs
+            requests.setdefault(port, []).append((key, 0, idx, vc, pkt))
+        return requests
 
 
 class AgeBasedArbiter(Arbiter):
@@ -445,27 +412,14 @@ class AgeBasedArbiter(Arbiter):
 
     name = "age"
 
-    def allocate(self, sim) -> int:
-        granted = 0
-        for sw in sim.alloc_switches():
-            if not sw.active_inputs:
-                continue
-            requests: dict[int, list[tuple[int, int, int, int, Packet]]] = {}
-            for idx, pkt, feasible in self._hol_requests(sim, sw):
-                port, vc, _pen = min(feasible, key=lambda c: (c[2], c[0], c[1]))
-                requests.setdefault(port, []).append(
-                    (pkt.birth_slot, pkt.pid, idx, vc, pkt)
-                )
-            input_wins: dict[int, int] = {}
-            for port in sorted(requests):
-                ordered = [
-                    (idx, vc, pkt)
-                    for _birth, _pid, idx, vc, pkt in sorted(requests[port])
-                ]
-                granted += len(
-                    self._grant_in_order(sim, sw, port, ordered, input_wins)
-                )
-        return granted
+    def _requests(self, sim, sw):
+        requests: dict[int, list[tuple[int, int, int, int, Packet]]] = {}
+        for idx, pkt, feasible in self._hol_requests(sim, sw):
+            port, vc, _pen = min(feasible, key=lambda c: (c[2], c[0], c[1]))
+            requests.setdefault(port, []).append(
+                (pkt.birth_slot, pkt.pid, idx, vc, pkt)
+            )
+        return requests
 
 
 class RandomArbiter(Arbiter):
@@ -478,27 +432,15 @@ class RandomArbiter(Arbiter):
 
     name = "random"
 
-    def allocate(self, sim) -> int:
-        granted = 0
+    def _requests(self, sim, sw):
         rng = sim.rng
-        for sw in sim.alloc_switches():
-            if not sw.active_inputs:
-                continue
-            requests: dict[int, list[tuple[float, int, int, Packet]]] = {}
-            for idx, pkt, feasible in self._hol_requests(sim, sw):
-                port, vc, _pen = feasible[
-                    0 if len(feasible) == 1 else int(rng.integers(len(feasible)))
-                ]
-                requests.setdefault(port, []).append((rng.random(), idx, vc, pkt))
-            input_wins: dict[int, int] = {}
-            for port in sorted(requests):
-                ordered = [
-                    (idx, vc, pkt) for _r, idx, vc, pkt in sorted(requests[port])
-                ]
-                granted += len(
-                    self._grant_in_order(sim, sw, port, ordered, input_wins)
-                )
-        return granted
+        requests: dict[int, list[tuple[float, int, int, int, Packet]]] = {}
+        for idx, pkt, feasible in self._hol_requests(sim, sw):
+            port, vc, _pen = feasible[
+                0 if len(feasible) == 1 else int(rng.integers(len(feasible)))
+            ]
+            requests.setdefault(port, []).append((rng.random(), 0, idx, vc, pkt))
+        return requests
 
 
 #: Registry of arbiters by config name.

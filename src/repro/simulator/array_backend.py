@@ -13,11 +13,14 @@ cannot move.
 
 What is vectorized, and why it is safe
 --------------------------------------
-Ejection, transmission and injection override only the *scan* — which
-(switch, index) pairs act, in the reference's visit order — and hand
-each to the reference's own per-item body
-(:meth:`~repro.simulator.engine.Simulator._consume` / ``_send`` /
-``_generate``), so hooks, draws and mutations are shared code.
+Ejection and transmission override only the *scan* — which (switch,
+index) pairs act, in the reference's visit order — and hand each to the
+reference's own per-item body
+(:meth:`~repro.simulator.engine.Simulator._consume` / ``_send``), so
+hooks, draws and mutations are shared code.  Injection is the
+reference's own loop: a whole-array capacity pre-check of the
+attempting servers measured no faster than reading each source
+queue's length.
 
 * **Ejection** — the reference walks every active input of every switch
   to find heads destined locally.  Here one comparison ``hol_dst ==
@@ -57,15 +60,9 @@ each to the reference's own per-item body
   :meth:`ArraySimulator.enable_grant_profile` times the scans.
 * **Transmission** — the ``out_occ`` column, summed per port, finds
   every buffered (switch, port) pair in the reference's visit order.
-* **Injection** — the capacity pre-check of all attempting servers is
-  one gather ``in_occ[sids, inj_base[sids] + local]``; sound because
-  attempts are distinct servers, each owning its private source queue,
-  so no attempt can alter another's occupancy within the slot.  The
-  shared body runs in attempt order — its draws are the RNG contract.
 
-The other arbiters run their own ``allocate`` with no plan cache.  The
-engine's busy agenda
-is inherited unchanged: the request scan visits ``alloc_switches()``,
+The other arbiters run the shared ``Arbiter.allocate`` with no plan
+cache.  The engine's busy agenda is inherited unchanged: the request scan visits ``alloc_switches()``,
 and the whole-array scans find work only where the agenda holds it.
 Select with ``SimConfig(backend="array")`` — the config field is part
 of the executor cache key, so array records never alias slot cache
@@ -265,31 +262,3 @@ class ArraySimulator(Simulator):
         for s, port in zip(rows.tolist(), ports.tolist()):
             moved += self._send(switches[s], port)
         return moved
-
-    # ------------------------------------------------------------------
-    # Phase 4: injection
-    # ------------------------------------------------------------------
-    def _inject(self) -> int:
-        attempts = np.asarray(
-            self.injection.attempts(self.slot, self.inject_rng)
-        )
-        if attempts.size == 0:
-            return 0
-        state = self.state
-        sps = self._sps
-        cap = self.cfg.source_queue_packets
-        sids = attempts // sps
-        idxs = state.inj_base[sids] + (attempts - sids * sps)
-        full = state.in_occ[sids, idxs] >= cap
-        injected = 0
-        on_blocked = self.injection.on_blocked
-        switches = self.switches
-        for srv, sid, idx, blocked in zip(
-            attempts.tolist(), sids.tolist(), idxs.tolist(), full.tolist()
-        ):
-            if blocked:
-                on_blocked(srv)
-                continue
-            self._generate(srv, switches[sid], idx)
-            injected += 1
-        return injected

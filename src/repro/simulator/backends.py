@@ -15,10 +15,10 @@ content-addressed cache key, and is constructed via
   ``"slot"``.
 * ``"array"`` — :class:`~repro.simulator.array_backend.ArraySimulator`:
   the same engine and agenda, with whole-array numpy kernels for the
-  eject / transmit / inject scans and a plan cache around the Q+P
-  request scan.  Record-identical to ``"slot"``
-  (``tests/experiments/test_backend_equivalence.py``), fastest on dense
-  congested points.
+  eject / transmit scans and a plan cache around the Q+P request scan.
+  Record-identical to ``"slot"``
+  (``tests/experiments/test_backend_equivalence.py``), faster only on
+  dense congested points.
 
 Adding a backend: subclass :class:`~repro.simulator.engine.Simulator`,
 set ``backend_name``, override the phase scans (``_eject`` /

@@ -541,9 +541,10 @@ class Simulator:
         return injected
 
     def _generate(self, srv: int, sw: Switch, idx: int) -> None:
-        """The injection body, shared by every backend's scan: server
-        ``srv`` enqueues a fresh packet into its source queue, input
-        ``idx`` of ``sw`` (which the scan found to have room)."""
+        """The injection body, which a backend overriding ``_inject``
+        reuses: server ``srv`` enqueues a fresh packet into its source
+        queue, input ``idx`` of ``sw`` (which the scan found to have
+        room)."""
         dst = int(self.traffic.destination(srv, self.traffic_rng))
         pkt = Packet(
             self.next_pid, srv, dst, sw.sid, dst // self._sps, self.slot

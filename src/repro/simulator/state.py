@@ -3,12 +3,12 @@
 Per-object Python lists on every switch are hostile to whole-array
 phase kernels: the ``"array"`` backend
 (:mod:`repro.simulator.array_backend`) wants to scan *all* head-of-line
-destinations, *all* output occupancies and *all* injection-queue
-occupancies in single numpy operations.  ``SimState`` is the layout that
+destinations and *all* output occupancies in single numpy operations.  ``SimState`` is the layout that
 makes this possible — the same separation of data layout from algorithms
 that accelerator compilers apply (cf. C4CAM in PAPERS.md).  The rule: a
 column exists because a kernel (or the switch's own O(1) accounting)
-reads it, and :meth:`SimState.verify` audits each against the queues.
+reads it — a source queue's occupancy is its ``deque``'s length, since
+no kernel reads it whole — and :meth:`SimState.verify` audits each against the queues.
 
 Layout
 ------
@@ -24,7 +24,6 @@ array                   shape                      meaning
 ``port_load``           ``[S, P]``   int32         per-port load sum
 ``rr``                  ``[S, P]``   int32         transmit round-robin
 ``out_occ``             ``[S, P*V]`` int32         output-FIFO occupancy
-``in_occ``              ``[S, P*V+H]`` int32       input-FIFO occupancy
 ``hol_dst``             ``[S, P*V+H]`` int32       head packet's dst switch
                                                    (-1 when the FIFO is
                                                    empty)
@@ -59,7 +58,7 @@ against — a thin view:
   rebound after construction (a handle would go on pointing at the old
   memory).
 * The FIFOs themselves stay ``deque`` objects (the packets need an
-  ordered container), and the derived columns — ``in_occ``, ``out_occ``,
+  ordered container), and the derived columns — ``out_occ`` and
   ``hol_dst`` — are maintained by the switch's queue methods
   (``push_input`` / ``pop_input`` / ``grant`` / ``transmit`` /
   ``unqueue_output``).  All engine code mutates queues through those
@@ -101,7 +100,7 @@ class PacketCensus:
 #: The arrays per-packet code reads and writes one element at a time,
 #: each with a flat handle in :attr:`SimState.flat`.
 FLAT_NAMES = (
-    "credits", "load", "port_load", "rr", "out_occ", "in_occ", "hol_dst",
+    "credits", "load", "port_load", "rr", "out_occ", "hol_dst",
     "link_tx", "link_escape_tx", "grant_feedback",
 )
 
@@ -142,7 +141,6 @@ class SimState:
         self.port_load = np.zeros((S, self.max_ports), np.int32)
         self.rr = np.zeros((S, self.max_ports), np.int32)
         self.out_occ = np.zeros((S, npv_max), np.int32)
-        self.in_occ = np.zeros((S, max_inputs), np.int32)
         self.hol_dst = np.full((S, max_inputs), -1, np.int32)
         self.link_tx = np.zeros((S, self.max_ports), np.int64)
         self.link_escape_tx = np.zeros((S, self.max_ports), np.int64)
@@ -157,10 +155,6 @@ class SimState:
         #: store per credit return); it is scratch, not physics, so
         #: :meth:`verify` ignores it.
         self.grant_feedback = np.zeros(S, bool)
-        #: Flat input index of each switch's first injection queue.
-        self.inj_base = np.asarray(
-            [deg * n_vcs for deg in degrees], np.int64
-        )
         #: Column of own switch ids — the vectorized ejection scan
         #: compares ``hol_dst`` against it row-wise.
         self.sid_col = np.arange(S, dtype=np.int32).reshape(-1, 1)
@@ -197,7 +191,7 @@ class SimState:
     def verify(self, sim: Any) -> None:
         """Assert every derived array agrees with the queue ground truth.
 
-        Covers FIFO occupancies, head-of-line destinations, the per-port
+        Covers output-FIFO occupancies, head-of-line destinations, the per-port
         load sums, — for every *live* link — the virtual-cut-through
         credit/load invariant ``credits = capacity - downstream
         occupancy - in flight - output occupancy``, and the packet
@@ -210,14 +204,10 @@ class SimState:
             s = sw.sid
             npv = sw.n_ports * V
             for idx, q in enumerate(sw.in_q):
-                assert self.in_occ[s, idx] == len(q), (
-                    f"in_occ[{s},{idx}]={self.in_occ[s, idx]} != {len(q)}"
-                )
                 head = q[0].dst_switch if q else -1
                 assert self.hol_dst[s, idx] == head, (
                     f"hol_dst[{s},{idx}]={self.hol_dst[s, idx]} != {head}"
                 )
-            assert not self.in_occ[s, sw.n_inputs:].any(), "in_occ padding dirty"
             for pv, q in enumerate(sw.out_q):
                 assert self.out_occ[s, pv] == len(q), (
                     f"out_occ[{s},{pv}]={self.out_occ[s, pv]} != {len(q)}"

@@ -28,7 +28,7 @@ simulator-wide 2D arrays (same indexing, same semantics — writing
 through the handle writes the store; elements read back as plain
 ``int``, at a half to a third of a numpy scalar's cost), while
 the FIFOs stay ``deque`` objects here with their derived columns
-(``in_occ`` / ``out_occ`` / ``hol_dst``) maintained
+(``out_occ`` / ``hol_dst``) maintained
 by the queue methods :meth:`push_input`, :meth:`pop_input`,
 :meth:`grant`, :meth:`transmit` and :meth:`unqueue_output`.  Engine code
 moves packets through these methods only, so the array backend's
@@ -84,7 +84,6 @@ class Switch:
         "rr",
         "n_inputs",
         "dirty_heads",
-        "_in_occ",
         "_out_occ",
         "_hol_dst",
     )
@@ -144,7 +143,6 @@ class Switch:
         #: Round-robin pointer per port for link transmission.
         self.rr = flat["rr"][port0 : port0 + n_ports]
         # Derived-column handles (hot-path use).
-        self._in_occ = flat["in_occ"][in0 : in0 + self.n_inputs]
         self._out_occ = flat["out_occ"][pv0 : pv0 + npv]
         self._hol_dst = flat["hol_dst"][in0 : in0 + self.n_inputs]
 
@@ -198,7 +196,6 @@ class Switch:
             self.dirty_heads.add(idx)  # new head (push to a backlog isn't one)
         q.append(pkt)
         self.activate(idx)
-        self._in_occ[idx] += 1
 
     def pop_input(self, idx: int) -> Packet:
         """Pop the head of input FIFO ``idx`` (ejection or grant)."""
@@ -210,7 +207,6 @@ class Switch:
         else:
             self._hol_dst[idx] = -1
             self.deactivate(idx)
-        self._in_occ[idx] -= 1
         return pkt
 
     # ------------------------------------------------------------------

@@ -151,3 +151,17 @@ class TestCollectiveSweep:
         assert rec["collective"] == "allreduce_tree"
         assert rec["jct_cycles"] is None
         assert rec["drained"] is False
+
+    def test_ladder_sized_from_topology(self):
+        """A fixed 4 VCs is shorter than Minimal's up-then-down routes on
+        the tiny fat-tree, which stranded the ring all-reduce; the
+        topology's own budget drains it."""
+        from repro.experiments.executor import run_job
+        from repro.experiments.scales import SCALES, scaled_topology
+
+        net = Network(scaled_topology("fattree", SCALES["tiny"]))
+        (job,) = collective_sweep_jobs(net, ("Minimal",), ("allreduce_ring",))
+        assert job.spec.n_vcs == 8
+        rec = run_job(job)
+        assert rec["drained"] and not rec["deadlocked"]
+        assert rec["jct_cycles"] is not None

@@ -139,14 +139,14 @@ def _audit(sim):
     qp = type(arb) is QPArbiter
     if qp:
         rng = sim.rng = _RecordingRng(sim.rng)
-        grant = arb._grant_requests
+        grant = arb._grant
         seen = {}
 
-        def recording_grant(sim_, sw, requests):
+        def recording_grant(sim_, sw, requests, ports):
             seen["requests"] = requests
-            return grant(sim_, sw, requests)
+            return grant(sim_, sw, requests, ports)
 
-        arb._grant_requests = recording_grant
+        arb._grant = recording_grant
 
     def heads(sw):
         sid = sw.sid

@@ -197,7 +197,6 @@ class TestFailRepairConsistency:
         assert slot_sim.next_pid == array_sim.next_pid
         assert np.array_equal(slot_sim.state.credits, array_sim.state.credits)
         assert np.array_equal(slot_sim.state.load, array_sim.state.load)
-        assert np.array_equal(slot_sim.state.in_occ, array_sim.state.in_occ)
         assert np.array_equal(slot_sim.state.hol_dst, array_sim.state.hol_dst)
         assert (
             slot_sim.rng.integers(1 << 30) == array_sim.rng.integers(1 << 30)
@@ -242,7 +241,6 @@ HANDLES = {
     "_out_occ": ("out_occ", "pv"),
     "port_load": ("port_load", "port"),
     "rr": ("rr", "port"),
-    "_in_occ": ("in_occ", "input"),
     "_hol_dst": ("hol_dst", "input"),
 }
 

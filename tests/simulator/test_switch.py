@@ -209,9 +209,8 @@ class TestStoreHandles:
         state.credits[1, 3] = 5  # a kernel-side write shows in the handle
         assert sw.credits[3] == 5
         sw.push_input(sw.injection_input(1), make_pkt(1))
-        assert state.in_occ[1].tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
-        assert state.hol_dst[1, 5] == 1
-        assert not state.in_occ[0].any() and (state.hol_dst[0] == -1).all()
+        assert state.hol_dst[1].tolist() == [-1, -1, -1, -1, -1, 1, -1, -1]
+        assert (state.hol_dst[0] == -1).all()
 
     def test_copy_and_pickle_fail_loudly(self):
         sw = make_switch()
