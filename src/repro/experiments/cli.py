@@ -27,8 +27,8 @@ load-sweep driver and ``fig8``/``fig9`` the shape-fault driver, bound to
 2 and 3 dimensions.  Sweeps also accept ``--jobs N`` (a process pool),
 ``--cache-dir DIR`` (reuse points simulated by earlier runs) and
 ``--backend NAME`` (``slot``, the reference loop, or ``array``, the
-vectorized phase kernels; identical records, see the README's
-"Backends").
+same loop with a plan cache around the Q+P request scan; identical
+records, see the README's "Backends").
 
 Beyond the paper's figures: ``fig-transient`` fails links mid-run (and,
 with ``--repair``, brings them back) and reports the recovery series;
@@ -109,8 +109,9 @@ ARGUMENTS: dict[str, dict[str, Any]] = {
                            "reuse already-simulated points"),
     "backend": dict(default="slot", choices=sorted(ENGINE_BACKENDS),
                     help="engine backend: 'slot' is the reference loop "
-                         "(it skips idle switches), 'array' vectorizes the "
-                         "phase scans — identical records (default: slot)"),
+                         "(it skips idle switches), 'array' adds a plan "
+                         "cache to the Q+P request scan — identical records "
+                         "(default: slot)"),
     # per command
     "sequences": dict(type=_positive_int, default=4),
     "step": dict(type=_positive_int, default=64),

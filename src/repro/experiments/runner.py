@@ -100,7 +100,7 @@ class ExperimentRunner:
 
         The engine backend comes from ``self.config.backend``, resolved
         through :func:`repro.simulator.make_simulator` — so a runner
-        built with an ``"array"`` config drives vectorized engines
+        built with an ``"array"`` config drives plan-cache engines
         everywhere without any caller changing.
 
         With a ``fault_schedule`` the simulation mutates ``self.network``

@@ -11,7 +11,7 @@ The *engine backend* — how the loop schedules switch visits each slot —
 is a fourth pluggable axis (:mod:`~repro.simulator.backends`):
 ``SimConfig(backend=...)`` selects ``"slot"`` (the reference engine,
 which visits only the switches on its busy agenda) or ``"array"`` (the
-same engine with vectorized phase scans), and :func:`make_simulator` is
+same engine with a Q+P plan cache), and :func:`make_simulator` is
 the public construction façade that resolves it.
 """
 

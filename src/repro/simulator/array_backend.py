@@ -1,72 +1,51 @@
-"""Vectorized engine backend over the ``SimState`` array store.
+"""The ``"array"`` engine backend: the reference engine plus a plan cache.
 
-The ``"array"`` backend replaces the slot reference's per-switch Python
-scans with whole-array numpy kernels on the
-:class:`~repro.simulator.state.SimState` columns, while leaving every
-*decision* — RNG draws, grant-side credit feedback, routing-mechanism
-calls — on the exact reference code path.  It is therefore
-byte-identical to ``"slot"`` (pinned by the differential suite in
-``tests/experiments/test_backend_equivalence.py`` and by the golden
-fingerprints) and faster on dense, congested points, where the
-reference spends most of its time re-scoring head-of-line packets that
-cannot move.
+:class:`ArraySimulator` runs every phase on the slot reference's code
+(:class:`~repro.simulator.engine.Simulator`) and leaves every *decision*
+— RNG draws, grant-side credit feedback, routing-mechanism calls — on
+that code path.  It is therefore byte-identical to ``"slot"`` (pinned by
+the differential suite in ``tests/experiments/test_backend_equivalence.py``
+and by the golden fingerprints).  What it adds is a *plan cache* around
+the Q+P arbiter's request scan
+(:meth:`~repro.simulator.arbiters.QPArbiter.allocate`), which pays off on
+dense, congested points, where the reference spends most of its time
+re-scoring head-of-line packets that cannot move.
 
-What is vectorized, and why it is safe
---------------------------------------
-Ejection and transmission override only the *scan* — which (switch,
-index) pairs act, in the reference's visit order — and hand each to the
-reference's own per-item body
-(:meth:`~repro.simulator.engine.Simulator._consume` / ``_send``), so
-hooks, draws and mutations are shared code.  Injection is the
-reference's own loop: a whole-array capacity pre-check of the
-attempting servers measured no faster than reading each source
-queue's length.
+The plan cache
+--------------
+Under congestion most visits score heads that cannot move and make no
+request, and such a scan changes no state and draws no RNG.  So the
+cache keeps, per switch, the plan "no request" of its last request-free
+scan, and the switch skips its scan while the plan holds, that is while
 
-* **Ejection** — the reference walks every active input of every switch
-  to find heads destined locally.  Here one comparison ``hol_dst ==
-  sid_col`` finds all of them at once; ``np.nonzero`` yields hits in
-  row-major (ascending switch, ascending input) order — exactly the
-  reference's ``active_sorted`` iteration order.  Heads of unvisited
-  FIFOs cannot change during the phase (ejection only pops), so the
-  pre-phase snapshot equals the reference's read-at-visit values.
-* **Allocation** (the Q+P arbiter) — the request scan is the
-  reference's own (:meth:`~repro.simulator.arbiters.QPArbiter.allocate`);
-  this backend adds a *plan cache* around it.  Under congestion most
-  visits score heads that cannot move and make no request, and such a
-  scan changes no state and draws no RNG.  So the cache keeps, per
-  switch, the plan "no request" of its last request-free scan, and the
-  switch skips its scan while the plan holds, that is while
+1. no head of the switch changed (``Switch.dirty_heads`` is empty —
+   every push onto an empty FIFO and every pop marks one);
+2. no credit returned to it earlier in this allocation phase
+   (``SimState.grant_feedback``, set by every upstream credit return
+   and cleared at phase start: a grant at switch ``t`` credits an
+   upstream ``u > t`` that allocates later in the same phase);
+3. its admission-masked Q row, computed for all switches at phase
+   start in one matrix expression, is byte-equal to the row its plan
+   was built from — the scan reads credits, output occupancy and loads
+   only through that row's verdicts and values.  Occupancy is read as
+   ``load + credits - input_buffer_packets``, an identity every queue
+   method keeps on every port (``SimState.verify`` checks it);
+4. no topology event happened since (pinned routes are reset and the
+   live ports changed).
 
-  1. no head of the switch changed (``Switch.dirty_heads`` is empty —
-     every push onto an empty FIFO and every pop marks one);
-  2. no credit returned to it earlier in this allocation phase
-     (``SimState.grant_feedback``, set by every upstream credit return
-     and cleared at phase start: a grant at switch ``t`` credits an
-     upstream ``u > t`` that allocates later in the same phase);
-  3. its admission-masked Q row, computed for all switches at phase
-     start in one matrix expression, is byte-equal to the row its plan
-     was built from — the scan reads credits, output occupancy and
-     loads only through that row's verdicts and values;
-  4. no topology event happened since (pinned routes are reset and the
-     live ports changed).
-
-  A hit replays the switch's stalled heads in one ``on_stalled`` call,
-  as the scan would have reported them.  A scan that requests is never
-  kept: its first request is always granted, which changes a head, so
-  its plan could not be reused anyway.  Nor is a scan under credit
-  feedback, since the phase-start row does not describe what it read:
-  either drops the switch's stored plan.
-  ``grant_stats`` counts the hits and the two kinds of scan, and
-  :meth:`ArraySimulator.enable_grant_profile` times the scans.
-* **Transmission** — the ``out_occ`` column, summed per port, finds
-  every buffered (switch, port) pair in the reference's visit order.
+A hit replays the switch's stalled heads in one ``on_stalled`` call, as
+the scan would have reported them.  A scan that requests is never kept:
+its first request is always granted, which changes a head, so its plan
+could not be reused anyway.  Nor is a scan under credit feedback, since
+the phase-start row does not describe what it read: either drops the
+switch's stored plan.  ``grant_stats`` counts the hits and the two kinds
+of scan, and :meth:`ArraySimulator.enable_grant_profile` times the
+scans.
 
 The other arbiters run the shared ``Arbiter.allocate`` with no plan
-cache.  The engine's busy agenda is inherited unchanged: the request scan visits ``alloc_switches()``,
-and the whole-array scans find work only where the agenda holds it.
-Select with ``SimConfig(backend="array")`` — the config field is part
-of the executor cache key, so array records never alias slot cache
-entries.
+cache, so with them this backend is the reference engine.  Select with
+``SimConfig(backend="array")`` — the config field is part of the
+executor cache key, so array records never alias slot cache entries.
 """
 
 from __future__ import annotations
@@ -85,10 +64,9 @@ class ArraySimulator(Simulator):
     """The ``"array"`` engine backend (see module docstring).
 
     Same constructor, same physics, same records as
-    :class:`~repro.simulator.engine.Simulator` — only the phase *scans*
-    are whole-array kernels, and the Q+P arbiter gets this simulator as
-    its plan cache (:meth:`reuse` / :meth:`store`).  Select it with
-    ``SimConfig(backend="array")`` through
+    :class:`~repro.simulator.engine.Simulator`; the Q+P arbiter gets
+    this simulator as its plan cache (:meth:`reuse` / :meth:`store`).
+    Select it with ``SimConfig(backend="array")`` through
     :func:`~repro.simulator.backends.make_simulator`.
     """
 
@@ -138,35 +116,7 @@ class ArraySimulator(Simulator):
         self._plans.clear()
 
     # ------------------------------------------------------------------
-    # Phase 1: ejection
-    # ------------------------------------------------------------------
-    def _eject(self) -> int:
-        state = self.state
-        rows, idxs = np.nonzero(state.hol_dst == state.sid_col)
-        if rows.size == 0:
-            return 0
-        ejected = 0
-        sps = self._sps
-        switches = self.switches
-        sw = None
-        cur = -1
-        served = 0
-        for s, idx in zip(rows.tolist(), idxs.tolist()):
-            if s != cur:
-                cur = s
-                sw = switches[s]
-                served = 0  # bitmask over local servers
-            pkt = sw.in_q[idx][0]
-            bit = 1 << (pkt.dst_server - s * sps)
-            if served & bit:
-                continue  # this server already consumed its packet
-            served |= bit
-            self._consume(sw, idx, pkt)
-            ejected += 1
-        return ejected
-
-    # ------------------------------------------------------------------
-    # Phase 2: allocation (the reference scan plus a plan cache)
+    # Allocation: the reference scan plus a plan cache
     # ------------------------------------------------------------------
     def _allocate(self) -> int:
         if not self._use_plans:
@@ -175,15 +125,15 @@ class ArraySimulator(Simulator):
         if prof is not None:
             t0 = perf_counter()
         state = self.state
-        # One admission-masked Q row per switch (~6 whole-matrix ops on
+        # One admission-masked Q row per switch (~8 whole-matrix ops on
         # [S, max_ports * n_vcs]), read from the phase-start state.
-        # Padding columns of low-degree switches are constant (their
-        # credits/occupancy are never written), so they can never flip
-        # a staleness verdict.
+        # Padding columns of low-degree switches read credits 0 and are
+        # never written, so they are never admitted and can never flip a
+        # staleness verdict.
+        credits = state.credits
+        occupancy = state.load + credits - self.cfg.input_buffer_packets
         combined_all = np.where(
-            self.flow_control.admission_mask(
-                state.credits, state.out_occ, slice(None)
-            ),
+            self.flow_control.admission_mask(credits, occupancy, slice(None)),
             (state.load + np.repeat(state.port_load, self._n_vcs, axis=1))
             * float(self._phits),
             math.inf,
@@ -240,25 +190,3 @@ class ArraySimulator(Simulator):
         prof = self.grant_profile
         if prof is not None:
             prof["fallback" if fb else "select"] += perf_counter() - self._scan_t0
-
-    # ------------------------------------------------------------------
-    # Phase 3: transmission
-    # ------------------------------------------------------------------
-    def _transmit(self) -> int:
-        state = self.state
-        # Scan *buffered* output ports (out_occ), not loaded ones:
-        # ``port_load`` also counts consumed credits, so it flags ports
-        # whose ``transmit`` would pop nothing.  Skipping those is exact —
-        # an empty-port ``transmit`` mutates nothing (not even the
-        # round-robin pointer) and draws no RNG.
-        n_vcs = state.n_vcs
-        occ = state.out_occ[:, : state.max_ports * n_vcs]
-        busy = occ.reshape(occ.shape[0], state.max_ports, n_vcs).sum(axis=2)
-        rows, ports = np.nonzero(busy)
-        if rows.size == 0:
-            return 0
-        moved = 0
-        switches = self.switches
-        for s, port in zip(rows.tolist(), ports.tolist()):
-            moved += self._send(switches[s], port)
-        return moved

@@ -1,8 +1,8 @@
-"""Engine backends: one engine, plus one kernel backend.
+"""Engine backends: one engine, plus one plan-cache backend.
 
 The simulator's *physics* — switches, credits, arbiters, flow control,
 link models, injection, metrics, fault/workload schedules — is one fixed
-contract; *how the loop scans that state each slot* is a pluggable axis
+contract; *how the loop finds its work each slot* is a pluggable axis
 like arbiters and topologies.  A backend is selected by the validated
 ``SimConfig.backend`` field, flows through every sweep job into the
 content-addressed cache key, and is constructed via
@@ -14,20 +14,18 @@ content-addressed cache key, and is constructed via
   is an alias :class:`~repro.simulator.config.SimConfig` stores as
   ``"slot"``.
 * ``"array"`` — :class:`~repro.simulator.array_backend.ArraySimulator`:
-  the same engine and agenda, with whole-array numpy kernels for the
-  eject / transmit scans and a plan cache around the Q+P request scan.
-  Record-identical to ``"slot"``
+  the same engine, phases and agenda, with a plan cache around the Q+P
+  request scan.  Record-identical to ``"slot"``
   (``tests/experiments/test_backend_equivalence.py``), faster only on
   dense congested points.
 
 Adding a backend: subclass :class:`~repro.simulator.engine.Simulator`,
-set ``backend_name``, override the phase scans (``_eject`` /
-``_allocate`` / ``_transmit`` / ``_inject``) and hand each acting item
-to the shared bodies (``_consume`` / ``_send`` / ``_generate``), then
-register it here — ``ENGINE_BACKENDS.register("mine", MySimulator)`` —
-and it becomes selectable via ``SimConfig(backend="mine")``, with cache
-keys, sweeps and the CLI ``--backend`` flag picking it up unchanged.
-See the README's "Backends" section for a worked recipe.
+set ``backend_name``, override ``_allocate`` (the other phases are one
+scan each over counts the switches keep, with nothing left to skip),
+then register it here — ``ENGINE_BACKENDS.register("mine", MySimulator)``
+— and it becomes selectable via ``SimConfig(backend="mine")``, with
+cache keys, sweeps and the CLI ``--backend`` flag picking it up
+unchanged.  See the README's "Backends" section for a worked recipe.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ ENGINE_BACKENDS.register_lazy(
 )
 ENGINE_BACKENDS.register_lazy(
     "array", "repro.simulator.array_backend", "ArraySimulator",
-    display="Vectorized (struct-of-arrays kernels)",
+    display="Slot loop + Q+P plan cache",
 )
 
 
@@ -71,7 +69,7 @@ def make_simulator(
     engine keyword passes through unchanged.  ``config`` defaults to
     the paper's Table 2 (and therefore the ``"slot"`` backend).  Prefer
     this over constructing a backend class directly: a config naming
-    ``backend="array"`` yields the vectorized engine without the caller
+    ``backend="array"`` yields the plan-cache engine without the caller
     knowing the class.
     """
     from .config import PAPER_CONFIG

@@ -72,8 +72,8 @@ class SimConfig:
         Engine backend, by registry name (see
         :data:`repro.simulator.backends.ENGINE_BACKENDS`): ``"slot"``
         (default, the reference engine) or ``"array"`` (the same engine
-        with the phase scans vectorized — record-identical, faster on
-        dense allocation-bound points).  The alias ``"event"`` is stored
+        with a plan cache around the Q+P request scan — record-identical,
+        faster on dense allocation-bound points).  The alias ``"event"`` is stored
         as ``"slot"``.  Flows into every sweep job's cache key like any
         other simulator parameter.
     collective:

@@ -4,7 +4,9 @@ One simulation slot (= 16 cycles, one packet serialization) advances in
 four phases (README.md, "Architecture"):
 
 1. **Ejection** — every server consumes at most one head-of-line packet
-   addressed to it; the freed input slot returns a credit upstream.
+   addressed to it; the freed input slot returns a credit upstream.  The
+   phase walks each switch's ``local_heads`` (the inputs whose head is
+   destined there, kept by the switch's queue methods), not its inputs.
 2. **Allocation** — delegated to the pluggable
    :class:`~repro.simulator.arbiters.Arbiter`: every head-of-line packet
    (network inputs and injection queues alike) asks its routing
@@ -25,7 +27,8 @@ four phases (README.md, "Architecture"):
    :class:`~repro.simulator.links.UnitSlotLink` lands it in the reserved
    downstream input slot immediately (eligible next slot);
    :class:`~repro.simulator.links.PipelinedLink` keeps it on the wire
-   for ``link_latency_slots`` slots.
+   for ``link_latency_slots`` slots.  The phase visits only the ports
+   whose ``port_occ`` (buffered output packets) is non-zero.
 4. **Injection** — the injection process picks attempting servers; an
    attempt enqueues a fresh packet into the server's source queue if it
    has room (Bernoulli attempts against a full queue are lost and dent
@@ -51,8 +54,8 @@ The busy agenda
 The phase loops visit only the *busy agenda*: the switches that can
 act, in ascending id.  That is record-identical to visiting every
 switch, because a visit to an idle switch changes no state and draws no
-RNG (ejection and every arbiter skip switches without active inputs,
-transmission skips ports with ``port_load == 0``); the golden
+RNG (ejection finds no local head there, every arbiter skips switches
+without active inputs, transmission finds no buffered port); the golden
 fingerprints, recorded by a full scan, pin it.  The invariant: **a
 switch with a non-empty input FIFO or a non-zero ``port_load`` is on
 the agenda** (``port_load`` includes consumed downstream credits, so a
@@ -74,8 +77,8 @@ and a repair's reconciliation only raises the load of switches that
 still hold (stale) reservations.
 
 This class is the ``"slot"`` *engine backend*; the ``"array"`` backend
-(:class:`~repro.simulator.array_backend.ArraySimulator`) subclasses it,
-inherits the agenda and replaces only the phase scans.  Construct
+(:class:`~repro.simulator.array_backend.ArraySimulator`) subclasses it
+and adds a plan cache around the Q+P arbiter's request scan.  Construct
 through :func:`~repro.simulator.backends.make_simulator` to resolve the
 backend from ``config.backend``.
 """
@@ -94,7 +97,7 @@ from ..routing.base import (
 )
 from ..topology.base import Network
 from ..traffic.base import TrafficPattern
-from .arbiters import Arbiter, make_arbiter
+from .arbiters import make_arbiter
 from .config import PAPER_CONFIG, SimConfig
 from .flowcontrol import FlowControl, make_flow_control
 from .injection import InjectionProcess, make_injection
@@ -159,7 +162,7 @@ class Simulator:
         transient shows up in ``SimResult.phase_series``.  Phase patterns
         are built eagerly at construction (seeded with the simulator
         seed), so an unsupported pattern fails here, not mid-run.
-    arbiter / flow_control / link_model:
+    flow_control / link_model:
         Explicit component instances, overriding the ones named by
         ``config`` (tests and bespoke experiments; sweeps select
         components through the config so they enter the cache key).
@@ -194,7 +197,6 @@ class Simulator:
         strict_deadlock: bool = False,
         fault_schedule: FaultSchedule | None = None,
         workload_schedule: WorkloadSchedule | None = None,
-        arbiter: Arbiter | None = None,
         flow_control: FlowControl | None = None,
         link_model: LinkModel | None = None,
     ):
@@ -225,7 +227,7 @@ class Simulator:
             # One shared stream, the historical (golden-pinned) behaviour.
             self.traffic_rng = self.inject_rng = self.rng
         # --- pluggable router microarchitecture ---------------------------
-        self.arbiter = arbiter if arbiter is not None else make_arbiter(config.arbiter)
+        self.arbiter = make_arbiter(config.arbiter)
         self.flow_control = (
             flow_control
             if flow_control is not None
@@ -264,16 +266,9 @@ class Simulator:
             Switch(s, deg, n_vcs, sps, config, state=self.state)
             for s, deg in enumerate(degrees)
         ]
-        # rev_port[s][p]: the port index on the neighbour reached through
-        # port p of s that leads back to s.  Computed from the healthy
-        # topology (port numbering is stable across failures) so that a
-        # scheduled repair of an initially-failed link finds valid reverse
-        # ports; dead ports simply never carry packets meanwhile.
-        port_map = topo.port_map
-        self.rev_port: list[list[int]] = [
-            [port_map[t, s] for t in topo.neighbours(s)]
-            for s in range(network.n_switches)
-        ]
+        #: ``rev_port[s][p]``: the port back to ``s`` on the neighbour
+        #: behind port ``p`` (the topology's shared, read-only table).
+        self.rev_port = topo.rev_port
 
         self.metrics = MetricsCollector(
             n_servers, config.cycles_per_slot, series_interval
@@ -357,8 +352,7 @@ class Simulator:
 
     def alloc_switches(self) -> list[Switch]:
         """This step's visit list, in ascending switch id.  The phase
-        loops, the arbiters and the array kernels iterate this, never
-        ``sim.switches``."""
+        loops and the arbiters iterate this, never ``sim.switches``."""
         return self._agenda
 
     def busy_switches(self) -> tuple[int, ...]:
@@ -372,42 +366,33 @@ class Simulator:
     def _eject(self) -> int:
         """Phase 1: servers consume packets destined to them.
 
-        Iterates ``active_sorted`` — the ascending-index mirror the
-        switch maintains by sorted insertion — over a snapshot (ejection
-        deactivates inputs mid-loop), so the historical
-        ``sorted(active_inputs)`` priority holds without re-sorting
-        every slot for every switch.
+        Walks a snapshot of each switch's ``local_heads`` (ejection
+        changes it mid-loop) in ascending input order, the historical
+        ``sorted(active_inputs)`` priority.  Only ejection pops here, so
+        a head the walk has not reached is still the one snapshotted.
         """
         ejected = 0
         sps = self._sps
         for sw in self._agenda:
-            if not sw.active_sorted:
+            if not sw.local_heads:
                 continue
             sid = sw.sid
             served = 0  # bitmask over local servers
-            for idx in tuple(sw.active_sorted):
+            for idx in tuple(sw.local_heads):
                 pkt = sw.in_q[idx][0]
-                if pkt.dst_switch != sid:
-                    continue
-                local = pkt.dst_server - sid * sps
-                bit = 1 << local
+                bit = 1 << (pkt.dst_server - sid * sps)
                 if served & bit:
                     continue  # this server already consumed its packet
                 served |= bit
-                self._consume(sw, idx, pkt)
+                sw.pop_input(idx)
+                self._return_input_credit(sw, idx)
+                pkt.eject_slot = self.slot
+                self.metrics.on_ejected(pkt, self.slot)
+                self.injection.on_delivered(pkt)
+                self.state.packets.release()
                 ejected += 1
+        self.in_flight -= ejected
         return ejected
-
-    def _consume(self, sw: Switch, idx: int, pkt: Packet) -> None:
-        """The ejection body, shared by every backend's scan: ``pkt``,
-        the head of ``sw``'s input ``idx``, reaches its server."""
-        sw.pop_input(idx)
-        self._return_input_credit(sw, idx)
-        pkt.eject_slot = self.slot
-        self.metrics.on_ejected(pkt, self.slot)
-        self.injection.on_delivered(pkt)
-        self.state.packets.release()
-        self.in_flight -= 1
 
     def _return_input_credit(self, sw: Switch, idx: int) -> None:
         """Return the upstream credit of a freed network-input slot."""
@@ -491,33 +476,25 @@ class Simulator:
     def _transmit(self) -> int:
         """Phase 3: each output port pushes one packet onto its link.
 
+        Only ports holding a buffered packet (``port_occ``) are visited:
+        ``transmit`` on an empty port changes nothing and draws no RNG.
         The link model decides when the packet reaches the downstream
         input FIFO (immediately for :class:`UnitSlotLink`, after
         ``link_latency_slots`` for :class:`PipelinedLink`)."""
         moved = 0
         for sw in self._agenda:
-            port_load = sw.port_load
-            for port in range(sw.n_ports):
-                if port_load[port] == 0:
-                    continue  # no occupancy and no consumed credits
-                moved += self._send(sw, port)
+            sid = sw.sid
+            for port, occ in enumerate(sw.port_occ):
+                if not occ:
+                    continue
+                vc, pkt = sw.transmit(port)
+                at = sid * self._max_ports + port
+                self._link_tx[at] += 1
+                if vc == self._escape_vc:
+                    self._link_escape_tx[at] += 1
+                self.link.deliver(self, sid, port, vc, pkt)
+                moved += 1
         return moved
-
-    def _send(self, sw: Switch, port: int) -> int:
-        """The transmission body, shared by every backend's scan: pop
-        ``port``'s next packet onto its link.  Returns how many packets
-        moved (0 when the port held consumed credits only)."""
-        res = sw.transmit(port)
-        if res is None:
-            return 0
-        vc, pkt = res
-        sid = sw.sid
-        at = sid * self._max_ports + port
-        self._link_tx[at] += 1
-        if vc == self._escape_vc:
-            self._link_escape_tx[at] += 1
-        self.link.deliver(self, sid, port, vc, pkt)
-        return 1
 
     def _inject(self) -> int:
         """Phase 4: generation attempts into source queues.
@@ -536,27 +513,18 @@ class Simulator:
             if len(sw.in_q[idx]) >= cap:
                 self.injection.on_blocked(srv)
                 continue
-            self._generate(srv, sw, idx)
+            dst = int(self.traffic.destination(srv, self.traffic_rng))
+            pkt = Packet(self.next_pid, srv, dst, sid, dst // sps, self.slot)
+            self.next_pid += 1
+            self.mechanism.init_packet(pkt)
+            self.state.packets.register()
+            sw.push_input(idx, pkt)
+            self._wake(sid)
+            self.injection.on_success(srv)
+            self.metrics.on_generated(srv, self.slot)
+            self.in_flight += 1
             injected += 1
         return injected
-
-    def _generate(self, srv: int, sw: Switch, idx: int) -> None:
-        """The injection body, which a backend overriding ``_inject``
-        reuses: server ``srv`` enqueues a fresh packet into its source
-        queue, input ``idx`` of ``sw`` (which the scan found to have
-        room)."""
-        dst = int(self.traffic.destination(srv, self.traffic_rng))
-        pkt = Packet(
-            self.next_pid, srv, dst, sw.sid, dst // self._sps, self.slot
-        )
-        self.next_pid += 1
-        self.mechanism.init_packet(pkt)
-        self.state.packets.register()
-        sw.push_input(idx, pkt)
-        self._wake(sw.sid)
-        self.injection.on_success(srv)
-        self.metrics.on_generated(srv, self.slot)
-        self.in_flight += 1
 
     # ------------------------------------------------------------------
     # Online reconfiguration (scheduled link failures / repairs)

@@ -81,15 +81,15 @@ class FlowControl(ABC):
             and len(sw.out_q[pv]) < self.output_capacity
         )
 
-    def admission_mask(self, credits_row, out_occ_row, pv):
+    def admission_mask(self, credits_row, occupancy_row, pv):
         """Vectorized form of :meth:`can_accept` over candidate flat
         ``pv`` indices: a boolean array against one switch's ``credits``
-        and ``out_occ`` store rows.  Because policies are threshold
-        pairs, every registered flow control vectorizes through this one
-        expression — the array backend calls it instead of inlining the
-        thresholds, so custom policies stay backend-portable."""
+        store row and its output-FIFO occupancies.  Because policies are
+        threshold pairs, every registered flow control vectorizes through
+        this one expression — the array backend calls it instead of
+        inlining the thresholds, so custom policies stay backend-portable."""
         return (credits_row[pv] >= self.min_credits) & (
-            out_occ_row[pv] < self.output_capacity
+            occupancy_row[pv] < self.output_capacity
         )
 
 

@@ -1,20 +1,19 @@
 """Struct-of-arrays store of the simulator's numeric state (``SimState``).
 
-Per-object Python lists on every switch are hostile to whole-array
-phase kernels: the ``"array"`` backend
-(:mod:`repro.simulator.array_backend`) wants to scan *all* head-of-line
-destinations and *all* output occupancies in single numpy operations.  ``SimState`` is the layout that
-makes this possible — the same separation of data layout from algorithms
-that accelerator compilers apply (cf. C4CAM in PAPERS.md).  The rule: a
-column exists because a kernel (or the switch's own O(1) accounting)
-reads it — a source queue's occupancy is its ``deque``'s length, since
-no kernel reads it whole — and :meth:`SimState.verify` audits each against the queues.
+The per-output-VC and per-port numbers every switch keeps live in
+simulator-wide 2D arrays, so that the ``"array"`` backend's plan cache
+(:mod:`repro.simulator.array_backend`) can read all switches' admission
+state in a few whole-matrix operations per slot.  The rule: a column
+exists because whole-matrix code (or the switch's own O(1) accounting)
+reads it — a FIFO's occupancy is its ``deque``'s length, since nothing
+reads it whole — and :meth:`SimState.verify` audits each against the
+queues.
 
 Layout
 ------
 All per-switch numeric state lives in preallocated 2D arrays indexed
 ``[sid, ...]``, padded to the maximum per-switch width (padding entries
-are never read — dead ports carry no packets):
+are never written — dead ports carry no packets):
 
 ======================  =========================  =======================
 array                   shape                      meaning
@@ -23,15 +22,14 @@ array                   shape                      meaning
 ``load``                ``[S, P*V]`` int32         Q-rule load per out VC
 ``port_load``           ``[S, P]``   int32         per-port load sum
 ``rr``                  ``[S, P]``   int32         transmit round-robin
-``out_occ``             ``[S, P*V]`` int32         output-FIFO occupancy
-``hol_dst``             ``[S, P*V+H]`` int32       head packet's dst switch
-                                                   (-1 when the FIFO is
-                                                   empty)
 ``link_tx``             ``[S, P]``   int64         packets transmitted
 ``link_escape_tx``      ``[S, P]``   int64         ... of those, escape-VC
 ======================  =========================  =======================
 
-(``S`` switches, ``P`` max ports, ``V`` VCs, ``H`` servers per switch.)
+(``S`` switches, ``P`` max ports, ``V`` VCs.)  An output VC's FIFO
+occupancy is not a column: virtual cut-through keeps ``credits + load
+- input_buffer_packets`` equal to it on every port, live or dead, and
+:meth:`SimState.verify` checks that identity.
 
 Packets are not mirrored here — a packet *is* its
 :class:`~repro.simulator.packet.Packet` slots, and where it sits is the
@@ -51,23 +49,23 @@ against — a thin view:
   ``memoryview`` handles, not numpy row views.  Every access through
   them is one element at a time, and a numpy scalar costs 2–3x a
   ``memoryview`` element per read or read-modify-write; the handle
-  yields and takes plain ``int``.  The kernels keep reading the
-  matrices whole, as ndarrays.  :attr:`SimState.flat` holds one
+  yields and takes plain ``int``.  Whole-matrix code keeps reading the
+  matrices as ndarrays.  :attr:`SimState.flat` holds one
   1-D ``memoryview`` per matrix and a switch's handle is a slice of
   it, so no per-row ndarray exists anywhere.  The matrices are never
   rebound after construction (a handle would go on pointing at the old
   memory).
 * The FIFOs themselves stay ``deque`` objects (the packets need an
-  ordered container), and the derived columns — ``out_occ`` and
-  ``hol_dst`` — are maintained by the switch's queue methods
-  (``push_input`` / ``pop_input`` / ``grant`` / ``transmit`` /
-  ``unqueue_output``).  All engine code mutates queues through those
-  methods only.
+  ordered container), and the two counts the phase scans read —
+  ``local_heads`` and ``port_occ`` — stay plain lists on the switch,
+  maintained by its queue methods (``push_input`` / ``pop_input`` /
+  ``grant`` / ``transmit`` / ``unqueue_output``).  All engine code
+  mutates queues through those methods only.
 
-:meth:`SimState.verify` recomputes every derived column from the queue
-ground truth and checks the credit/load invariant of virtual cut-through
-on every live link; the property suite drives it across fail-and-repair
-cycles on multiple topology families.
+:meth:`SimState.verify` recomputes the switch counts and the per-port
+load sums from the queue ground truth and checks the credit/load
+invariants of virtual cut-through; the property suite drives it across
+fail-and-repair cycles on multiple topology families.
 """
 
 from __future__ import annotations
@@ -100,8 +98,8 @@ class PacketCensus:
 #: The arrays per-packet code reads and writes one element at a time,
 #: each with a flat handle in :attr:`SimState.flat`.
 FLAT_NAMES = (
-    "credits", "load", "port_load", "rr", "out_occ", "hol_dst",
-    "link_tx", "link_escape_tx", "grant_feedback",
+    "credits", "load", "port_load", "rr", "link_tx", "link_escape_tx",
+    "grant_feedback",
 )
 
 
@@ -132,7 +130,6 @@ class SimState:
         self.n_vcs = n_vcs
         self.max_ports = max(degrees, default=0)
         npv_max = self.max_ports * n_vcs
-        max_inputs = self.max_inputs = npv_max + servers_per_switch
 
         # Full buffers on every real output VC, zero on the padding.
         live = np.arange(npv_max) < np.asarray(degrees, np.int64).reshape(-1, 1) * n_vcs
@@ -140,8 +137,6 @@ class SimState:
         self.load = np.zeros((S, npv_max), np.int32)
         self.port_load = np.zeros((S, self.max_ports), np.int32)
         self.rr = np.zeros((S, self.max_ports), np.int32)
-        self.out_occ = np.zeros((S, npv_max), np.int32)
-        self.hol_dst = np.full((S, max_inputs), -1, np.int32)
         self.link_tx = np.zeros((S, self.max_ports), np.int64)
         self.link_escape_tx = np.zeros((S, self.max_ports), np.int64)
         #: Credit-feedback bitmask: ``grant_feedback[sid]`` is set by
@@ -155,9 +150,6 @@ class SimState:
         #: store per credit return); it is scratch, not physics, so
         #: :meth:`verify` ignores it.
         self.grant_feedback = np.zeros(S, bool)
-        #: Column of own switch ids — the vectorized ejection scan
-        #: compares ``hol_dst`` against it row-wise.
-        self.sid_col = np.arange(S, dtype=np.int32).reshape(-1, 1)
         #: Array name -> one flat (row-major) typed ``memoryview`` over
         #: that array's own memory: the scalar access path of the
         #: per-packet code (see "Views vs arrays").  Row ``r`` of a
@@ -189,35 +181,47 @@ class SimState:
     # the hot loop)
     # ------------------------------------------------------------------
     def verify(self, sim: Any) -> None:
-        """Assert every derived array agrees with the queue ground truth.
+        """Assert every derived number agrees with the queue ground truth.
 
-        Covers output-FIFO occupancies, head-of-line destinations, the per-port
-        load sums, — for every *live* link — the virtual-cut-through
-        credit/load invariant ``credits = capacity - downstream
-        occupancy - in flight - output occupancy``, and the packet
-        census against ``in_flight`` and the packets actually held in
-        FIFOs and on wires.  Call between steps (phase boundaries).
+        Covers each switch's ``local_heads`` and ``port_occ``, the
+        per-port load sums, the identity ``credits + load - capacity =
+        output occupancy`` on every port (dead ones too: the array
+        backend's admission row reads occupancy through it) with the
+        padding columns left at zero, — for every
+        *live* link — the virtual-cut-through credit/load invariant
+        ``credits = capacity - downstream occupancy - in flight - output
+        occupancy``, and the packet census against ``in_flight`` and the
+        packets actually held in FIFOs and on wires.  Call between steps
+        (phase boundaries).
         """
         V = self.n_vcs
         cap = sim.cfg.input_buffer_packets
         for sw in sim.switches:
             s = sw.sid
-            npv = sw.n_ports * V
-            for idx, q in enumerate(sw.in_q):
-                head = q[0].dst_switch if q else -1
-                assert self.hol_dst[s, idx] == head, (
-                    f"hol_dst[{s},{idx}]={self.hol_dst[s, idx]} != {head}"
-                )
-            for pv, q in enumerate(sw.out_q):
-                assert self.out_occ[s, pv] == len(q), (
-                    f"out_occ[{s},{pv}]={self.out_occ[s, pv]} != {len(q)}"
-                )
-            assert not self.out_occ[s, npv:].any(), "out_occ padding dirty"
+            local = [
+                idx for idx, q in enumerate(sw.in_q) if q and q[0].dst_switch == s
+            ]
+            assert sw.local_heads == local, (
+                f"local_heads of switch {s} = {sw.local_heads} != {local}"
+            )
             for port in range(sw.n_ports):
                 base = port * V
+                occ = sum(len(sw.out_q[base + vc]) for vc in range(V))
+                assert sw.port_occ[port] == occ, (
+                    f"port_occ[{s}][{port}]={sw.port_occ[port]} != {occ}"
+                )
                 assert self.port_load[s, port] == self.load[s, base:base + V].sum(), (
                     f"port_load[{s},{port}] out of sync with load"
                 )
+            for pv, q in enumerate(sw.out_q):
+                assert sw.credits[pv] + sw.load[pv] - cap == len(q), (
+                    f"credits + load - capacity at [{s},{pv}] != "
+                    f"output occupancy {len(q)}"
+                )
+            npv = sw.n_ports * V
+            assert not self.credits[s, npv:].any() and not self.load[s, npv:].any(), (
+                f"padding of switch {s} written: the admission row would read it"
+            )
         # VCT invariant on live links (dead links are reconciled only on
         # repair; their stale rows are never read).
         for s in range(sim.network.n_switches):

@@ -27,14 +27,13 @@ state is *owned by the store*: ``credits`` / ``load`` / ``port_load`` /
 simulator-wide 2D arrays (same indexing, same semantics — writing
 through the handle writes the store; elements read back as plain
 ``int``, at a half to a third of a numpy scalar's cost), while
-the FIFOs stay ``deque`` objects here with their derived columns
-(``out_occ`` / ``hol_dst``) maintained
-by the queue methods :meth:`push_input`, :meth:`pop_input`,
-:meth:`grant`, :meth:`transmit` and :meth:`unqueue_output`.  Engine code
-moves packets through these methods only, so the array backend's
-vectorized phase kernels can trust the columns without rescanning any
-queue.  A standalone ``Switch(...)`` (component tests) owns a private
-single-switch store.
+the FIFOs stay ``deque`` objects here.  Two counts the engine's phase
+scans read instead of walking the FIFOs — ``local_heads`` (the inputs
+whose head packet ejects here) and ``port_occ`` (buffered output
+packets per port) — are kept exact by the queue methods
+:meth:`push_input`, :meth:`pop_input`, :meth:`grant`, :meth:`transmit`
+and :meth:`unqueue_output`, the only mutation path.  A standalone
+``Switch(...)`` (component tests) owns a private single-switch store.
 
 FIFOs are allocated when first used: a never-used ``in_q`` / ``out_q``
 slot holds the shared immutable :data:`NO_FIFO`, which reads as an empty
@@ -76,7 +75,7 @@ class Switch:
         "row",
         "in_q",
         "active_inputs",
-        "active_sorted",
+        "local_heads",
         "out_q",
         "credits",
         "load",
@@ -84,8 +83,7 @@ class Switch:
         "rr",
         "n_inputs",
         "dirty_heads",
-        "_out_occ",
-        "_hol_dst",
+        "port_occ",
     )
 
     def __init__(
@@ -113,13 +111,12 @@ class Switch:
         r = self.row = sid if row is None else row
         #: Input FIFOs: network inputs then injection queues.
         self.in_q: list[Fifo] = [NO_FIFO] * self.n_inputs
-        #: Indices of non-empty input FIFOs (maintained via
-        #: :meth:`activate`/:meth:`deactivate`).  The set backs O(1)
-        #: membership and the allocation phase's historical iteration
-        #: order; ``active_sorted`` mirrors it in ascending index order
-        #: so the ejection phase never re-sorts per slot.
+        #: Indices of non-empty input FIFOs; the set's iteration order
+        #: is the allocation phase's historical visit order.
         self.active_inputs: set[int] = set()
-        self.active_sorted: list[int] = []
+        #: Ascending indices of the inputs whose head packet is destined
+        #: to this switch: the ejection phase's work list.
+        self.local_heads: list[int] = []
         #: Inputs whose head-of-line packet changed since the consumer
         #: last looked: every pop (the next packet — or nothing — becomes
         #: the head) and every push into an empty FIFO lands here.  The
@@ -128,11 +125,13 @@ class Switch:
         self.dirty_heads: set[int] = set()
         #: Output FIFOs per (port, vc).
         self.out_q: list[Fifo] = [NO_FIFO] * npv
+        #: Buffered output packets per port: the transmission phase's
+        #: work list (``port_load`` also counts consumed credits).
+        self.port_occ: list[int] = [0] * n_ports
         # Store-row handles: slices of the store's flat memoryviews.
         flat = state.flat
         pv0 = r * state.max_ports * n_vcs
         port0 = r * state.max_ports
-        in0 = r * state.max_inputs
         #: Free downstream input slots per output VC (store-row handle).
         self.credits = flat["credits"][pv0 : pv0 + npv]
         #: Q-rule load per output VC: output occupancy + consumed credits
@@ -142,9 +141,6 @@ class Switch:
         self.port_load = flat["port_load"][port0 : port0 + n_ports]
         #: Round-robin pointer per port for link transmission.
         self.rr = flat["rr"][port0 : port0 + n_ports]
-        # Derived-column handles (hot-path use).
-        self._out_occ = flat["out_occ"][pv0 : pv0 + npv]
-        self._hol_dst = flat["hol_dst"][in0 : in0 + self.n_inputs]
 
     # ------------------------------------------------------------------
     # Index helpers
@@ -169,21 +165,7 @@ class Switch:
         return idx >= self.n_ports * self.n_vcs
 
     # ------------------------------------------------------------------
-    # Active-input tracking (sorted insertion; no per-slot sort)
-    # ------------------------------------------------------------------
-    def activate(self, idx: int) -> None:
-        """Mark input FIFO ``idx`` non-empty (idempotent)."""
-        if idx not in self.active_inputs:
-            self.active_inputs.add(idx)
-            insort(self.active_sorted, idx)
-
-    def deactivate(self, idx: int) -> None:
-        """Mark input FIFO ``idx`` empty again (it must be active)."""
-        self.active_inputs.discard(idx)
-        self.active_sorted.remove(idx)
-
-    # ------------------------------------------------------------------
-    # Queue mutation (keeps the SimState derived columns exact)
+    # Queue mutation (keeps active_inputs and local_heads exact)
     # ------------------------------------------------------------------
     def push_input(self, idx: int, pkt: Packet) -> None:
         """Append ``pkt`` to input FIFO ``idx`` (injection or link
@@ -192,21 +174,24 @@ class Switch:
         if not q:
             if q is NO_FIFO:
                 q = self.in_q[idx] = deque()
-            self._hol_dst[idx] = pkt.dst_switch
+            self.active_inputs.add(idx)
             self.dirty_heads.add(idx)  # new head (push to a backlog isn't one)
+            if pkt.dst_switch == self.sid:
+                insort(self.local_heads, idx)
         q.append(pkt)
-        self.activate(idx)
 
     def pop_input(self, idx: int) -> Packet:
         """Pop the head of input FIFO ``idx`` (ejection or grant)."""
         q = self.in_q[idx]
         pkt = q.popleft()
         self.dirty_heads.add(idx)
-        if q:
-            self._hol_dst[idx] = q[0].dst_switch
-        else:
-            self._hol_dst[idx] = -1
-            self.deactivate(idx)
+        sid = self.sid
+        if pkt.dst_switch == sid:
+            self.local_heads.remove(idx)
+        if not q:
+            self.active_inputs.discard(idx)
+        elif q[0].dst_switch == sid:
+            insort(self.local_heads, idx)
         return pkt
 
     # ------------------------------------------------------------------
@@ -226,8 +211,9 @@ class Switch:
         q.append(pkt)
         self.credits[pv] -= 1
         self.load[pv] += 2  # +1 occupancy, +1 consumed credit
-        self.port_load[pv // self.n_vcs] += 2
-        self._out_occ[pv] += 1
+        port = pv // self.n_vcs
+        self.port_load[port] += 2
+        self.port_occ[port] += 1
 
     def transmit(self, port: int) -> tuple[int, Packet] | None:
         """Pop one packet from the port's output VCs, round-robin.
@@ -246,7 +232,7 @@ class Switch:
                 pkt = q.popleft()
                 self.load[base + vc] -= 1
                 self.port_load[port] -= 1
-                self._out_occ[base + vc] -= 1
+                self.port_occ[port] -= 1
                 return vc, pkt
         return None
 
@@ -257,8 +243,9 @@ class Switch:
         pkt = self.out_q[pv].popleft()
         self.credits[pv] += 1
         self.load[pv] -= 2
-        self.port_load[pv // self.n_vcs] -= 2
-        self._out_occ[pv] -= 1
+        port = pv // self.n_vcs
+        self.port_load[port] -= 2
+        self.port_occ[port] -= 1
         return pkt
 
     def return_credit(self, port: int, vc: int) -> None:
@@ -272,7 +259,7 @@ class Switch:
     def __reduce__(self):
         # Neither copyable nor picklable, on purpose: a copy's handles
         # could only be private buffers, i.e. a switch that no longer
-        # writes the store its simulator's kernels read.
+        # writes the store its simulator reads as whole matrices.
         raise TypeError(
             "cannot copy or pickle a Switch: its handles alias the "
             "simulator's SimState; rebuild with make_simulator"
@@ -280,7 +267,7 @@ class Switch:
 
     def occupancy_packets(self) -> int:
         """Packets buffered in this switch (inputs + outputs), counted
-        from the FIFO ground truth (the store columns mirror it)."""
+        from the FIFO ground truth."""
         return sum(len(q) for q in self.in_q) + sum(len(q) for q in self.out_q)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

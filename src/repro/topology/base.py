@@ -50,13 +50,13 @@ class Topology(ABC):
     how many servers attach to every switch.  Port ``p`` of switch ``s``
     refers to the ``p``-th entry of ``neighbours(s)`` and keeps meaning even
     when the link on it fails.  ``neighbours()`` must not change once the
-    topology is constructed: the adjacency array, port map and link tables
-    every :class:`Network` starts from are each derived from it on first
-    use and cached.
+    topology is constructed: the adjacency array, port map, reverse-port
+    table and link tables every :class:`Network` and simulator start from
+    are each derived from it on first use and cached.
     """
 
     #: The cached derivations; left out of pickles (jobs ship topologies).
-    _DERIVED = ("healthy_nbr", "port_map", "link_tables")
+    _DERIVED = ("healthy_nbr", "port_map", "rev_port", "link_tables")
 
     @property
     @abstractmethod
@@ -106,6 +106,18 @@ class Topology(ABC):
             for p, t in enumerate(self.neighbours(s)):
                 port.setdefault((s, t), p)
         return port
+
+    @cached_property
+    def rev_port(self) -> list[list[int]]:
+        """``[s][p]`` -> the port back to ``s`` on the neighbour behind
+        port ``p`` of ``s``.  Taken from the healthy topology, so a
+        repaired link finds its ports again; read-only, shared by every
+        simulator on this topology."""
+        port = self.port_map
+        return [
+            [port[t, s] for t in self.neighbours(s)]
+            for s in range(self.n_switches)
+        ]
 
     @cached_property
     def link_tables(self) -> LinkTables:

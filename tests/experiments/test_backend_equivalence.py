@@ -263,46 +263,6 @@ def test_fallback_cases_exercise_both_grant_paths(family):
     assert sim.grant_stats["fallback_rebuilds"] > 0
 
 
-@pytest.mark.parametrize("alt", ALT_BACKENDS)
-def test_roundrobin_arbiter_identical(alt):
-    # Round-robin runs the reference arbiter on both backends (no plan
-    # cache), next to the array backend's vectorized eject / transmit /
-    # inject scans; the diff proves they compose into the same records.
-    net = Network(HyperX((4, 4), 2))
-
-    def jobs(config):
-        cfg = config.with_(arbiter="roundrobin")
-        out = []
-        for seed in SEEDS:
-            out += load_sweep_jobs(
-                net, ("Minimal", "PolSP"), ("uniform", "hotspot"), (0.3, 0.7),
-                warmup=WARMUP, measure=MEASURE, seed=seed, config=cfg,
-            )
-        return out
-
-    _assert_identical(*_run_both(jobs, alt))
-
-
-@pytest.mark.parametrize("alt", ALT_BACKENDS)
-def test_random_arbiter_identical(alt):
-    # The random arbiter draws RNG per *visited* switch with head-of-line
-    # work — the sharpest probe that the agenda visits exactly the
-    # acting switches in the reference order.
-    net = Network(HyperX((4, 4), 2))
-
-    def jobs(config):
-        cfg = config.with_(arbiter="random")
-        out = []
-        for seed in SEEDS:
-            out += load_sweep_jobs(
-                net, ("PolSP",), ("uniform",), (0.3, 0.7),
-                warmup=WARMUP, measure=MEASURE, seed=seed, config=cfg,
-            )
-        return out
-
-    _assert_identical(*_run_both(jobs, alt))
-
-
 class TestBackendInCacheKey:
     def _job(self, config):
         return load_sweep_jobs(

@@ -17,6 +17,7 @@ retirement (an idle switch visited forever) alike.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.routing.catalog import make_mechanism
@@ -47,7 +48,10 @@ def _lone_packet_sim(backend, link_latency_slots=1):
         make_traffic("uniform", net, LONE_SEED), offered=0.0, seed=LONE_SEED,
     )
     src = sim.switches[0]
-    sim._generate(0, src, src.injection_input(0))
+    # One injection phase in which server 0 alone attempts.
+    sim.injection.attempts = lambda slot, rng: np.array([0])
+    sim._inject()
+    del sim.injection.attempts
     (pkt,) = src.in_q[src.injection_input(0)]
     assert net.distances[0, pkt.dst_switch] >= 3, "the path must be multi-hop"
     return sim

@@ -213,7 +213,7 @@ class TestKeyContractEdges:
 
 
 class TestGrantPlanCache:
-    """The vectorized grant path's plan cache and its conflict detector."""
+    """The array grant path's plan cache and its conflict detector."""
 
     def test_all_three_paths_run_under_congestion(self):
         # Hotspot congestion exercises plan reuse, select rebuilds and

@@ -47,7 +47,7 @@ class TestBackendRegistry:
     def test_display_names(self):
         assert "slot" in ENGINE_BACKENDS.display_name("slot").lower()
         assert "agenda" in ENGINE_BACKENDS.display_name("event").lower()
-        assert "vector" in ENGINE_BACKENDS.display_name("array").lower()
+        assert "plan cache" in ENGINE_BACKENDS.display_name("array").lower()
 
     def test_unknown_backend_error_shape(self):
         with pytest.raises(ValueError, match="unknown engine backend"):

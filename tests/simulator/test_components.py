@@ -112,14 +112,22 @@ class TestArbiters:
         ]
         assert runs[0] == runs[1]
 
-    def test_active_sorted_mirrors_active_set(self, net2d):
-        """The sorted-insertion structure never drifts from the set."""
+    def test_phase_counts_mirror_the_fifos(self, net2d):
+        """``local_heads`` and ``port_occ`` never drift from the FIFOs."""
         sim = _sim(net2d, offered=0.7)
+        V = sim.mechanism.n_vcs
         for slot in range(120):
             sim.step()
             if slot % 10 == 0:
                 for sw in sim.switches:
-                    assert sw.active_sorted == sorted(sw.active_inputs)
+                    assert sw.local_heads == sorted(
+                        idx for idx in sw.active_inputs
+                        if sw.in_q[idx][0].dst_switch == sw.sid
+                    )
+                    assert sw.port_occ == [
+                        sum(len(q) for q in sw.out_q[p * V:(p + 1) * V])
+                        for p in range(sw.n_ports)
+                    ]
 
     def test_qp_beats_random_at_saturation(self, net2d):
         """The load-aware rule must buy something over the null arbiter."""

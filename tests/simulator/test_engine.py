@@ -130,6 +130,22 @@ class TestConservation:
                     )
                     assert sw.credits[pv] == expected
 
+    def test_simulators_share_the_topology_reverse_port_table(self, net2d):
+        """``rev_port`` is the topology's cached table, not a per-simulator
+        copy: every simulator (and every backend) on one topology reads
+        the same object."""
+        a = make_sim(net2d)
+        b = make_simulator(
+            PAPER_CONFIG.with_(backend="array"), net2d,
+            make_mechanism("Minimal", net2d, rng=2),
+            make_traffic("uniform", net2d, 1), offered=0.3, seed=1,
+        )
+        assert a.rev_port is b.rev_port is net2d.topology.rev_port
+        for s, sw in enumerate(a.switches):
+            for p in range(sw.n_ports):
+                t = net2d.port_neighbour[s][p]
+                assert net2d.port_neighbour[t][a.rev_port[s][p]] == s
+
     def test_load_bookkeeping_matches_state(self, net2d):
         sim = make_sim(net2d, offered=0.6)
         for _ in range(100):

@@ -1,8 +1,9 @@
 """Property suite: the SimState arrays and the object views never diverge.
 
 The struct-of-arrays refactor left the FIFO ground truth in the
-``Switch`` views while the numeric/derived state (credits, loads,
-occupancies, head-of-line destinations, the packet census) lives in the
+``Switch`` views, with the counts the phase scans read (local heads,
+output occupancy per port), while the numeric state (credits, loads,
+the packet census) lives in the
 :class:`~repro.simulator.state.SimState` store.  Every
 mutation path is supposed to keep the two in lockstep through the view
 methods — including the awkward ones that only run on topology changes:
@@ -14,7 +15,7 @@ an in-flight term to the credit invariant and a second purge path.
 These tests drive full fail-and-repair cycles on the two families with
 the most distinct purge behaviour (torus: coordinate routes; fat-tree:
 up/down escape routing) and call :meth:`SimState.verify` — the
-O(everything) audit of every derived array against the queues — at the
+O(everything) audit of every derived number against the queues — at the
 slots bracketing each topology event, under both backends, and
 check packet conservation (census = ``in_flight`` = buffered + on the
 wire) after every step.
@@ -197,7 +198,9 @@ class TestFailRepairConsistency:
         assert slot_sim.next_pid == array_sim.next_pid
         assert np.array_equal(slot_sim.state.credits, array_sim.state.credits)
         assert np.array_equal(slot_sim.state.load, array_sim.state.load)
-        assert np.array_equal(slot_sim.state.hol_dst, array_sim.state.hol_dst)
+        for a, b in zip(slot_sim.switches, array_sim.switches):
+            assert a.local_heads == b.local_heads
+            assert a.port_occ == b.port_occ
         assert (
             slot_sim.rng.integers(1 << 30) == array_sim.rng.integers(1 << 30)
         )
@@ -238,17 +241,13 @@ class TestViewAliasing:
 HANDLES = {
     "credits": ("credits", "pv"),
     "load": ("load", "pv"),
-    "_out_occ": ("out_occ", "pv"),
     "port_load": ("port_load", "port"),
     "rr": ("rr", "port"),
-    "_hol_dst": ("hol_dst", "input"),
 }
 
 
 def _row_len(sw, kind):
-    return {
-        "pv": sw.n_ports * sw.n_vcs, "port": sw.n_ports, "input": sw.n_inputs,
-    }[kind]
+    return {"pv": sw.n_ports * sw.n_vcs, "port": sw.n_ports}[kind]
 
 
 class TestHandles:
@@ -339,7 +338,7 @@ class TestHandles:
         # One credit return: the flag and the credit land in the matrices.
         state.grant_feedback[:] = False
         sw, idx = next(
-            (sw, i) for sw in sim.switches for i in sw.active_sorted
+            (sw, i) for sw in sim.switches for i in sorted(sw.active_inputs)
             if not sw.is_injection_input(i)
         )
         port, vc = divmod(idx, sw.n_vcs)
