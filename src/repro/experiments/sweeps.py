@@ -21,6 +21,7 @@ from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
 from ..routing.catalog import default_n_vcs, supported_mechanisms
+from ..simulator.collective import MAX_ENTRIES, CollectiveTooLarge, collective_entries
 from ..simulator.config import PAPER_CONFIG, SimConfig
 from ..simulator.injection import onoff_peak
 from ..simulator.schedule import FaultSchedule
@@ -394,6 +395,14 @@ def collective_sweep_jobs(
     Sizing on the healthy topology keeps a network that its faults
     split building, into its disconnected record.
     """
+    for coll in collectives:
+        entries = collective_entries(coll, network.n_servers)
+        if entries > MAX_ENTRIES:
+            raise CollectiveTooLarge(
+                f"{coll} on {network.n_servers} servers is a {entries:,}-entry "
+                f"policy, past the {MAX_ENTRIES:,} entries a collective sweep "
+                "builds (see repro.simulator.collective.MAX_ENTRIES)"
+            )
     if n_vcs is None:
         n_vcs = default_n_vcs(Network(network.topology))
     configs = [

@@ -32,9 +32,11 @@ from .collective import (
     CollectiveEntry,
     CollectiveInjection,
     CollectivePolicy,
+    CollectiveTooLarge,
     all_gather_ring,
     all_reduce_ring,
     all_reduce_tree,
+    collective_entries,
     make_collective,
 )
 from .config import PAPER_CONFIG, SimConfig, table2_rows
@@ -71,6 +73,7 @@ __all__ = [
     "CollectiveEntry",
     "CollectiveInjection",
     "CollectivePolicy",
+    "CollectiveTooLarge",
     "DeadlockError",
     "ENGINE_BACKENDS",
     "FLOW_CONTROLS",
@@ -104,6 +107,7 @@ __all__ = [
     "all_gather_ring",
     "all_reduce_ring",
     "all_reduce_tree",
+    "collective_entries",
     "jain_index",
     "make_arbiter",
     "make_collective",

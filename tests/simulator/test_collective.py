@@ -11,6 +11,11 @@ not the job.
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter, defaultdict, deque
 from dataclasses import asdict
 
@@ -28,6 +33,7 @@ from repro.simulator import (
     all_gather_ring,
     all_reduce_ring,
     all_reduce_tree,
+    collective_entries,
     make_collective,
     make_simulator,
 )
@@ -39,15 +45,79 @@ from repro.traffic import CollectiveTraffic
 GENERATORS = (all_reduce_ring, all_reduce_tree, all_gather_ring)
 
 
+# ----------------------------------------------------------------------
+# String oracles: each generator written one CollectiveEntry per transfer,
+# with named chunk states, and built through CollectivePolicy(entries,
+# initial).  The column generators must emit the same DAG.
+# ----------------------------------------------------------------------
+def _ring_entries(prefix, n, steps, chunk_packets):
+    entries = [
+        CollectiveEntry(
+            chunk=f"{prefix}{c}.{t}",
+            src=(c + t) % n,
+            dst=(c + t + 1) % n,
+            packets=chunk_packets,
+            produces=f"{prefix}{c}.{t + 1}",
+        )
+        for t in range(steps)
+        for c in range(n)
+    ]
+    return entries, [(f"{prefix}{c}.0", c) for c in range(n)]
+
+
+def _oracle_all_reduce_ring(n, *, chunk_packets=1):
+    return CollectivePolicy(*_ring_entries("ar", n, 2 * n - 2, chunk_packets))
+
+
+def _oracle_all_gather_ring(n, *, chunk_packets=1):
+    return CollectivePolicy(*_ring_entries("ag", n, n - 1, chunk_packets))
+
+
+def _oracle_all_reduce_tree(n, *, chunk_packets=1):
+    up = [
+        CollectiveEntry(f"up{v}", v, (v - 1) // 2, chunk_packets, f"up{(v - 1) // 2}")
+        for v in range(n - 1, 0, -1)
+    ]
+    down = [
+        CollectiveEntry("up0" if p == 0 else f"dn{p}", p, c, chunk_packets, f"dn{c}")
+        for p in range(n)
+        for c in (2 * p + 1, 2 * p + 2)
+        if c < n
+    ]
+    leaves = [v for v in range(n) if 2 * v + 1 >= n]
+    return CollectivePolicy(up + down, [(f"up{v}", v) for v in leaves])
+
+
+ORACLES = {
+    all_reduce_ring: _oracle_all_reduce_ring,
+    all_reduce_tree: _oracle_all_reduce_tree,
+    all_gather_ring: _oracle_all_gather_ring,
+}
+
+
+def _state_map(a, b):
+    """The map from ``a``'s state ids to ``b``'s that entry position
+    induces (trigger with trigger, product with product); fails unless
+    it is a bijection."""
+    pairs = set(zip(
+        np.concatenate([a.trigger, a.produces]).tolist(),
+        np.concatenate([b.trigger, b.produces]).tolist(),
+    ))
+    mapping = dict(pairs)
+    assert len(mapping) == len(pairs) == len(set(mapping.values()))
+    return mapping
+
+
 def _reference_fire_order(pol):
     """The fire order by a string-keyed dict/deque replay of the rule.
 
     An independent oracle for the compiled tables: same FIFO of fired
     entries, same waiter order, ownership keyed by ``(chunk, server)``.
     """
-    need = Counter((e.produces, e.dst) for e in pol)
+    entries = pol.entries
+    need = Counter((e.produces, e.dst) for e in entries)
     waiting = defaultdict(list)
-    for i, e in enumerate(pol):
+    for i, e in enumerate(entries):
         waiting[(e.chunk, e.src)].append(i)
     got = Counter()
     frontier = deque()
@@ -57,7 +127,7 @@ def _reference_fire_order(pol):
     while frontier:
         i = frontier.popleft()
         order.append(i)
-        state = (pol.entries[i].produces, pol.entries[i].dst)
+        state = (entries[i].produces, entries[i].dst)
         got[state] += 1
         if got[state] == need[state]:
             frontier.extend(waiting.pop(state, ()))
@@ -136,6 +206,23 @@ class TestPolicy:
         order = pol.fire_order(4)
         assert order.index(2) > max(order.index(0), order.index(1))
 
+    def test_rejects_negative_initial_server(self):
+        # An entry with a negative server is rejected, so is an ownership.
+        with pytest.raises(ValueError, match="non-negative"):
+            CollectivePolicy([CollectiveEntry("c", 0, 1)], [("c", 0), ("x", -3)])
+
+    def test_entries_and_initial_round_trip(self):
+        entries = [
+            CollectiveEntry("up", 0, 2, produces="sum"),
+            CollectiveEntry("up2", 1, 2, packets=3, produces="sum"),
+            CollectiveEntry("sum", 2, 3),
+        ]
+        pol = CollectivePolicy(entries, [("up2", 1), ("up", 0)], label="fan-in")
+        assert pol.entries == tuple(entries)
+        assert pol.initial == (("up", 0), ("up2", 1))
+        assert pol.total_packets == 5
+        assert repr(pol) == "CollectivePolicy('fan-in', 3 entries)"
+
     def test_initial_state_is_granted_once(self):
         # ("c", 0) is owned from the start *and* produced by entry 0: its
         # waiter (entry 1) fires at the root grant and never again.
@@ -186,6 +273,34 @@ class TestGenerators:
         # n chunks at each of n servers, each reached exactly once.
         assert all(owned[s] == n for s in range(n))
 
+    @pytest.mark.parametrize("chunk_packets", (1, 3))
+    @pytest.mark.parametrize("n", COUNTS)
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_columns_match_string_oracle(self, gen, n, chunk_packets):
+        pol = gen(n, chunk_packets=chunk_packets)
+        ref = ORACLES[gen](n, chunk_packets=chunk_packets)
+        for col in ("src", "dst", "packets"):
+            assert getattr(pol, col).tolist() == getattr(ref, col).tolist(), col
+        # One bijection between the two state numberings carries every
+        # trigger, product and root across: the same DAG.
+        mapping = _state_map(pol, ref)
+        assert sorted(mapping[r] for r in pol.roots.tolist()) == sorted(ref.roots.tolist())
+        assert sorted(s for _c, s in pol.initial) == sorted(s for _c, s in ref.initial)
+        assert _hand_drain(CollectiveInjection(n, pol)) == _hand_drain(
+            CollectiveInjection(n, ref)
+        )
+
+    @pytest.mark.parametrize("n", COUNTS)
+    @pytest.mark.parametrize("name", sorted(COLLECTIVES))
+    def test_entry_count_closed_form(self, name, n):
+        assert collective_entries(name, n) == len(make_collective(name, n))
+
+    def test_generated_states_are_named_by_id(self):
+        pol = all_reduce_ring(3)
+        assert pol.entries[0] == CollectiveEntry("s0", 0, 1, 1, "s1")
+        assert pol.initial == (("s0", 0), ("s5", 1), ("s10", 2))
+        assert repr(pol) == "CollectivePolicy('allreduce_ring(n=3)', 12 entries)"
+
     def test_registry_aliases(self):
         assert COLLECTIVES.canonical("ring-allreduce") == "allreduce_ring"
         assert COLLECTIVES.canonical("all-gather") == "allgather_ring"
@@ -195,6 +310,56 @@ class TestGenerators:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             all_reduce_ring(1)
+
+
+class TestColumns:
+    """``from_columns`` rejects what ``CollectiveEntry`` and the string
+    path reject, on whole columns."""
+
+    #: 0 -> 1 -> 2: state 0 at server 0, state 1 at 1, state 2 at 2.
+    CHAIN = dict(trigger=[0, 1], produces=[1, 2], src=[0, 1], dst=[1, 2],
+                 packets=[1, 2], roots=[0])
+
+    def _build(self, **change):
+        return CollectivePolicy.from_columns(**{**self.CHAIN, **change})
+
+    def test_chain_drains(self):
+        pol = self._build()
+        assert pol.fire_order(3) == [0, 1]
+        assert _hand_drain(CollectiveInjection(3, pol)) == [(0, 1), (1, 2), (1, 2)]
+
+    @pytest.mark.parametrize("change,match", [
+        (dict(trigger=[], produces=[], src=[], dst=[], packets=[]), "at least one entry"),
+        (dict(src=[0, 1, 2]), "one length"),
+        (dict(src=[-1, 1]), "non-negative"),
+        (dict(dst=[1, -2], produces=[1, 2]), "non-negative"),
+        (dict(trigger=[-1, 1]), "state ids"),
+        (dict(roots=[-2]), "state ids"),
+        (dict(dst=[1, 1]), "self-transfer of entry 1"),
+        (dict(packets=[1, 0]), "packets"),
+        (dict(roots=[0, 0]), "listed twice"),
+        (dict(roots=[0, 5]), "a root must be the state of an entry"),
+        # State 1 is produced at server 1 but triggers a send from 2.
+        (dict(src=[0, 2], dst=[1, 0]), "one server"),
+    ])
+    def test_rejects(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            self._build(**change)
+
+    def test_rejects_non_integer_columns(self):
+        with pytest.raises(TypeError, match="packets"):
+            self._build(packets=[1.0, 2.0])
+
+    def test_out_of_range_server_and_incomplete_dag(self):
+        with pytest.raises(ValueError, match="references server 2"):
+            self._build().validate(2)
+        with pytest.raises(ValueError, match="not a complete DAG"):
+            self._build(roots=[1]).validate(3)
+
+    def test_columns_are_read_only(self):
+        pol = self._build()
+        with pytest.raises(ValueError):
+            pol.src[0] = 2
 
 
 # ----------------------------------------------------------------------
@@ -412,3 +577,47 @@ class TestEndToEnd:
         res = sim.run_until_drained(max_slots=20)
         assert res.completion_slot is None and res.jct_cycles is None
         assert not inj.exhausted
+
+
+#: A 64-server ring all-reduce's fire order, then a PolSP drain of it on
+#: HyperX (4,4)x4 through a link failure, printed as one JSON line.
+_HASH_SEED_PROBE = """
+import json
+from dataclasses import asdict
+from repro.routing import make_mechanism
+from repro.simulator import (CollectiveInjection, FaultSchedule, SimConfig,
+                             make_collective, make_simulator)
+from repro.topology.base import Network
+from repro.topology.hyperx import HyperX
+from repro.traffic import CollectiveTraffic
+
+net = Network(HyperX((4, 4), 4))
+policy = make_collective("allreduce_ring", net.n_servers, chunk_packets=2)
+inj = CollectiveInjection(net.n_servers, policy)
+schedule = FaultSchedule.down_then_up(40, 100, [(4 * r, 4 * r + 3) for r in range(4)])
+sim = make_simulator(
+    SimConfig(collective="allreduce_ring", chunk_packets=2), net,
+    make_mechanism("PolSP", net), CollectiveTraffic(net, inj),
+    injection=inj, seed=1, fault_schedule=schedule,
+)
+result = sim.run_until_drained(max_slots=20_000)
+print(json.dumps([policy.fire_order(net.n_servers), asdict(result), inj.retransmitted]))
+"""
+
+
+def test_records_do_not_depend_on_the_hash_seed():
+    # Set or dict iteration over strings, or an unstable sort, would make
+    # two processes disagree; PYTHONHASHSEED changes every str hash.
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE], check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    order, result, retransmitted = json.loads(outputs[0])
+    assert sorted(order) == list(range(2 * 63 * 64))
+    assert result["jct_cycles"] is not None and retransmitted > 0
